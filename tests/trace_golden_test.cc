@@ -9,12 +9,14 @@
 // from the seed implementation proves bit-identity end to end — through the
 // device models, buffer pool, scan/join operators, and calibrator.
 //
-// The golden values below were recorded from the pre-optimization engine
-// (commit 1579194) on x86-64. Every arithmetic operation on the simulated
-// timeline is IEEE-correctly-rounded (+, -, *, /, sqrt) or glibc-stable
-// (log2 in the sort-cost burst), so the values are stable across build
-// types and recent x86-64 toolchains. If a *deliberate* timing-model change
-// invalidates them, regenerate with:
+// The scan/join/calibration golden values below were recorded from the
+// pre-optimization engine (commit 1579194) on x86-64; the sorted-scan,
+// prefetching-PIS and concurrent-mix values from commit f488daf, before the
+// scan operators were folded onto one driver. Every arithmetic operation on
+// the simulated timeline is IEEE-correctly-rounded (+, -, *, /, sqrt) or
+// glibc-stable (log2 in the sort-cost burst), so the values are stable
+// across build types and recent x86-64 toolchains. If a *deliberate*
+// timing-model change invalidates them, regenerate with:
 //
 //   PIOQO_PRINT_TRACE_GOLDENS=1 ./build/tests/trace_golden_test
 //
@@ -24,6 +26,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,33 +42,82 @@
 namespace pioqo {
 namespace {
 
-/// A fig04-style scenario: seeded table, flushed pool, the paper's query Q
-/// under IS, FTS and PIS (dop 8) — same shape as replay_determinism_test.
-uint64_t ScanScenario(io::DeviceKind kind) {
+constexpr int32_t kScanDomain = 1 << 24;
+
+/// The fig04-style rig every scan scenario shares: a seeded 30000-row
+/// table behind a `pool_pages`-frame pool.
+std::unique_ptr<db::Database> ScanDatabase(io::DeviceKind kind,
+                                           uint32_t pool_pages = 512) {
   db::DatabaseOptions opts;
   opts.device = kind;
-  opts.pool_pages = 512;
-  db::Database db(opts);
+  opts.pool_pages = pool_pages;
+  auto db = std::make_unique<db::Database>(opts);
 
   storage::DatasetConfig cfg;
   cfg.name = "t";
   cfg.num_rows = 30000;
   cfg.rows_per_page = 33;
-  cfg.c2_domain = 1 << 24;
+  cfg.c2_domain = kScanDomain;
   cfg.seed = 42;
-  PIOQO_CHECK_OK(db.CreateTable(cfg));
+  PIOQO_CHECK_OK(db->CreateTable(cfg));
+  return db;
+}
 
-  const exec::RangePredicate pred{
-      0, storage::C2UpperBoundForSelectivity(cfg.c2_domain, 0.02)};
+/// The paper's query Q at 2% selectivity.
+exec::RangePredicate ScanPredicate() {
+  return {0, storage::C2UpperBoundForSelectivity(kScanDomain, 0.02)};
+}
+
+/// Query Q under IS, FTS and PIS (dop 8) — same shape as
+/// replay_determinism_test.
+uint64_t ScanScenario(io::DeviceKind kind) {
+  auto db = ScanDatabase(kind);
   for (auto method : {core::AccessMethod::kIs, core::AccessMethod::kFts,
                       core::AccessMethod::kPis}) {
     const int dop = method == core::AccessMethod::kPis ? 8 : 1;
     const int prefetch = method == core::AccessMethod::kFts ? 32 : 0;
-    auto result =
-        db.ExecuteScan("t", pred, method, dop, prefetch, /*flush_pool=*/true);
+    auto result = db->ExecuteScan("t", ScanPredicate(), method, dop, prefetch,
+                                  /*flush_pool=*/true);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
   }
-  return db.simulator().trace_hash();
+  return db->simulator().trace_hash();
+}
+
+/// One forced plan through ExecuteScan on a flushed pool.
+uint64_t ForcedScan(io::DeviceKind kind, core::AccessMethod method, int dop,
+                    int prefetch) {
+  auto db = ScanDatabase(kind);
+  auto result = db->ExecuteScan("t", ScanPredicate(), method, dop, prefetch,
+                                /*flush_pool=*/true);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return db->simulator().trace_hash();
+}
+
+/// The sorted index scan (Sec. 3.1): RID collection, the sort-cost burst,
+/// then ascending page fetches with prefetch.
+uint64_t SortedScanScenario(io::DeviceKind kind) {
+  return ForcedScan(kind, core::AccessMethod::kSortedIs, 4, 8);
+}
+
+/// PIS with per-worker prefetch, which also pipelines each worker's next
+/// leaf.
+uint64_t PisPrefetchScenario(io::DeviceKind kind) {
+  return ForcedScan(kind, core::AccessMethod::kPis, 8, 8);
+}
+
+/// Three streams — PIS, FTS and sorted IS — started at one instant on the
+/// shared device, CPU and pool (sized so 20 workers' pins and prefetches
+/// fit).
+uint64_t ConcurrentScenario(io::DeviceKind kind) {
+  auto db = ScanDatabase(kind, 2048);
+  const std::vector<db::Database::ConcurrentScanSpec> specs = {
+      {"t", ScanPredicate(), core::AccessMethod::kPis, 8, 8},
+      {"t", ScanPredicate(), core::AccessMethod::kFts, 1, 0},
+      {"t", ScanPredicate(), core::AccessMethod::kSortedIs, 4, 8},
+  };
+  auto results = db->ExecuteConcurrentScans(specs, /*flush_pool=*/true);
+  EXPECT_TRUE(results.ok()) << results.status().ToString();
+  return db->simulator().trace_hash();
 }
 
 /// A parallel index-nested-loop join (dop 8) over two seeded tables — the
@@ -128,7 +181,7 @@ struct Golden {
   uint64_t expected;
 };
 
-// Pre-recorded from the seed (pre-optimization) engine; see file comment.
+// Pre-recorded from the engines named in the file comment.
 const Golden kGoldens[] = {
     {"scan", io::DeviceKind::kHdd7200, ScanScenario, 0x24eee24c061081fdULL},
     {"scan", io::DeviceKind::kSsdConsumer, ScanScenario, 0x259385d7edd91aaaULL},
@@ -142,22 +195,47 @@ const Golden kGoldens[] = {
      0x36c266d188564212ULL},
     {"calibration", io::DeviceKind::kRaid8, CalibrationScenario,
      0x4df469592f6e6aa0ULL},
+    {"sorted_scan", io::DeviceKind::kHdd7200, SortedScanScenario,
+     0xa1f64f3c94b40a70ULL},
+    {"sorted_scan", io::DeviceKind::kSsdConsumer, SortedScanScenario,
+     0x5f410361250b2e1eULL},
+    {"sorted_scan", io::DeviceKind::kRaid8, SortedScanScenario,
+     0x0fffeeb765c00e92ULL},
+    {"pis_prefetch", io::DeviceKind::kHdd7200, PisPrefetchScenario,
+     0x5eb504563f7808e4ULL},
+    {"pis_prefetch", io::DeviceKind::kSsdConsumer, PisPrefetchScenario,
+     0xd9bade9fcf86a22bULL},
+    {"pis_prefetch", io::DeviceKind::kRaid8, PisPrefetchScenario,
+     0xe9d08fd93d949b20ULL},
+    {"concurrent", io::DeviceKind::kHdd7200, ConcurrentScenario,
+     0x9fa919b21942f056ULL},
+    {"concurrent", io::DeviceKind::kSsdConsumer, ConcurrentScenario,
+     0x72792b994b22989fULL},
+    {"concurrent", io::DeviceKind::kRaid8, ConcurrentScenario,
+     0x17d06593cbb28015ULL},
 };
+
+/// The scenario function behind a table name, for the regeneration printer.
+const char* ScenarioFunction(std::string_view scenario) {
+  if (scenario == "scan") return "ScanScenario";
+  if (scenario == "join") return "JoinScenario";
+  if (scenario == "calibration") return "CalibrationScenario";
+  if (scenario == "sorted_scan") return "SortedScanScenario";
+  if (scenario == "pis_prefetch") return "PisPrefetchScenario";
+  return "ConcurrentScenario";
+}
 
 TEST(TraceGoldenTest, MatchesSeedImplementation) {
   const bool print = std::getenv("PIOQO_PRINT_TRACE_GOLDENS") != nullptr;
   for (const Golden& g : kGoldens) {
     const uint64_t actual = g.run(g.kind);
     if (print) {
-      std::printf("    {\"%s\", io::DeviceKind::k%s, %sScenario, "
-                  "0x%016llxULL},\n",
+      std::printf("    {\"%s\", io::DeviceKind::k%s, %s, 0x%016llxULL},\n",
                   g.scenario,
                   g.kind == io::DeviceKind::kHdd7200      ? "Hdd7200"
                   : g.kind == io::DeviceKind::kSsdConsumer ? "SsdConsumer"
                                                            : "Raid8",
-                  g.scenario[0] == 's'   ? "Scan"
-                  : g.scenario[0] == 'j' ? "Join"
-                                         : "Calibration",
+                  ScenarioFunction(g.scenario),
                   static_cast<unsigned long long>(actual));
       continue;
     }
