@@ -4,7 +4,7 @@
 // SAP SQL Anywhere does not support this operator, we could not consider it
 // in our experiments."
 //
-// We implemented it (exec::RunSortedIndexScan), so this bench completes the
+// We implemented it (exec::ScanSpec::sorted), so this bench completes the
 // paper's missing comparison on E33-SSD: SIS fetches each table page at
 // most once, which makes it the winner in exactly the selectivity band the
 // paper predicts ("it can be the optimal choice in a particular selectivity

@@ -172,29 +172,13 @@ StatusOr<exec::ScanResult> Database::ExecuteScan(const std::string& table,
                                                  int dop, int prefetch_depth,
                                                  bool flush_pool,
                                                  io::QueryContext* query) {
-  PIOQO_ASSIGN_OR_RETURN(const storage::Dataset* ds, GetTable(table));
-  if (dop < 1 || dop > options_.constants.max_parallel_degree) {
-    return Status::InvalidArgument("bad parallel degree");
-  }
+  PIOQO_ASSIGN_OR_RETURN(
+      exec::ScanSpec spec,
+      ResolveScanSpec({table, pred, method, dop, prefetch_depth}));
   if (flush_pool) PIOQO_RETURN_IF_ERROR(pool_.Clear());
   exec::ExecContext ctx{sim_,          cpu_, pool_, options_.constants,
                         health_.get(), query};
-  exec::ScanResult result;
-  switch (method) {
-    case core::AccessMethod::kFts:
-    case core::AccessMethod::kPfts:
-      result = exec::RunFullTableScan(ctx, ds->table, pred, dop);
-      break;
-    case core::AccessMethod::kIs:
-    case core::AccessMethod::kPis:
-      result = exec::RunIndexScan(ctx, ds->table, ds->index_c2, pred, dop,
-                                  prefetch_depth);
-      break;
-    case core::AccessMethod::kSortedIs:
-      result = exec::RunSortedIndexScan(ctx, ds->table, ds->index_c2, pred,
-                                        dop, prefetch_depth);
-      break;
-  }
+  exec::ScanResult result = exec::RunScan(ctx, spec);
   // A scan that failed mid-flight still tore down cleanly (all coroutines
   // retired, no pages pinned); surface its error as the query's Status.
   if (!result.ok()) return result.status;
@@ -206,6 +190,9 @@ StatusOr<exec::ScanSpec> Database::ResolveScanSpec(
   PIOQO_ASSIGN_OR_RETURN(const storage::Dataset* ds, GetTable(spec.table));
   if (spec.dop < 1 || spec.dop > options_.constants.max_parallel_degree) {
     return Status::InvalidArgument("bad parallel degree");
+  }
+  if (spec.prefetch_depth < 0) {
+    return Status::InvalidArgument("negative prefetch depth");
   }
   exec::ScanSpec es;
   es.table = &ds->table;

@@ -263,8 +263,9 @@ class Database {
   const DatabaseOptions& options() const { return options_; }
 
  private:
-  /// Resolves a workload spec against the catalog (table/index pointers,
-  /// DOP validation) into an executable exec::ScanSpec.
+  /// Resolves a forced plan against the catalog (table/index pointers, DOP
+  /// and prefetch validation) into an executable exec::ScanSpec — the one
+  /// place an AccessMethod becomes a scan.
   StatusOr<exec::ScanSpec> ResolveScanSpec(const ConcurrentScanSpec& spec) const;
   /// Expected single-request read latency from the calibrated model
   /// (whole-device band, queue depth 1). Requires calibrated().

@@ -1,10 +1,9 @@
 #include "exec/join_operators.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/logging.h"
-#include "io/device.h"
+#include "exec/scan_internal.h"
 #include "io/health_monitor.h"
 #include "io/query_context.h"
 #include "sim/sync.h"
@@ -25,10 +24,7 @@ struct JoinState {
   const BPlusTree& inner_index;
   RangePredicate pred;
 
-  PageId next_page;
-  PageId end_page;
-  std::vector<int32_t> block_remaining;
-  sim::Semaphore prefetch_slots;
+  internal::BlockCursor cursor;
   sim::Latch done;
 
   // Accumulators (single simulated timeline).
@@ -52,36 +48,9 @@ struct JoinState {
         inner(i),
         inner_index(idx),
         pred(p),
-        next_page(o.first_page()),
-        end_page(o.first_page() + o.num_pages()),
-        prefetch_slots(c.sim, c.constants.fts_prefetch_blocks),
-        done(c.sim, dop) {
-    const uint32_t bp = c.constants.fts_block_pages;
-    const uint32_t blocks = (o.num_pages() + bp - 1) / bp;
-    block_remaining.assign(blocks, 0);
-    for (uint32_t b = 0; b < blocks; ++b) {
-      block_remaining[b] = static_cast<int32_t>(
-          std::min<uint32_t>(bp, o.num_pages() - b * bp));
-    }
-  }
-
-  uint32_t BlockOf(PageId p) const {
-    return (p - outer.first_page()) / ctx.constants.fts_block_pages;
-  }
+        cursor(c, o, c.constants.fts_prefetch_blocks),
+        done(c.sim, dop) {}
 };
-
-sim::Task JoinPrefetcher(JoinState& s) {
-  const uint32_t bp = s.ctx.constants.fts_block_pages;
-  for (PageId b = s.outer.first_page(); b < s.end_page;
-       b += static_cast<PageId>(bp)) {
-    co_await s.prefetch_slots.WaitAcquire();
-    // After a failure the slot protocol keeps cycling (drain-mode workers
-    // still release slots), but no new I/O is issued.
-    if (!s.failed()) {
-      s.ctx.pool.PrefetchBlock(b, std::min<uint32_t>(bp, s.end_page - b));
-    }
-  }
-}
 
 /// Probes the inner index for `key`: root-to-leaf descent (interior pages
 /// become buffer-pool hits almost immediately), then fetches the inner
@@ -89,10 +58,11 @@ sim::Task JoinPrefetcher(JoinState& s) {
 sim::Task JoinWorker(JoinState& s) {
   const auto& c = s.ctx.constants;
   co_await s.ctx.cpu.Consume(c.worker_startup_us);
-  for (;;) {
-    if (s.next_page >= s.end_page) break;
-    const PageId outer_page = s.next_page++;
-
+  // Every claimed outer page — probed, failed or drained — is marked
+  // consumed in the loop step, which keeps the prefetcher's slot protocol
+  // alive.
+  for (PageId outer_page = kInvalidPageId; s.cursor.Next(outer_page);
+       s.cursor.Consumed(outer_page)) {
     if (s.ctx.query != nullptr && !s.failed()) {
       // Outer-page granularity cancellation poll; the drain protocol below
       // consumes the claimed page without device I/O.
@@ -100,21 +70,13 @@ sim::Task JoinWorker(JoinState& s) {
       if (!alive.ok()) s.RecordError(alive);
     }
 
-    if (s.failed()) {
-      // Drain mode: consume remaining outer pages without device I/O so
-      // the block/slot protocol completes and every coroutine retires.
-      if (--s.block_remaining[s.BlockOf(outer_page)] == 0) {
-        s.prefetch_slots.Release();
-      }
-      continue;
-    }
+    // Drain mode: consume remaining outer pages without device I/O so
+    // every coroutine retires.
+    if (s.failed()) continue;
 
     auto outer_ref = co_await s.ctx.pool.Fetch(outer_page, s.ctx.query);
     if (!outer_ref.ok()) {
       s.RecordError(outer_ref.status);
-      if (--s.block_remaining[s.BlockOf(outer_page)] == 0) {
-        s.prefetch_slots.Release();
-      }
       continue;
     }
     const uint16_t rows = s.outer.RowsInPage(outer_page);
@@ -204,10 +166,6 @@ sim::Task JoinWorker(JoinState& s) {
         pid = next;
       }
     }
-
-    if (--s.block_remaining[s.BlockOf(outer_page)] == 0) {
-      s.prefetch_slots.Release();
-    }
   }
   s.done.CountDown();
 }
@@ -221,24 +179,23 @@ JoinResult RunIndexNestedLoopJoin(ExecContext& ctx,
                                   RangePredicate pred, int dop) {
   PIOQO_CHECK(dop >= 1);
   if (ctx.health != nullptr) dop = ctx.health->ClampDop(dop);
-  ctx.pool.disk().device().stats().Reset();
-  const double start = ctx.sim.Now();
+  internal::Measurement measurement(ctx);
   JoinState state(ctx, outer, inner, inner_index, pred, dop);
-  JoinPrefetcher(state).Detach();
+  state.cursor.Prefetcher(state.status).Detach();
   for (int w = 0; w < dop; ++w) JoinWorker(state).Detach();
   ctx.sim.Run();
   PIOQO_CHECK(state.done.done());
 
+  const ScanResult run = measurement.Finish(ScanAggregate{});
   JoinResult result;
   result.status = state.status;
   result.outer_rows_examined = state.outer_rows;
   result.probes = state.probes;
   result.rows_joined = state.rows_joined;
   result.sum_c1 = state.sum_c1;
-  result.runtime_us = ctx.sim.Now() - start;
-  const auto& dev = ctx.pool.disk().device().stats();
-  result.avg_queue_depth = dev.AverageQueueDepth(ctx.sim.Now());
-  result.device_reads = dev.reads();
+  result.runtime_us = run.runtime_us;
+  result.avg_queue_depth = run.avg_queue_depth;
+  result.device_reads = run.device_reads;
   return result;
 }
 

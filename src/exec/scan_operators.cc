@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "exec/scan_internal.h"
 #include "io/device.h"
 #include "io/health_monitor.h"
 #include "io/query_context.h"
@@ -15,11 +16,70 @@
 #include "sim/task.h"
 
 namespace pioqo::exec {
-namespace {
 
 using storage::BPlusTree;
 using storage::kInvalidPageId;
 using storage::PageId;
+
+namespace internal {
+
+Measurement::Measurement(ExecContext& ctx)
+    : ctx_(ctx), start_time_(ctx.sim.Now()), start_pool_(ctx.pool.stats()) {
+  ctx_.pool.disk().device().stats().Reset();
+}
+
+ScanResult Measurement::Finish(const ScanAggregate& agg) const {
+  ScanResult r;
+  r.max_c1 = agg.max_c1;
+  r.rows_matched = agg.rows_matched;
+  r.rows_examined = agg.rows_examined;
+  r.runtime_us = ctx_.sim.Now() - start_time_;
+  const auto& dev = ctx_.pool.disk().device().stats();
+  r.device_reads = dev.reads();
+  r.bytes_read = dev.bytes_read();
+  r.avg_queue_depth = dev.AverageQueueDepth(ctx_.sim.Now());
+  r.io_throughput_mbps = dev.ThroughputMbps();
+  const auto& pool = ctx_.pool.stats();
+  r.pool_hits = pool.hits - start_pool_.hits;
+  r.pool_misses = pool.misses - start_pool_.misses;
+  r.status = agg.status;
+  return r;
+}
+
+BlockCursor::BlockCursor(ExecContext& ctx, const storage::Table& table,
+                         int prefetch_blocks)
+    : ctx_(ctx),
+      first_page_(table.first_page()),
+      end_page_(table.first_page() + table.num_pages()),
+      next_page_(table.first_page()),
+      block_pages_(ctx.constants.fts_block_pages),
+      prefetch_slots_(ctx.sim, prefetch_blocks) {
+  const uint32_t blocks = (table.num_pages() + block_pages_ - 1) / block_pages_;
+  block_remaining_.assign(blocks, 0);
+  for (uint32_t b = 0; b < blocks; ++b) {
+    block_remaining_[b] = static_cast<int32_t>(
+        std::min<uint32_t>(block_pages_, table.num_pages() - b * block_pages_));
+  }
+}
+
+sim::Task BlockCursor::Prefetcher(const Status& scan_status) {
+  for (PageId b = first_page_; b < end_page_;
+       b += static_cast<PageId>(block_pages_)) {
+    co_await prefetch_slots_.WaitAcquire();
+    // Workers may already be past this block; a fully consumed block's
+    // pages are simply found resident/in flight and skipped.
+    if (scan_status.ok()) {
+      ctx_.pool.PrefetchBlock(b, std::min<uint32_t>(block_pages_, end_page_ - b));
+    }
+  }
+}
+
+}  // namespace internal
+
+namespace {
+
+using internal::BlockCursor;
+using internal::Measurement;
 
 using Aggregate = ScanAggregate;
 
@@ -34,49 +94,19 @@ bool PollCancelled(ExecContext& ctx, Aggregate& agg) {
   return agg.failed();
 }
 
-/// Re-evaluates the health monitor's DOP clamp against the currently
-/// allowed parallelism. Returns the (possibly reduced) allowed DOP; workers
-/// whose index is at or above it retire. Never drops below 1 — worker 0
-/// always finishes the scan, degraded or not.
-int UpdateAllowedDop(ExecContext& ctx, int allowed) {
-  if (ctx.health == nullptr || allowed <= 1) return allowed;
-  if (!ctx.health->degraded()) return allowed;
-  return std::min(allowed, ctx.health->ClampDop(allowed));
+/// Graceful degradation: between units of work, re-evaluates the health
+/// monitor's DOP clamp against the scan's currently allowed parallelism and
+/// reports whether worker `worker_index` should retire. Worker 0 never
+/// does, so the scan always completes, degraded or not.
+template <typename State>
+bool ShouldRetire(State& s, int worker_index) {
+  if (worker_index == 0) return false;
+  io::DeviceHealthMonitor* health = s.ctx.health;
+  if (health != nullptr && s.allowed_dop > 1 && health->degraded()) {
+    s.allowed_dop = std::min(s.allowed_dop, health->ClampDop(s.allowed_dop));
+  }
+  return worker_index >= s.allowed_dop;
 }
-
-/// Snapshot device+pool counters around a run and fold them into a result.
-class Measurement {
- public:
-  explicit Measurement(ExecContext& ctx)
-      : ctx_(ctx),
-        start_time_(ctx.sim.Now()),
-        start_pool_(ctx.pool.stats()) {
-    ctx_.pool.disk().device().stats().Reset();
-  }
-
-  ScanResult Finish(const Aggregate& agg) {
-    ScanResult r;
-    r.max_c1 = agg.max_c1;
-    r.rows_matched = agg.rows_matched;
-    r.rows_examined = agg.rows_examined;
-    r.runtime_us = ctx_.sim.Now() - start_time_;
-    const auto& dev = ctx_.pool.disk().device().stats();
-    r.device_reads = dev.reads();
-    r.bytes_read = dev.bytes_read();
-    r.avg_queue_depth = dev.AverageQueueDepth(ctx_.sim.Now());
-    r.io_throughput_mbps = dev.ThroughputMbps();
-    const auto& pool = ctx_.pool.stats();
-    r.pool_hits = pool.hits - start_pool_.hits;
-    r.pool_misses = pool.misses - start_pool_.misses;
-    r.status = agg.status;
-    return r;
-  }
-
- private:
-  ExecContext& ctx_;
-  sim::SimTime start_time_;
-  storage::BufferPoolStats start_pool_;
-};
 
 // ---------------------------------------------------------------------------
 // Full table scan
@@ -87,78 +117,37 @@ struct FtsState {
   const storage::Table& table;
   RangePredicate pred;
 
-  PageId next_page;
-  PageId end_page;
-  std::vector<int32_t> block_remaining;
-  sim::Semaphore prefetch_slots;
+  BlockCursor cursor;
   sim::Semaphore page_latch;
   sim::Latch done;
   Aggregate agg;
   int allowed_dop;
 
-  FtsState(ExecContext& c, const storage::Table& t, RangePredicate p, int dop,
-           int prefetch_blocks)
+  FtsState(ExecContext& c, const ScanSpec& spec, int dop, int prefetch_blocks)
       : ctx(c),
-        table(t),
-        pred(p),
-        next_page(t.first_page()),
-        end_page(t.first_page() + t.num_pages()),
-        prefetch_slots(c.sim, prefetch_blocks),
+        table(*spec.table),
+        pred(spec.pred),
+        cursor(c, *spec.table, prefetch_blocks),
         page_latch(c.sim, 1),
         done(c.sim, dop),
-        allowed_dop(dop) {
-    const uint32_t bp = c.constants.fts_block_pages;
-    const uint32_t blocks = (t.num_pages() + bp - 1) / bp;
-    block_remaining.assign(blocks, 0);
-    for (uint32_t b = 0; b < blocks; ++b) {
-      block_remaining[b] = static_cast<int32_t>(
-          std::min<uint32_t>(bp, t.num_pages() - b * bp));
-    }
-  }
-
-  uint32_t BlockOf(PageId p) const {
-    return (p - table.first_page()) / ctx.constants.fts_block_pages;
-  }
+        allowed_dop(dop) {}
 };
 
 sim::Task FtsPrefetcher(FtsState& s) {
-  const uint32_t bp = s.ctx.constants.fts_block_pages;
-  for (PageId b = s.table.first_page(); b < s.end_page;
-       b += static_cast<PageId>(bp)) {
-    co_await s.prefetch_slots.WaitAcquire();
-    // Workers may already be past this block; a fully consumed block's
-    // pages are simply found resident/in flight and skipped. Once the scan
-    // has failed, keep cycling through the slot protocol (workers still
-    // release slots in drain mode) but stop issuing new I/O.
-    if (!s.agg.failed()) {
-      s.ctx.pool.PrefetchBlock(b, std::min<uint32_t>(bp, s.end_page - b));
-    }
-  }
+  return s.cursor.Prefetcher(s.agg.status);
 }
 
 sim::Task FtsWorker(FtsState& s, int worker_index) {
   const auto& c = s.ctx.constants;
   co_await s.ctx.cpu.Consume(c.worker_startup_us);
-  for (;;) {
-    // Graceful degradation: when the health monitor reports a struggling
-    // device, high-index workers retire between pages (worker 0 never
-    // does, so the scan always completes).
-    if (worker_index > 0) {
-      s.allowed_dop = UpdateAllowedDop(s.ctx, s.allowed_dop);
-      if (worker_index >= s.allowed_dop) break;
-    }
-    if (s.next_page >= s.end_page) break;
-    const PageId page = s.next_page++;
-
-    if (PollCancelled(s.ctx, s.agg)) {
-      // Drain mode: the scan already failed. Consume the remaining pages
-      // without device I/O, keeping the block accounting (and through it
-      // the prefetcher's slot protocol) alive so every coroutine retires.
-      if (--s.block_remaining[s.BlockOf(page)] == 0) {
-        s.prefetch_slots.Release();
-      }
-      continue;
-    }
+  // Every claimed page — scanned, failed or drained — is marked consumed in
+  // the loop step, which keeps the prefetcher's slot protocol alive.
+  for (PageId page = kInvalidPageId;
+       !ShouldRetire(s, worker_index) && s.cursor.Next(page);
+       s.cursor.Consumed(page)) {
+    // Drain mode: the scan already failed. Consume the remaining pages
+    // without device I/O so every coroutine retires.
+    if (PollCancelled(s.ctx, s.agg)) continue;
 
     // Serialized coordination: shared counter + page latch.
     co_await s.page_latch.WaitAcquire();
@@ -168,11 +157,8 @@ sim::Task FtsWorker(FtsState& s, int worker_index) {
     auto ref = co_await s.ctx.pool.Fetch(page, s.ctx.query);
     if (!ref.ok()) {
       // Failed fetch: the page is not pinned; record the error and fall
-      // into drain mode for this and all remaining pages.
+      // into drain mode for all remaining pages.
       s.agg.RecordError(ref.status);
-      if (--s.block_remaining[s.BlockOf(page)] == 0) {
-        s.prefetch_slots.Release();
-      }
       continue;
     }
     const uint16_t rows = s.table.RowsInPage(page);
@@ -188,12 +174,38 @@ sim::Task FtsWorker(FtsState& s, int worker_index) {
     }
     s.agg.rows_examined += rows;
     s.ctx.pool.Unpin(page, s.ctx.query);
-
-    if (--s.block_remaining[s.BlockOf(page)] == 0) {
-      s.prefetch_slots.Release();
-    }
   }
   s.done.CountDown();
+}
+
+// ---------------------------------------------------------------------------
+// Index descent (both index scans)
+// ---------------------------------------------------------------------------
+
+/// Root-to-leaf descent for `key`, paying one timed page fetch per level.
+/// A failed fetch records the error in the scan's aggregate (first error
+/// wins) and leaves `out_leaf` at kInvalidPageId.
+sim::Task DescendToLeaf(ExecContext& ctx, const BPlusTree& index, int32_t key,
+                        Aggregate& agg, PageId& out_leaf,
+                        sim::Latch& arrived) {
+  const auto& c = ctx.constants;
+  PageId pid = index.root();
+  for (;;) {
+    auto ref = co_await ctx.pool.Fetch(pid, ctx.query);
+    if (!ref.ok()) {
+      agg.RecordError(ref.status);
+      arrived.CountDown();
+      co_return;
+    }
+    co_await ctx.cpu.Consume(c.fetch_cpu_us + c.page_overhead_cpu_us);
+    const bool leaf = BPlusTree::IsLeaf(ref.data);
+    const PageId next = leaf ? kInvalidPageId : BPlusTree::ChildFor(ref.data, key);
+    ctx.pool.Unpin(pid, ctx.query);
+    if (leaf) break;
+    pid = next;
+  }
+  out_leaf = pid;
+  arrived.CountDown();
 }
 
 // ---------------------------------------------------------------------------
@@ -213,12 +225,11 @@ struct IsState {
   Aggregate agg;
   int allowed_dop;
 
-  IsState(ExecContext& c, const storage::Table& t, const BPlusTree& idx,
-          RangePredicate p, int dop, int prefetch)
+  IsState(ExecContext& c, const ScanSpec& spec, int dop, int prefetch)
       : ctx(c),
-        table(t),
-        index(idx),
-        pred(p),
+        table(*spec.table),
+        index(*spec.index),
+        pred(spec.pred),
         prefetch_depth(prefetch),
         leaves(c.sim),
         done(c.sim, dop + 1),
@@ -232,31 +243,6 @@ struct IsState {
   }
 };
 
-/// Root-to-leaf descent for `key`, paying one timed page fetch per level.
-sim::Task IsDescend(IsState& s, int32_t key, PageId& out_leaf,
-                    sim::Latch& arrived) {
-  const auto& c = s.ctx.constants;
-  PageId pid = s.index.root();
-  for (;;) {
-    auto ref = co_await s.ctx.pool.Fetch(pid, s.ctx.query);
-    if (!ref.ok()) {
-      // Failed descent: out_leaf stays kInvalidPageId; the coordinator
-      // checks the aggregate's status after the latch.
-      s.agg.RecordError(ref.status);
-      arrived.CountDown();
-      co_return;
-    }
-    co_await s.ctx.cpu.Consume(c.fetch_cpu_us + c.page_overhead_cpu_us);
-    const bool leaf = BPlusTree::IsLeaf(ref.data);
-    const PageId next = leaf ? kInvalidPageId : BPlusTree::ChildFor(ref.data, key);
-    s.ctx.pool.Unpin(pid, s.ctx.query);
-    if (leaf) break;
-    pid = next;
-  }
-  out_leaf = pid;
-  arrived.CountDown();
-}
-
 /// "One worker traverses the index from root to leaf level and finds the
 /// range of leaf pages which must be accessed" — we descend for both
 /// endpoints, then feed the contiguous leaf range to the worker channel.
@@ -268,8 +254,8 @@ sim::Task IsCoordinator(IsState& s) {
   }
   PageId leaf_lo = kInvalidPageId, leaf_hi = kInvalidPageId;
   sim::Latch arrived(s.ctx.sim, 2);
-  IsDescend(s, s.pred.low, leaf_lo, arrived).Detach();
-  IsDescend(s, s.pred.high, leaf_hi, arrived).Detach();
+  DescendToLeaf(s.ctx, s.index, s.pred.low, s.agg, leaf_lo, arrived).Detach();
+  DescendToLeaf(s.ctx, s.index, s.pred.high, s.agg, leaf_hi, arrived).Detach();
   co_await arrived.Wait();
   if (s.agg.failed()) {
     s.Fail(s.agg.status);
@@ -290,12 +276,7 @@ sim::Task IsCoordinator(IsState& s) {
 sim::Task IsWorker(IsState& s, int worker_index) {
   const auto& c = s.ctx.constants;
   co_await s.ctx.cpu.Consume(c.worker_startup_us);
-  for (;;) {
-    // Graceful degradation: high-index workers retire between leaves.
-    if (worker_index > 0) {
-      s.allowed_dop = UpdateAllowedDop(s.ctx, s.allowed_dop);
-      if (worker_index >= s.allowed_dop) break;
-    }
+  while (!ShouldRetire(s, worker_index)) {
     auto item = co_await s.leaves.Pop();
     if (!item) break;
     const PageId leaf_id = *item;
@@ -389,7 +370,6 @@ sim::Task IsWorker(IsState& s, int worker_index) {
   s.done.CountDown();
 }
 
-
 // ---------------------------------------------------------------------------
 // Sorted index scan (Sec. 3.1's "sorted index scan" access method)
 // ---------------------------------------------------------------------------
@@ -399,7 +379,6 @@ struct SortedIsState {
   const storage::Table& table;
   const BPlusTree& index;
   RangePredicate pred;
-  int dop;
   int prefetch_depth;
 
   /// Qualifying slots grouped by table page, ascending page order.
@@ -414,17 +393,15 @@ struct SortedIsState {
   Aggregate agg;
   int allowed_dop;
 
-  SortedIsState(ExecContext& c, const storage::Table& t, const BPlusTree& idx,
-                RangePredicate p, int d, int prefetch)
+  SortedIsState(ExecContext& c, const ScanSpec& spec, int dop, int prefetch)
       : ctx(c),
-        table(t),
-        index(idx),
-        pred(p),
-        dop(d),
+        table(*spec.table),
+        index(*spec.index),
+        pred(spec.pred),
         prefetch_depth(prefetch),
         groups_ready(c.sim, 1),
-        done(c.sim, d + 1),
-        allowed_dop(d) {}
+        done(c.sim, dop + 1),
+        allowed_dop(dop) {}
 
   /// Marks the scan failed and skips all unclaimed page groups, so the
   /// remaining workers fall through their loop and retire.
@@ -434,30 +411,6 @@ struct SortedIsState {
   }
 };
 
-/// Root-to-leaf descent used by coordinators (timed page fetches).
-sim::Task DescendToLeaf(ExecContext& ctx, const BPlusTree& index, int32_t key,
-                        PageId& out_leaf, Status& error, sim::Latch& arrived) {
-  const auto& c = ctx.constants;
-  PageId pid = index.root();
-  for (;;) {
-    auto ref = co_await ctx.pool.Fetch(pid, ctx.query);
-    if (!ref.ok()) {
-      // out_leaf stays kInvalidPageId; the caller inspects `error`.
-      error = ref.status;
-      arrived.CountDown();
-      co_return;
-    }
-    co_await ctx.cpu.Consume(c.fetch_cpu_us + c.page_overhead_cpu_us);
-    const bool leaf = BPlusTree::IsLeaf(ref.data);
-    const PageId next = leaf ? kInvalidPageId : BPlusTree::ChildFor(ref.data, key);
-    ctx.pool.Unpin(pid, ctx.query);
-    if (leaf) break;
-    pid = next;
-  }
-  out_leaf = pid;
-  arrived.CountDown();
-}
-
 /// Walks the qualifying leaf chain, collects row ids, sorts them by page
 /// (the operator's defining "additional sorting stage"), groups by page, and
 /// releases the workers.
@@ -466,11 +419,9 @@ sim::Task SortedIsCoordinator(SortedIsState& s) {
   std::vector<storage::RowId> rids;
   if (!s.pred.empty()) {
     PageId leaf = kInvalidPageId;
-    Status descend_error;
     sim::Latch arrived(s.ctx.sim, 1);
-    DescendToLeaf(s.ctx, s.index, s.pred.low, leaf, descend_error, arrived).Detach();
+    DescendToLeaf(s.ctx, s.index, s.pred.low, s.agg, leaf, arrived).Detach();
     co_await arrived.Wait();
-    if (!descend_error.ok()) s.agg.RecordError(descend_error);
     while (leaf != kInvalidPageId) {
       auto ref = co_await s.ctx.pool.Fetch(leaf, s.ctx.query);
       if (!ref.ok()) {
@@ -522,13 +473,7 @@ sim::Task SortedIsWorker(SortedIsState& s, int worker_index) {
   const auto& c = s.ctx.constants;
   co_await s.ctx.cpu.Consume(c.worker_startup_us);
   co_await s.groups_ready.Wait();
-  for (;;) {
-    // Graceful degradation: high-index workers retire between groups.
-    if (worker_index > 0) {
-      s.allowed_dop = UpdateAllowedDop(s.ctx, s.allowed_dop);
-      if (worker_index >= s.allowed_dop) break;
-    }
-    if (s.next_group >= s.groups.size()) break;
+  while (!ShouldRetire(s, worker_index) && s.next_group < s.groups.size()) {
     if (s.ctx.query != nullptr && !s.agg.failed()) {
       // Group-granularity cancellation poll. Fail skips every unclaimed
       // group, so the sibling workers fall through their loop and retire.
@@ -567,54 +512,32 @@ sim::Task SortedIsWorker(SortedIsState& s, int worker_index) {
 }
 
 // ---------------------------------------------------------------------------
-// Spawnable jobs (shared by the single-scan drivers and RunConcurrentScans)
+// Running scans
 // ---------------------------------------------------------------------------
 
-class FtsJob : public RunningScan {
+/// One scan in flight: the operator's shared state, its lead coroutine (the
+/// FTS block prefetcher or an index scan's coordinator), spawned first, and
+/// `dop` workers.
+template <typename State, sim::Task (*kLead)(State&),
+          sim::Task (*kWorker)(State&, int)>
+class ScanJob final : public RunningScan {
  public:
-  FtsJob(ExecContext& ctx, const storage::Table& table, RangePredicate pred,
-         int dop, int prefetch_blocks)
-      : state_(ctx, table, pred, dop, prefetch_blocks) {
-    FtsPrefetcher(state_).Detach();
-    for (int w = 0; w < dop; ++w) FtsWorker(state_, w).Detach();
+  ScanJob(ExecContext& ctx, const ScanSpec& spec, int dop, int prefetch)
+      : state_(ctx, spec, dop, prefetch) {
+    kLead(state_).Detach();
+    for (int w = 0; w < dop; ++w) kWorker(state_, w).Detach();
   }
   sim::Latch& done() override { return state_.done; }
   const Aggregate& aggregate() const override { return state_.agg; }
 
  private:
-  FtsState state_;
+  State state_;
 };
 
-class IsJob : public RunningScan {
- public:
-  IsJob(ExecContext& ctx, const storage::Table& table, const BPlusTree& index,
-        RangePredicate pred, int dop, int prefetch)
-      : state_(ctx, table, index, pred, dop, prefetch) {
-    IsCoordinator(state_).Detach();
-    for (int w = 0; w < dop; ++w) IsWorker(state_, w).Detach();
-  }
-  sim::Latch& done() override { return state_.done; }
-  const Aggregate& aggregate() const override { return state_.agg; }
-
- private:
-  IsState state_;
-};
-
-class SortedIsJob : public RunningScan {
- public:
-  SortedIsJob(ExecContext& ctx, const storage::Table& table,
-              const BPlusTree& index, RangePredicate pred, int dop,
-              int prefetch)
-      : state_(ctx, table, index, pred, dop, prefetch) {
-    SortedIsCoordinator(state_).Detach();
-    for (int w = 0; w < dop; ++w) SortedIsWorker(state_, w).Detach();
-  }
-  sim::Latch& done() override { return state_.done; }
-  const Aggregate& aggregate() const override { return state_.agg; }
-
- private:
-  SortedIsState state_;
-};
+using FtsJob = ScanJob<FtsState, FtsPrefetcher, FtsWorker>;
+using IsJob = ScanJob<IsState, IsCoordinator, IsWorker>;
+using SortedIsJob =
+    ScanJob<SortedIsState, SortedIsCoordinator, SortedIsWorker>;
 
 /// Clamp a requested per-worker prefetch depth so dop workers cannot wedge
 /// the pool (each may pin a leaf + a row page with prefetches in flight).
@@ -657,57 +580,16 @@ std::unique_ptr<RunningScan> StartScan(ExecContext& ctx,
   if (spec.index == nullptr) {
     int blocks = static_cast<int>(ctx.constants.fts_prefetch_blocks);
     if (share > 0) blocks = std::max(1, std::min(blocks, share));
-    return std::make_unique<FtsJob>(ctx, *spec.table, spec.pred, dop, blocks);
+    return std::make_unique<FtsJob>(ctx, spec, dop, blocks);
   }
   if (spec.sorted) {
-    return std::make_unique<SortedIsJob>(ctx, *spec.table, *spec.index,
-                                         spec.pred, dop, prefetch);
+    return std::make_unique<SortedIsJob>(ctx, spec, dop, prefetch);
   }
-  return std::make_unique<IsJob>(ctx, *spec.table, *spec.index, spec.pred,
-                                 dop, prefetch);
+  return std::make_unique<IsJob>(ctx, spec, dop, prefetch);
 }
 
-ScanResult RunFullTableScan(ExecContext& ctx, const storage::Table& table,
-                            RangePredicate pred, int dop) {
+ScanResult RunScan(ExecContext& ctx, const ScanSpec& spec) {
   Measurement measurement(ctx);
-  ScanSpec spec;
-  spec.table = &table;
-  spec.pred = pred;
-  spec.dop = dop;
-  auto scan = StartScan(ctx, spec);
-  ctx.sim.Run();
-  PIOQO_CHECK(scan->done().done());
-  return measurement.Finish(scan->aggregate());
-}
-
-ScanResult RunIndexScan(ExecContext& ctx, const storage::Table& table,
-                        const storage::BPlusTree& index, RangePredicate pred,
-                        int dop, int prefetch_depth) {
-  Measurement measurement(ctx);
-  ScanSpec spec;
-  spec.table = &table;
-  spec.index = &index;
-  spec.pred = pred;
-  spec.dop = dop;
-  spec.prefetch_depth = prefetch_depth;
-  auto scan = StartScan(ctx, spec);
-  ctx.sim.Run();
-  PIOQO_CHECK(scan->done().done());
-  return measurement.Finish(scan->aggregate());
-}
-
-ScanResult RunSortedIndexScan(ExecContext& ctx, const storage::Table& table,
-                              const storage::BPlusTree& index,
-                              RangePredicate pred, int dop,
-                              int prefetch_depth) {
-  Measurement measurement(ctx);
-  ScanSpec spec;
-  spec.table = &table;
-  spec.index = &index;
-  spec.pred = pred;
-  spec.sorted = true;
-  spec.dop = dop;
-  spec.prefetch_depth = prefetch_depth;
   auto scan = StartScan(ctx, spec);
   ctx.sim.Run();
   PIOQO_CHECK(scan->done().done());

@@ -68,54 +68,32 @@ struct ScanAggregate {
   }
 };
 
-/// Executes a (parallel) full table scan of the paper's query Q and returns
-/// when the simulation has drained (Sec. 2, Fig. 2).
+/// One scan of the paper's query Q. The access methods of Secs. 2-3 are one
+/// operator family parameterised by DOP and prefetch depth:
 ///
-/// `dop` workers share a page counter; a prefetcher keeps
-/// `constants.fts_prefetch_blocks` block reads of
-/// `constants.fts_block_pages` pages in flight ahead of them. Every row of
-/// every page is evaluated against `pred`; qualifying rows feed MAX(C1).
-///
-/// dop == 1 is the paper's FTS; dop > 1 is PFTS.
-ScanResult RunFullTableScan(ExecContext& ctx, const storage::Table& table,
-                            RangePredicate pred, int dop);
-
-/// Executes a (parallel) index scan of query Q (Sec. 2, Fig. 3; prefetching
-/// variant of Sec. 3.3).
-///
-/// A coordinator descends the index for both range endpoints and hands the
-/// qualifying leaf pages to `dop` workers one at a time. Each worker walks
-/// its leaf's (key, row_id) entries, optionally prefetching up to
-/// `prefetch_depth` upcoming table pages referenced by the *same* leaf (the
-/// paper's simplification: "we only prefetch table pages referenced by a
-/// single index leaf page", with the depth shrinking near the leaf's end).
-///
-/// dop == 1, prefetch 0 is the paper's IS; dop > 1 is PIS.
-ScanResult RunIndexScan(ExecContext& ctx, const storage::Table& table,
-                        const storage::BPlusTree& index, RangePredicate pred,
-                        int dop, int prefetch_depth);
-
-/// Executes a *sorted* index scan (the access method of paper Sec. 3.1 that
-/// SQL Anywhere lacked: "before fetching table pages, row identifiers are
-/// sorted in the order of page id. In this way, each table page will be
-/// fetched at most once").
-///
-/// A coordinator walks the qualifying leaf chain collecting row ids, sorts
-/// them by page, then `dop` workers fetch each distinct page exactly once
-/// (in ascending page order — which also earns the HDD's elevator
-/// behaviour), prefetching up to `prefetch_depth` upcoming pages each.
-/// Does not preserve index key order (irrelevant for MAX).
-ScanResult RunSortedIndexScan(ExecContext& ctx, const storage::Table& table,
-                              const storage::BPlusTree& index,
-                              RangePredicate pred, int dop,
-                              int prefetch_depth);
-
-// ---------------------------------------------------------------------------
-// Concurrent execution (the paper's future work: "consideration of
-// concurrent requests")
-// ---------------------------------------------------------------------------
-
-/// One scan of a multi-query workload.
+/// * `index == nullptr` — (parallel) full table scan (Fig. 2). `dop`
+///   workers share a page counter; a prefetcher keeps
+///   `constants.fts_prefetch_blocks` block reads of
+///   `constants.fts_block_pages` pages in flight ahead of them. Every row of
+///   every page is evaluated against `pred`. dop == 1 is the paper's FTS;
+///   dop > 1 is PFTS. `prefetch_depth` does not apply.
+/// * `index != nullptr`, `!sorted` — (parallel) index scan (Fig. 3;
+///   prefetching variant of Sec. 3.3). A coordinator descends the index for both range
+///   endpoints and hands the qualifying leaf pages to `dop` workers one at a
+///   time. Each worker walks its leaf's (key, row_id) entries, prefetching
+///   up to `prefetch_depth` upcoming table pages referenced by the *same*
+///   leaf (the paper's simplification: "we only prefetch table pages
+///   referenced by a single index leaf page", with the depth shrinking near
+///   the leaf's end). dop == 1, prefetch 0 is the paper's IS; dop > 1 is
+///   PIS.
+/// * `sorted` — the sorted index scan of Sec. 3.1 that SQL Anywhere lacked
+///   ("before fetching table pages, row identifiers are sorted in the order
+///   of page id. In this way, each table page will be fetched at most
+///   once"). A coordinator walks the qualifying leaf chain collecting row
+///   ids and sorts them by page; then `dop` workers fetch each distinct page
+///   once, in ascending page order (which also earns the HDD's elevator
+///   behaviour), prefetching up to `prefetch_depth` upcoming pages each.
+///   Does not preserve index key order (irrelevant for MAX).
 struct ScanSpec {
   const storage::Table* table = nullptr;
   /// Null for a full table scan.
@@ -126,19 +104,10 @@ struct ScanSpec {
   int prefetch_depth = 0;
 };
 
-/// Starts every scan at the same simulated instant on the shared device /
-/// CPU / buffer pool and runs the simulation until all complete. Each
-/// result's `runtime_us` is that scan's own completion time; device-level
-/// measurements (queue depth, throughput) are for the whole mix and are
-/// repeated in every result.
-std::vector<ScanResult> RunConcurrentScans(ExecContext& ctx,
-                                           const std::vector<ScanSpec>& specs);
-
 /// A scan whose coroutines have been spawned but whose completion the
 /// caller observes itself (by `co_await done().Wait()` or by running the
-/// simulator to quiescence). This is the building block the single-scan
-/// drivers, RunConcurrentScans, and the database's admission-controlled
-/// workload runner all share.
+/// simulator to quiescence). RunScan, RunConcurrentScans, and the
+/// database's admission-controlled workload runner all build on it.
 class RunningScan {
  public:
   virtual ~RunningScan() = default;
@@ -154,6 +123,23 @@ class RunningScan {
 /// `queue_depth_share` prefetch cap. The scan's coroutines reference `ctx`
 /// and the returned object: both must outlive the scan's completion.
 std::unique_ptr<RunningScan> StartScan(ExecContext& ctx, const ScanSpec& spec);
+
+/// Executes `spec` alone and returns when the simulation has drained:
+/// StartScan, run to quiescence, measure.
+ScanResult RunScan(ExecContext& ctx, const ScanSpec& spec);
+
+// ---------------------------------------------------------------------------
+// Concurrent execution (the paper's future work: "consideration of
+// concurrent requests")
+// ---------------------------------------------------------------------------
+
+/// Starts every scan at the same simulated instant on the shared device /
+/// CPU / buffer pool and runs the simulation until all complete. Each
+/// result's `runtime_us` is that scan's own completion time; device-level
+/// measurements (queue depth, throughput) are for the whole mix and are
+/// repeated in every result.
+std::vector<ScanResult> RunConcurrentScans(ExecContext& ctx,
+                                           const std::vector<ScanSpec>& specs);
 
 }  // namespace pioqo::exec
 

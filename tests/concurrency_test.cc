@@ -83,6 +83,13 @@ TEST_F(ConcurrencyTest, RejectsBadSpecs) {
   EXPECT_FALSE(db_->ExecuteConcurrentScans(specs, true).ok());
   specs[0] = {"t", Pred(0.1), core::AccessMethod::kFts, 999, 0};
   EXPECT_FALSE(db_->ExecuteConcurrentScans(specs, true).ok());
+  // A negative prefetch depth is a bad plan, not a process abort.
+  for (auto method : {core::AccessMethod::kFts, core::AccessMethod::kPis,
+                      core::AccessMethod::kSortedIs}) {
+    specs[0] = {"t", Pred(0.1), method, 4, -1};
+    auto results = db_->ExecuteConcurrentScans(specs, true);
+    EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(ConcurrencyTest, EmptyWorkload) {

@@ -87,6 +87,14 @@ TEST(DatabaseTest, RejectsBadParallelDegree) {
       db.ExecuteScan("t", {0, 10}, core::AccessMethod::kFts, 64, 0, true).ok());
 }
 
+TEST(DatabaseTest, RejectsNegativePrefetchDepth) {
+  Database db(SmallSsd());
+  ASSERT_TRUE(db.CreateTable(SmallTable("t", 1000, 33)).ok());
+  auto result =
+      db.ExecuteScan("t", {0, 10}, core::AccessMethod::kPis, 4, -1, true);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DatabaseTest, OptimizedQueryRunsChosenPlan) {
   Database db(SmallSsd());
   ASSERT_TRUE(db.CreateTable(SmallTable("t", 100000, 33)).ok());

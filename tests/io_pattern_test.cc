@@ -72,7 +72,8 @@ class IoPatternTest : public ::testing::Test {
 
 TEST_F(IoPatternTest, FtsIssuesAscendingLargeBlockReads) {
   auto ctx = Context();
-  RunFullTableScan(ctx, dataset_->table, PredicateFor(0.1), 4);
+  RunScan(ctx, {.table = &dataset_->table, .pred = PredicateFor(0.1),
+                .dop = 4});
   auto reqs = TableRequests();
   ASSERT_GT(reqs.size(), 4u);
   // Block reads, not page reads ("a large block consisting of several
@@ -92,8 +93,8 @@ TEST_F(IoPatternTest, FtsIssuesAscendingLargeBlockReads) {
 
 TEST_F(IoPatternTest, IndexScanIssuesRandomSinglePageReads) {
   auto ctx = Context();
-  RunIndexScan(ctx, dataset_->table, dataset_->index_c2, PredicateFor(0.05),
-               4, 0);
+  RunScan(ctx, {.table = &dataset_->table, .index = &dataset_->index_c2,
+                .pred = PredicateFor(0.05), .dop = 4});
   auto reqs = TableRequests();
   ASSERT_GT(reqs.size(), 100u);
   size_t backward = 0;
@@ -108,8 +109,8 @@ TEST_F(IoPatternTest, IndexScanIssuesRandomSinglePageReads) {
 
 TEST_F(IoPatternTest, SortedScanIssuesAscendingSinglePageReads) {
   auto ctx = Context();
-  RunSortedIndexScan(ctx, dataset_->table, dataset_->index_c2,
-                     PredicateFor(0.05), 1, 0);
+  RunScan(ctx, {.table = &dataset_->table, .index = &dataset_->index_c2,
+                .pred = PredicateFor(0.05), .sorted = true, .dop = 1});
   auto reqs = TableRequests();
   ASSERT_GT(reqs.size(), 100u);
   for (size_t i = 1; i < reqs.size(); ++i) {
@@ -127,8 +128,9 @@ TEST_F(IoPatternTest, PisKeepsRoughlyDopRequestsOutstanding) {
   // device (a pool that fits the whole table would absorb the queue).
   storage::BufferPool small_pool(*disk_, 256);
   ExecContext ctx{sim_, *cpu_, small_pool, constants_};
-  auto r = RunIndexScan(ctx, dataset_->table, dataset_->index_c2,
-                        PredicateFor(0.2), 8, 0);
+  auto r = RunScan(ctx, {.table = &dataset_->table,
+                         .index = &dataset_->index_c2,
+                         .pred = PredicateFor(0.2), .dop = 8});
   // Paper Sec. 2: "the I/O pattern of PIS with parallel degree n is the
   // parallel random I/O with constant queue depth of n."
   EXPECT_GT(r.avg_queue_depth, 4.0);
@@ -138,13 +140,13 @@ TEST_F(IoPatternTest, PisKeepsRoughlyDopRequestsOutstanding) {
 TEST_F(IoPatternTest, PrefetchingIndexScanBatchesSubmissions) {
   auto ctx = Context();
   trace_.clear();
-  RunIndexScan(ctx, dataset_->table, dataset_->index_c2, PredicateFor(0.05),
-               1, 0);
+  RunScan(ctx, {.table = &dataset_->table, .index = &dataset_->index_c2,
+                .pred = PredicateFor(0.05), .dop = 1});
   auto plain = TableRequests();
   EXPECT_TRUE(pool_->Clear().ok());
   trace_.clear();
-  RunIndexScan(ctx, dataset_->table, dataset_->index_c2, PredicateFor(0.05),
-               1, 16);
+  RunScan(ctx, {.table = &dataset_->table, .index = &dataset_->index_c2,
+                .pred = PredicateFor(0.05), .dop = 1, .prefetch_depth = 16});
   auto prefetching = TableRequests();
   ASSERT_EQ(plain.size(), prefetching.size());  // same pages either way
   // With prefetching, many requests share a submit instant (bursts).

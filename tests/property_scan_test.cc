@@ -108,7 +108,8 @@ class ScanPropertyTest : public ::testing::TestWithParam<ScanCase> {
 TEST_P(ScanPropertyTest, FullTableScanMatchesReference) {
   auto ctx = Context();
   EXPECT_TRUE(pool_->Clear().ok());
-  auto r = RunFullTableScan(ctx, dataset_->table, pred_, GetParam().dop);
+  auto r = RunScan(ctx, {.table = &dataset_->table, .pred = pred_,
+                         .dop = GetParam().dop});
   CheckAnswer(r);
   // FTS examines every row and reads every table page exactly once.
   EXPECT_EQ(r.rows_examined, dataset_->table.num_rows());
@@ -120,8 +121,10 @@ TEST_P(ScanPropertyTest, FullTableScanMatchesReference) {
 TEST_P(ScanPropertyTest, IndexScanMatchesReference) {
   auto ctx = Context();
   EXPECT_TRUE(pool_->Clear().ok());
-  auto r = RunIndexScan(ctx, dataset_->table, dataset_->index_c2, pred_,
-                        GetParam().dop, GetParam().prefetch);
+  auto r = RunScan(ctx, {.table = &dataset_->table,
+                         .index = &dataset_->index_c2, .pred = pred_,
+                         .dop = GetParam().dop,
+                         .prefetch_depth = GetParam().prefetch});
   CheckAnswer(r);
   // IS examines only the qualifying rows.
   EXPECT_EQ(r.rows_examined, reference_.matched);
@@ -130,8 +133,10 @@ TEST_P(ScanPropertyTest, IndexScanMatchesReference) {
 TEST_P(ScanPropertyTest, SortedIndexScanMatchesReference) {
   auto ctx = Context();
   EXPECT_TRUE(pool_->Clear().ok());
-  auto r = RunSortedIndexScan(ctx, dataset_->table, dataset_->index_c2, pred_,
-                              GetParam().dop, GetParam().prefetch);
+  auto r = RunScan(ctx, {.table = &dataset_->table,
+                         .index = &dataset_->index_c2, .pred = pred_,
+                         .sorted = true, .dop = GetParam().dop,
+                         .prefetch_depth = GetParam().prefetch});
   CheckAnswer(r);
   EXPECT_EQ(r.rows_examined, reference_.matched);
   // Defining property: table pages fetched at most once each.

@@ -78,7 +78,8 @@ TEST(FullTableScanTest, ComputesCorrectMax) {
   Rig rig(io::DeviceKind::kSsdConsumer, 10000, 33, 512);
   auto ctx = rig.Context();
   auto pred = rig.PredicateFor(0.1);
-  auto result = RunFullTableScan(ctx, rig.dataset_->table, pred, 1);
+  auto result = RunScan(ctx, {.table = &rig.dataset_->table, .pred = pred,
+                              .dop = 1});
   auto expected = rig.Reference(pred);
   EXPECT_EQ(result.max_c1, expected.max_c1);
   EXPECT_EQ(result.rows_matched, expected.rows_matched);
@@ -90,9 +91,11 @@ TEST(FullTableScanTest, ParallelAgreesWithSerial) {
   Rig rig(io::DeviceKind::kSsdConsumer, 10000, 33, 512);
   auto ctx = rig.Context();
   auto pred = rig.PredicateFor(0.05);
-  auto serial = RunFullTableScan(ctx, rig.dataset_->table, pred, 1);
+  auto serial = RunScan(ctx, {.table = &rig.dataset_->table, .pred = pred,
+                              .dop = 1});
   EXPECT_TRUE(rig.pool_.Clear().ok());
-  auto parallel = RunFullTableScan(ctx, rig.dataset_->table, pred, 8);
+  auto parallel = RunScan(ctx, {.table = &rig.dataset_->table, .pred = pred,
+                                .dop = 8});
   EXPECT_EQ(serial.max_c1, parallel.max_c1);
   EXPECT_EQ(serial.rows_matched, parallel.rows_matched);
 }
@@ -100,7 +103,8 @@ TEST(FullTableScanTest, ParallelAgreesWithSerial) {
 TEST(FullTableScanTest, ReadsEveryPageOnce) {
   Rig rig(io::DeviceKind::kSsdConsumer, 33 * 300, 33, 512);
   auto ctx = rig.Context();
-  auto result = RunFullTableScan(ctx, rig.dataset_->table, rig.PredicateFor(0.5), 1);
+  auto result = RunScan(ctx, {.table = &rig.dataset_->table,
+                              .pred = rig.PredicateFor(0.5), .dop = 1});
   EXPECT_EQ(result.bytes_read, 300ull * storage::kPageSize);
   // Block prefetching: far fewer device requests than pages.
   EXPECT_LT(result.device_reads, 300u / 16);
@@ -109,8 +113,8 @@ TEST(FullTableScanTest, ReadsEveryPageOnce) {
 TEST(FullTableScanTest, EmptyPredicateStillScansAll) {
   Rig rig(io::DeviceKind::kSsdConsumer, 5000, 33, 512);
   auto ctx = rig.Context();
-  auto result =
-      RunFullTableScan(ctx, rig.dataset_->table, RangePredicate{5, 4}, 1);
+  auto result = RunScan(ctx, {.table = &rig.dataset_->table,
+                              .pred = RangePredicate{5, 4}, .dop = 1});
   EXPECT_EQ(result.rows_matched, 0u);
   EXPECT_EQ(result.rows_examined, 5000u);
 }
@@ -119,8 +123,9 @@ TEST(IndexScanTest, ComputesCorrectMax) {
   Rig rig(io::DeviceKind::kSsdConsumer, 10000, 33, 512);
   auto ctx = rig.Context();
   auto pred = rig.PredicateFor(0.02);
-  auto result =
-      RunIndexScan(ctx, rig.dataset_->table, rig.dataset_->index_c2, pred, 1, 0);
+  auto result = RunScan(ctx, {.table = &rig.dataset_->table,
+                              .index = &rig.dataset_->index_c2, .pred = pred,
+                              .dop = 1});
   auto expected = rig.Reference(pred);
   EXPECT_EQ(result.rows_matched, expected.rows_matched);
   EXPECT_EQ(result.max_c1, expected.max_c1);
@@ -134,10 +139,12 @@ TEST(IndexScanTest, AgreesWithFullTableScanAcrossSelectivities) {
   for (double sel : {0.0005, 0.01, 0.3, 1.0}) {
     auto pred = rig.PredicateFor(sel);
     EXPECT_TRUE(rig.pool_.Clear().ok());
-    auto fts = RunFullTableScan(ctx, rig.dataset_->table, pred, 4);
+    auto fts = RunScan(ctx, {.table = &rig.dataset_->table, .pred = pred,
+                             .dop = 4});
     EXPECT_TRUE(rig.pool_.Clear().ok());
-    auto is = RunIndexScan(ctx, rig.dataset_->table, rig.dataset_->index_c2,
-                           pred, 4, 8);
+    auto is = RunScan(ctx, {.table = &rig.dataset_->table,
+                            .index = &rig.dataset_->index_c2, .pred = pred,
+                            .dop = 4, .prefetch_depth = 8});
     EXPECT_EQ(fts.rows_matched, is.rows_matched) << "sel=" << sel;
     if (fts.rows_matched > 0) {
       EXPECT_EQ(fts.max_c1, is.max_c1) << "sel=" << sel;
@@ -148,8 +155,9 @@ TEST(IndexScanTest, AgreesWithFullTableScanAcrossSelectivities) {
 TEST(IndexScanTest, EmptyRange) {
   Rig rig(io::DeviceKind::kSsdConsumer, 5000, 33, 512);
   auto ctx = rig.Context();
-  auto result = RunIndexScan(ctx, rig.dataset_->table, rig.dataset_->index_c2,
-                             RangePredicate{10, 5}, 4, 0);
+  auto result = RunScan(ctx, {.table = &rig.dataset_->table,
+                              .index = &rig.dataset_->index_c2,
+                              .pred = RangePredicate{10, 5}, .dop = 4});
   EXPECT_EQ(result.rows_matched, 0u);
 }
 
@@ -165,8 +173,9 @@ TEST(IndexScanTest, PisQueueDepthTracksParallelDegree) {
   auto pred = rig.PredicateFor(0.1);
   for (int dop : {4, 16}) {
     EXPECT_TRUE(rig.pool_.Clear().ok());
-    auto result = RunIndexScan(ctx, rig.dataset_->table,
-                               rig.dataset_->index_c2, pred, dop, 0);
+    auto result = RunScan(ctx, {.table = &rig.dataset_->table,
+                                .index = &rig.dataset_->index_c2, .pred = pred,
+                                .dop = dop});
     EXPECT_GT(result.avg_queue_depth, dop * 0.5) << "dop=" << dop;
     EXPECT_LT(result.avg_queue_depth, dop * 1.3) << "dop=" << dop;
   }
@@ -180,11 +189,14 @@ TEST(IndexScanTest, PrefetchingRaisesQueueDepthAndCutsRuntime) {
   auto ctx = rig.Context();
   auto pred = rig.PredicateFor(0.05);
   EXPECT_TRUE(rig.pool_.Clear().ok());
-  auto plain = RunIndexScan(ctx, rig.dataset_->table, rig.dataset_->index_c2,
-                            pred, 1, 0);
+  auto plain = RunScan(ctx, {.table = &rig.dataset_->table,
+                             .index = &rig.dataset_->index_c2, .pred = pred,
+                             .dop = 1});
   EXPECT_TRUE(rig.pool_.Clear().ok());
-  auto prefetching = RunIndexScan(ctx, rig.dataset_->table,
-                                  rig.dataset_->index_c2, pred, 1, 16);
+  auto prefetching = RunScan(ctx, {.table = &rig.dataset_->table,
+                                   .index = &rig.dataset_->index_c2,
+                                   .pred = pred, .dop = 1,
+                                   .prefetch_depth = 16});
   EXPECT_LT(prefetching.runtime_us, plain.runtime_us / 3.0);
   EXPECT_GT(prefetching.avg_queue_depth, plain.avg_queue_depth * 3.0);
   EXPECT_EQ(prefetching.rows_matched, plain.rows_matched);
@@ -199,11 +211,13 @@ TEST(IndexScanTest, ParallelismSpeedsUpOnSsdNotOnHdd) {
     auto ctx = rig.Context();
     auto pred = rig.PredicateFor(sel);
     EXPECT_TRUE(rig.pool_.Clear().ok());
-    auto is = RunIndexScan(ctx, rig.dataset_->table, rig.dataset_->index_c2,
-                           pred, 1, 0);
+    auto is = RunScan(ctx, {.table = &rig.dataset_->table,
+                            .index = &rig.dataset_->index_c2, .pred = pred,
+                            .dop = 1});
     EXPECT_TRUE(rig.pool_.Clear().ok());
-    auto pis = RunIndexScan(ctx, rig.dataset_->table, rig.dataset_->index_c2,
-                            pred, 32, 0);
+    auto pis = RunScan(ctx, {.table = &rig.dataset_->table,
+                             .index = &rig.dataset_->index_c2, .pred = pred,
+                             .dop = 32});
     ssd_ratio = is.runtime_us / pis.runtime_us;
   }
   {
@@ -211,11 +225,13 @@ TEST(IndexScanTest, ParallelismSpeedsUpOnSsdNotOnHdd) {
     auto ctx = rig.Context();
     auto pred = rig.PredicateFor(sel);
     EXPECT_TRUE(rig.pool_.Clear().ok());
-    auto is = RunIndexScan(ctx, rig.dataset_->table, rig.dataset_->index_c2,
-                           pred, 1, 0);
+    auto is = RunScan(ctx, {.table = &rig.dataset_->table,
+                            .index = &rig.dataset_->index_c2, .pred = pred,
+                            .dop = 1});
     EXPECT_TRUE(rig.pool_.Clear().ok());
-    auto pis = RunIndexScan(ctx, rig.dataset_->table, rig.dataset_->index_c2,
-                            pred, 32, 0);
+    auto pis = RunScan(ctx, {.table = &rig.dataset_->table,
+                             .index = &rig.dataset_->index_c2, .pred = pred,
+                             .dop = 32});
     hdd_ratio = is.runtime_us / pis.runtime_us;
   }
   // Paper: ~16.6-22.5x on SSD vs ~2.4-2.5x on HDD.
@@ -230,9 +246,11 @@ TEST(FullTableScanTest, ParallelismHelpsOnSsdForFatRows) {
   auto ctx = rig.Context();
   auto pred = rig.PredicateFor(0.5);
   EXPECT_TRUE(rig.pool_.Clear().ok());
-  auto fts = RunFullTableScan(ctx, rig.dataset_->table, pred, 1);
+  auto fts = RunScan(ctx, {.table = &rig.dataset_->table, .pred = pred,
+                           .dop = 1});
   EXPECT_TRUE(rig.pool_.Clear().ok());
-  auto pfts = RunFullTableScan(ctx, rig.dataset_->table, pred, 32);
+  auto pfts = RunScan(ctx, {.table = &rig.dataset_->table, .pred = pred,
+                            .dop = 32});
   EXPECT_LT(pfts.runtime_us, fts.runtime_us / 1.5);
   EXPECT_EQ(pfts.max_c1, fts.max_c1);
 }
@@ -244,9 +262,11 @@ TEST(FullTableScanTest, HddParallelismDoesNotHelpTypicalRows) {
   auto ctx = rig.Context();
   auto pred = rig.PredicateFor(0.5);
   EXPECT_TRUE(rig.pool_.Clear().ok());
-  auto fts = RunFullTableScan(ctx, rig.dataset_->table, pred, 1);
+  auto fts = RunScan(ctx, {.table = &rig.dataset_->table, .pred = pred,
+                           .dop = 1});
   EXPECT_TRUE(rig.pool_.Clear().ok());
-  auto pfts = RunFullTableScan(ctx, rig.dataset_->table, pred, 32);
+  auto pfts = RunScan(ctx, {.table = &rig.dataset_->table, .pred = pred,
+                            .dop = 32});
   EXPECT_GT(pfts.runtime_us, fts.runtime_us * 0.8);
 }
 
@@ -257,8 +277,9 @@ TEST(IndexScanTest, SmallPoolCausesRefetchesAtHighSelectivity) {
   auto ctx = rig.Context();
   auto pred = rig.PredicateFor(0.8);
   EXPECT_TRUE(rig.pool_.Clear().ok());
-  auto result = RunIndexScan(ctx, rig.dataset_->table, rig.dataset_->index_c2,
-                             pred, 1, 0);
+  auto result = RunScan(ctx, {.table = &rig.dataset_->table,
+                              .index = &rig.dataset_->index_c2, .pred = pred,
+                              .dop = 1});
   EXPECT_GT(result.pool_misses,
             static_cast<uint64_t>(rig.dataset_->table.num_pages()));
 }

@@ -54,10 +54,13 @@ TEST_F(SortedScanTest, AgreesWithPlainIndexScan) {
   for (double sel : {0.001, 0.05, 0.4}) {
     auto pred = PredicateFor(sel);
     EXPECT_TRUE(pool_->Clear().ok());
-    auto is = RunIndexScan(ctx, dataset_->table, dataset_->index_c2, pred, 4, 0);
+    auto is = RunScan(ctx, {.table = &dataset_->table,
+                            .index = &dataset_->index_c2, .pred = pred,
+                            .dop = 4});
     EXPECT_TRUE(pool_->Clear().ok());
-    auto sis =
-        RunSortedIndexScan(ctx, dataset_->table, dataset_->index_c2, pred, 4, 8);
+    auto sis = RunScan(ctx, {.table = &dataset_->table,
+                             .index = &dataset_->index_c2, .pred = pred,
+                             .sorted = true, .dop = 4, .prefetch_depth = 8});
     EXPECT_EQ(is.rows_matched, sis.rows_matched) << "sel=" << sel;
     if (is.rows_matched > 0) {
       EXPECT_EQ(is.max_c1, sis.max_c1);
@@ -73,15 +76,18 @@ TEST_F(SortedScanTest, FetchesEachPageAtMostOnce) {
   auto ctx = Context();
   auto pred = PredicateFor(0.8);
   EXPECT_TRUE(pool_->Clear().ok());
-  auto sis =
-      RunSortedIndexScan(ctx, dataset_->table, dataset_->index_c2, pred, 1, 0);
+  auto sis = RunScan(ctx, {.table = &dataset_->table,
+                           .index = &dataset_->index_c2, .pred = pred,
+                           .sorted = true, .dop = 1});
   // Table pages read <= table size + index pages; with 80% selectivity a
   // plain IS re-fetches many times over.
   EXPECT_LE(sis.pool_misses, static_cast<uint64_t>(
                                  dataset_->table.num_pages() +
                                  dataset_->index_c2.num_pages() + 4));
   EXPECT_TRUE(pool_->Clear().ok());
-  auto is = RunIndexScan(ctx, dataset_->table, dataset_->index_c2, pred, 1, 0);
+  auto is = RunScan(ctx, {.table = &dataset_->table,
+                          .index = &dataset_->index_c2, .pred = pred,
+                          .dop = 1});
   EXPECT_GT(is.pool_misses, sis.pool_misses * 2);
 }
 
@@ -90,18 +96,23 @@ TEST_F(SortedScanTest, BeatsPlainIsAtHighSelectivitySmallPool) {
   auto ctx = Context();
   auto pred = PredicateFor(0.6);
   EXPECT_TRUE(pool_->Clear().ok());
-  auto is = RunIndexScan(ctx, dataset_->table, dataset_->index_c2, pred, 4, 0);
+  auto is = RunScan(ctx, {.table = &dataset_->table,
+                          .index = &dataset_->index_c2, .pred = pred,
+                          .dop = 4});
   EXPECT_TRUE(pool_->Clear().ok());
-  auto sis =
-      RunSortedIndexScan(ctx, dataset_->table, dataset_->index_c2, pred, 4, 8);
+  auto sis = RunScan(ctx, {.table = &dataset_->table,
+                           .index = &dataset_->index_c2, .pred = pred,
+                           .sorted = true, .dop = 4, .prefetch_depth = 8});
   EXPECT_LT(sis.runtime_us, is.runtime_us);
 }
 
 TEST_F(SortedScanTest, EmptyRange) {
   Build(io::DeviceKind::kSsdConsumer, 5000, 33, 256);
   auto ctx = Context();
-  auto sis = RunSortedIndexScan(ctx, dataset_->table, dataset_->index_c2,
-                                RangePredicate{7, 3}, 4, 4);
+  auto sis = RunScan(ctx, {.table = &dataset_->table,
+                           .index = &dataset_->index_c2,
+                           .pred = RangePredicate{7, 3}, .sorted = true,
+                           .dop = 4, .prefetch_depth = 4});
   EXPECT_EQ(sis.rows_matched, 0u);
   EXPECT_EQ(sis.rows_examined, 0u);
 }
@@ -113,10 +124,13 @@ TEST_F(SortedScanTest, AscendingPageOrderHelpsHdd) {
   auto ctx = Context();
   auto pred = PredicateFor(0.1);
   EXPECT_TRUE(pool_->Clear().ok());
-  auto is = RunIndexScan(ctx, dataset_->table, dataset_->index_c2, pred, 1, 0);
+  auto is = RunScan(ctx, {.table = &dataset_->table,
+                          .index = &dataset_->index_c2, .pred = pred,
+                          .dop = 1});
   EXPECT_TRUE(pool_->Clear().ok());
-  auto sis =
-      RunSortedIndexScan(ctx, dataset_->table, dataset_->index_c2, pred, 1, 0);
+  auto sis = RunScan(ctx, {.table = &dataset_->table,
+                           .index = &dataset_->index_c2, .pred = pred,
+                           .sorted = true, .dop = 1});
   EXPECT_LT(sis.runtime_us, is.runtime_us * 0.7);
 }
 

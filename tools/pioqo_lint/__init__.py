@@ -6,7 +6,11 @@ Rules (see cli.RULES and the rule modules for details):
   SUS003  sim::Task dropped without .Detach()/store/await
   ERR001  Status/StatusOr/IoResult discarded at a call site
   ARCH001 include-graph layering enforcement
+  PERF001 std::function in the simulator / I/O hot paths
+  PERF002 node-based containers in the per-page layers
+  RND001-003, PORT001, WALL001, SEED001, ORD001
+          determinism of the simulated paths
 
-Run via tools/run_static_analysis.py (the unified entry point) or directly:
+Run it as:
     python3 tools/pioqo_lint --root .
 """

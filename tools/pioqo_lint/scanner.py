@@ -6,11 +6,9 @@ never fire inside comments or literals), per-line access to both, and a few
 structural helpers (statement iteration, balanced-paren matching, function
 extents). Nothing here parses C++ for real — the rules are deliberately
 narrow, pattern-shaped invariants whose false positives are suppressed
-through the shared allowlist format:
+through the allowlist (tools/static_analysis_allowlist.txt):
 
     <path-suffix>:<rule-id>:<substring-of-flagged-line>
-
-(the same format tools/determinism_allowlist.txt has always used).
 """
 
 import re
