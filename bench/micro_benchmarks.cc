@@ -1,13 +1,12 @@
-// Google-benchmark microbenchmarks for the hot paths of the library: QDTT
-// model lookups (called per plan candidate by the optimizer), Yao's formula,
-// B+-tree page search, and the simulator event loop.
+// Google-benchmark microbenchmarks for library hot paths the pioqo_bench
+// layer harness does not time: Yao's formula and B+-tree page search. (QDTT
+// lookups, index-scan costing and the simulator event loop are tracked there
+// as core.qdtt_lookup_ns, core.cost_index_scan_ns and sim.event_ns.)
 
 #include <benchmark/benchmark.h>
 
 #include "common/math_utils.h"
 #include "common/rng.h"
-#include "core/cost_model.h"
-#include "core/qdtt_model.h"
 #include "io/ssd_device.h"
 #include "sim/simulator.h"
 #include "storage/btree.h"
@@ -15,45 +14,6 @@
 
 namespace pioqo {
 namespace {
-
-core::QdttModel MakeModel() {
-  core::QdttModel m(core::QdttModel::DefaultBandGrid(1 << 24),
-                    core::QdttModel::DefaultQdGrid());
-  for (size_t b = 0; b < m.num_bands(); ++b) {
-    for (size_t q = 0; q < m.num_qds(); ++q) {
-      m.SetPoint(b, q, 100.0 + static_cast<double>(b) -
-                           static_cast<double>(q) * 3.0);
-    }
-  }
-  return m;
-}
-
-void BM_QdttLookup(benchmark::State& state) {
-  auto model = MakeModel();
-  Pcg32 rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.Lookup(rng.NextDouble() * (1 << 24), 1 + rng.NextDouble() * 31));
-  }
-}
-BENCHMARK(BM_QdttLookup);
-
-void BM_CostIndexScan(benchmark::State& state) {
-  auto model = MakeModel();
-  core::CostModel cm(model, core::CostConstants{}, true);
-  core::TableProfile t;
-  t.table_pages = 16384;
-  t.rows_per_page = 33;
-  t.rows = 16384ull * 33;
-  t.index_leaves = 1325;
-  t.pool_pages = 2048;
-  Pcg32 rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cm.CostIndexScan(t, rng.NextDouble(), 8, 4).total_us);
-  }
-}
-BENCHMARK(BM_CostIndexScan);
 
 void BM_YaoExpectedPages(benchmark::State& state) {
   Pcg32 rng(3);
@@ -81,19 +41,6 @@ void BM_BTreeLeafSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BTreeLeafSearch);
-
-void BM_SimulatorEventLoop(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      sim.ScheduleAt(static_cast<double>(i), [&fired] { ++fired; });
-    }
-    sim.Run();
-    benchmark::DoNotOptimize(fired);
-  }
-}
-BENCHMARK(BM_SimulatorEventLoop);
 
 }  // namespace
 }  // namespace pioqo

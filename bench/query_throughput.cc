@@ -11,9 +11,7 @@
 //
 // Emits BENCH_query_throughput.json (in the current directory, or at
 // $PIOQO_BENCH_JSON). The top-level "queries_per_sec" is the aggregate
-// (total queries / total seconds) across the three device workloads — the
-// promoted successor of BENCH_sim_throughput.json's deprecated
-// "queries_per_sec" (which is calibration cells/sec, a different unit).
+// (total queries / total seconds) across the three device workloads.
 //
 // Wall-clock reads are confined to this driver (bench/ is outside the
 // determinism-linted simulated paths).
@@ -59,9 +57,9 @@ int BenchRepeats() {
 pioqo::storage::DatasetConfig TableConfig() {
   pioqo::storage::DatasetConfig config;
   config.name = "T";
-  // 512 data pages against a 256-frame pool: scans evict, prefetches race
-  // demand fetches, and the IS/PIS row loop touches cold pages — the
-  // buffer-pool fast paths are all on the clock.
+  // 512 data pages against a 512-frame pool that also holds the index:
+  // scans evict, prefetches race demand fetches, and the IS/PIS row loop
+  // touches cold pages — the buffer-pool fast paths are all on the clock.
   config.num_rows = 33 * 512;
   return config;
 }
@@ -191,13 +189,7 @@ void WriteJson(const std::vector<WorkloadResult>& results, double aggregate) {
                  static_cast<unsigned long long>(r.plan_cache_misses),
                  static_cast<unsigned long long>(r.plan_cache_invalidations));
   }
-  // The seed figure this line is measured against is the 60.97
-  // "queries_per_sec" BENCH_sim_throughput.json reported before this bench
-  // existed (calibration cells/sec — deprecated there, promoted here as
-  // real end-to-end queries/sec).
-  std::fprintf(f, "  \"queries_per_sec\": %.2f,\n", aggregate);
-  std::fprintf(f, "  \"seed_queries_per_sec\": 60.97,\n");
-  std::fprintf(f, "  \"speedup_vs_seed\": %.2f\n", aggregate / 60.97);
+  std::fprintf(f, "  \"queries_per_sec\": %.2f\n", aggregate);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());

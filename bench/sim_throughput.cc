@@ -1,5 +1,5 @@
-// Simulation-engine throughput microbench: events/sec and queries/sec on
-// the host wall clock. This is the tracked perf baseline for the hot-path
+// Simulation-engine throughput microbench: events/sec on the host wall
+// clock. This is the tracked perf baseline for the hot-path
 // work in src/sim — every experiment in EXPERIMENTS.md is bottlenecked by
 // how fast the discrete-event core turns over its queue, so the numbers
 // here are the repo's "how fast is the engine" trajectory.
@@ -18,8 +18,8 @@
 //   ssd_random_reads 4 KiB random reads at QD 32 against the SSD model —
 //                    events/sec through a full device model
 //   calibration_cell one early-stopping QDTT calibration on the SSD model —
-//                    the paper's Sec. 4.4-4.6 workload, reported as
-//                    cells/sec-shaped "queries_per_sec"
+//                    the paper's Sec. 4.4-4.6 workload (stdout also reports
+//                    it as calibration cells/sec)
 //
 // Wall-clock reads are confined to this driver (bench/ is outside the
 // determinism-linted simulated paths).
@@ -239,7 +239,7 @@ Result BenchCalibrationCell(int repeats) {
   return r;
 }
 
-void WriteJson(const std::vector<Result>& results, double queries_per_sec) {
+void WriteJson(const std::vector<Result>& results) {
   const char* env = std::getenv("PIOQO_BENCH_JSON");
   const std::string path = env != nullptr ? env : "BENCH_sim_throughput.json";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -257,16 +257,7 @@ void WriteJson(const std::vector<Result>& results, double queries_per_sec) {
                  r.name.c_str(), static_cast<unsigned long long>(r.events),
                  r.seconds, r.per_sec);
   }
-  std::fprintf(f, "  \"events_per_sec\": %.0f,\n", raw_events_per_sec);
-  // Deprecated: this figure is calibration cells/sec, kept under its
-  // historical key for trajectory continuity. The tracked end-to-end query
-  // throughput now lives in BENCH_query_throughput.json (whose top-level
-  // "queries_per_sec" is real queries through Database::RunWorkload).
-  std::fprintf(f, "  \"queries_per_sec\": %.2f,\n", queries_per_sec);
-  std::fprintf(f,
-               "  \"queries_per_sec_note\": \"deprecated: calibration "
-               "cells/sec; see BENCH_query_throughput.json for end-to-end "
-               "query throughput\"\n");
+  std::fprintf(f, "  \"events_per_sec\": %.0f\n", raw_events_per_sec);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
@@ -309,10 +300,9 @@ int main() {
 
   const int cells = std::max(1, static_cast<int>(3 * scale));
   record([&] { return BenchCalibrationCell(cells); });
-  const double queries_per_sec = cells / results.back().seconds;
   std::printf("%-18s %14d %10s %14.2f  (cells/sec)\n", "  as cells", cells,
-              "", queries_per_sec);
+              "", cells / results.back().seconds);
 
-  WriteJson(results, queries_per_sec);
+  WriteJson(results);
   return 0;
 }
