@@ -2,7 +2,7 @@
 //
 // Where sim_throughput measures the discrete-event core in isolation, this
 // driver measures the whole query path — arrival-time planning (with the
-// plan cache), admission, buffer pool, batched I/O submission, scan
+// plan cache), admission, buffer pool, scan
 // operators — by replaying a mixed FTS/IS/PIS workload through
 // Database::RunWorkload on each device model (HDD, SSD, RAID) and timing
 // the replay. This is the tracked headline for the query-path perf work:

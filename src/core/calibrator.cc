@@ -260,7 +260,7 @@ CalibrationResult Calibrator::Calibrate() {
       if (options_.early_stop && qi > 0 && bi == nb - 1) {
         const double prev = result.model.PointAt(nb - 1, qi - 1);
         const double curr = stat.mean();
-        if (curr > prev * (1.0 - options_.early_stop_threshold)) {
+        if (curr > prev * (1.0 - kEarlyStopThreshold)) {
           stopped = true;
           break;
         }
@@ -276,8 +276,7 @@ CalibrationResult Calibrator::Calibrate() {
       PIOQO_CHECK(base >= 0.0);
       for (size_t qi = 1; qi < nq; ++qi) {
         if (!result.model.IsSet(bi, qi)) {
-          result.model.SetPoint(bi, qi,
-                                base * options_.early_stop_default_factor);
+          result.model.SetPoint(bi, qi, base * kEarlyStopDefaultFactor);
           ++result.points_defaulted;
         }
       }

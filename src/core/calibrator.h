@@ -31,6 +31,16 @@ enum class CalibrationMethod {
 
 std::string_view CalibrationMethodName(CalibrationMethod method);
 
+/// Early-stop control mechanism of Sec. 4.6, shared by Calibrator and
+/// IdleCalibrator. T: continue to the next queue depth only if the largest
+/// band improved by at least this fraction ("we found experimentally that
+/// 20 is a reasonable value for T").
+inline constexpr double kEarlyStopThreshold = 0.20;
+/// After stopping, unmeasured points get the band's queue-depth-1 cost
+/// times this ("a default value slightly larger than the measured costs for
+/// queue depth one").
+inline constexpr double kEarlyStopDefaultFactor = 1.05;
+
 struct CalibratorOptions {
   /// Band sizes (pages) to calibrate; empty -> QdttModel::DefaultBandGrid
   /// for the device.
@@ -44,16 +54,9 @@ struct CalibratorOptions {
   /// 50; 1 is enough for the optimizer).
   int repetitions = 1;
   CalibrationMethod method = CalibrationMethod::kActiveWaiting;
-  /// Early-stop control mechanism of Sec. 4.6.
+  /// Early-stop control mechanism of Sec. 4.6 (kEarlyStopThreshold,
+  /// kEarlyStopDefaultFactor).
   bool early_stop = true;
-  /// T: continue to the next queue depth only if the largest band improved
-  /// by at least this fraction ("we found experimentally that 20 is a
-  /// reasonable value for T").
-  double early_stop_threshold = 0.20;
-  /// After stopping, unmeasured points get the band's queue-depth-1 cost
-  /// times this ("a default value slightly larger than the measured costs
-  /// for queue depth one").
-  double early_stop_default_factor = 1.05;
   uint64_t seed = 2014;
 };
 

@@ -11,7 +11,6 @@ namespace pioqo::core {
 DriftDetector::DriftDetector(const QdttModel& model,
                              DriftDetectorOptions options)
     : options_(options), bands_(model.band_grid()), qds_(model.qd_grid()) {
-  PIOQO_CHECK(options_.ewma_alpha > 0.0 && options_.ewma_alpha <= 1.0);
   PIOQO_CHECK(options_.drift_ratio > 1.0);
   cells_.assign(bands_.size() * qds_.size(), Cell{});
 }
@@ -63,8 +62,7 @@ void DriftDetector::Observe(double band_pages, double queue_depth,
       cell.log_ratio_ewma = cell.reference;
     }
   } else {
-    cell.log_ratio_ewma +=
-        options_.ewma_alpha * (log_ratio - cell.log_ratio_ewma);
+    cell.log_ratio_ewma += kEwmaAlpha * (log_ratio - cell.log_ratio_ewma);
     ++cell.post_samples;
   }
   ++samples_;

@@ -10,8 +10,6 @@
 namespace pioqo::core {
 
 struct DriftDetectorOptions {
-  /// EWMA smoothing weight for each new log-error sample.
-  double ewma_alpha = 0.3;
   /// Shift of the observed/predicted ratio relative to the cell's learned
   /// reference (in either direction) beyond which the cell counts as
   /// drifted. 1.5 tolerates the noise of concurrent execution while
@@ -49,6 +47,9 @@ struct DriftDetectorOptions {
 /// draws no randomness.
 class DriftDetector {
  public:
+  /// EWMA smoothing weight for each new log-error sample.
+  static constexpr double kEwmaAlpha = 0.3;
+
   explicit DriftDetector(const QdttModel& model,
                          DriftDetectorOptions options = {});
 

@@ -93,13 +93,12 @@ bool IdleCalibrator::DeviceIdle() const {
 }
 
 void IdleCalibrator::ApplyEarlyStopDefaults() {
-  const double factor = calibrator_.options().early_stop_default_factor;
   for (size_t b = 0; b < model_.num_bands(); ++b) {
     const double base = model_.PointAt(b, 0);
     PIOQO_CHECK(base >= 0.0);
     for (size_t q = 1; q < model_.num_qds(); ++q) {
       if (!model_.IsSet(b, q)) {
-        model_.SetPoint(b, q, base * factor);
+        model_.SetPoint(b, q, base * kEarlyStopDefaultFactor);
         ++points_defaulted_;
       }
     }
@@ -155,7 +154,7 @@ sim::Task IdleCalibrator::Loop() {
     if (!partial_run_ && opts.early_stop && point.qd_idx > 0 &&
         point.band_idx == largest_band) {
       const double prev = model_.PointAt(largest_band, point.qd_idx - 1);
-      if (cost > prev * (1.0 - opts.early_stop_threshold)) {
+      if (cost > prev * (1.0 - kEarlyStopThreshold)) {
         ApplyEarlyStopDefaults();
         break;
       }

@@ -28,36 +28,20 @@ Database::Database(DatabaseOptions options)
   }
 }
 
-double Database::ModelReadLatencyBaseline() const {
-  // Baseline from the calibrated model: one random page read across the
-  // whole device at queue depth 1 — the DTT view, which *is* the expected
-  // single-request completion latency (a deeper depth amortizes overlap
-  // into the per-page cost and would understate it).
-  const double band = static_cast<double>(disk_.device().capacity_bytes() /
-                                          storage::kPageSize);
-  return qdtt_->Lookup(band, 1.0);
-}
-
 void Database::EnableHealthMonitor(io::DeviceHealthMonitor::Options options) {
-  health_baseline_pending_ = false;
-  if (options.expected_read_latency_us <= 0.0) {
-    if (qdtt_.has_value()) {
-      options.expected_read_latency_us = ModelReadLatencyBaseline();
-    } else {
-      // Not calibrated yet: start with the monitor's own default and let
-      // the next Calibrate()/InstallModel() backfill the derived baseline.
-      health_baseline_pending_ = true;
-    }
+  // Enable-once: the monitor is the device's completion observer, and
+  // admission control and scans hold raw pointers to it.
+  PIOQO_CHECK(health_ == nullptr) << "health monitor already enabled";
+  if (options.expected_read_latency_us <= 0.0 && qdtt_.has_value()) {
+    // Baseline from the calibrated model: one random page read across the
+    // whole device at queue depth 1 — the DTT view, which *is* the expected
+    // single-request completion latency (a deeper depth amortizes overlap
+    // into the per-page cost and would understate it).
+    const double band = static_cast<double>(disk_.device().capacity_bytes() /
+                                            storage::kPageSize);
+    options.expected_read_latency_us = qdtt_->Lookup(band, 1.0);
   }
   health_ = std::make_unique<io::DeviceHealthMonitor>(disk_.device(), options);
-}
-
-void Database::BackfillHealthBaseline() {
-  if (!health_baseline_pending_ || health_ == nullptr || !qdtt_.has_value()) {
-    return;
-  }
-  health_->set_expected_read_latency_us(ModelReadLatencyBaseline());
-  health_baseline_pending_ = false;
 }
 
 Status Database::CreateTable(const storage::DatasetConfig& config) {
@@ -114,7 +98,6 @@ core::CalibrationResult Database::Calibrate() {
   core::CalibrationResult result = calibrator.Calibrate();
   qdtt_ = result.model;
   OnModelReplaced();
-  BackfillHealthBaseline();
   return result;
 }
 
@@ -122,7 +105,6 @@ void Database::InstallModel(core::QdttModel model) {
   PIOQO_CHECK(model.complete());
   qdtt_ = std::move(model);
   OnModelReplaced();
-  BackfillHealthBaseline();
 }
 
 void Database::OnModelReplaced() {
@@ -371,8 +353,6 @@ sim::Task QueryLifecycle(Database& db, AdmissionController& ctrl,
     co_await sim::Delay(sim, req.arrival_us - sim.Now());
   }
   io::QueryContext query(sim);
-  query.pinned_frame_quota = req.pinned_frame_quota;
-  query.queue_depth_share = req.queue_depth_share;
   if (req.timeout_us > 0.0) query.SetDeadline(req.arrival_us + req.timeout_us);
   bool cancel_armed = false;
   uint64_t cancel_token = 0;

@@ -81,7 +81,7 @@ class Database {
   /// Executes query Q with a forced plan. If `flush_pool`, the buffer pool
   /// is emptied first (the paper flushes it "to factor out the impact of
   /// pages which are already in memory"). With a `query`, the scan observes
-  /// its deadline/cancellation token and resource budgets.
+  /// its deadline and cancellation token.
   StatusOr<exec::ScanResult> ExecuteScan(const std::string& table,
                                          exec::RangePredicate pred,
                                          core::AccessMethod method, int dop,
@@ -124,7 +124,6 @@ class Database {
   /// `options.health` is null, the database's health monitor (if enabled)
   /// is wired in, so degraded devices clamp admitted DOP automatically.
   void EnableAdmissionControl(AdmissionOptions options = {});
-  void DisableAdmissionControl() { admission_.reset(); }
   AdmissionController* admission() { return admission_.get(); }
 
   /// One query of an open-loop workload replayed by RunWorkload.
@@ -146,9 +145,6 @@ class Database {
     /// Absolute simulated time of an injected cancellation (a user hitting
     /// Ctrl-C); negative disables it.
     double cancel_at_us = -1.0;
-    /// Per-query resource budgets (0 = unlimited), see io::QueryContext.
-    int pinned_frame_quota = 0;
-    int queue_depth_share = 0;
   };
 
   /// Terminal state of the query lifecycle state machine (DESIGN.md §9):
@@ -201,7 +197,6 @@ class Database {
   /// under the defense's confidence, feed their predicted-vs-observed
   /// runtime back, and trigger guarded recalibration on drift.
   void EnableDriftDefense(DriftDefenseOptions options = {});
-  void DisableDriftDefense() { drift_defense_.reset(); }
   DriftDefense* drift_defense() { return drift_defense_.get(); }
 
   /// Arrival-time planning for a `use_optimizer` workload query: estimates
@@ -238,16 +233,13 @@ class Database {
 
   /// Installs a health monitor on the (outermost) device; subsequent scans
   /// clamp their DOP while the device looks degraded. When `options` has no
-  /// explicit baseline, the expected read latency is derived from the
-  /// calibrated QDTT model (whole-device band at queue depth 1 — the DTT
-  /// view, i.e. the true single-request completion latency). A monitor
-  /// enabled *before* calibration gets its baseline backfilled by the next
-  /// Calibrate()/InstallModel().
+  /// explicit baseline and a model is installed, the expected read latency
+  /// is derived from it (whole-device band at queue depth 1 — the DTT view,
+  /// i.e. the true single-request completion latency). Otherwise `options`
+  /// is taken as given: a monitor enabled uncalibrated without a baseline
+  /// only observes, even after a later Calibrate(). May be called at most
+  /// once per database.
   void EnableHealthMonitor(io::DeviceHealthMonitor::Options options = {});
-  void DisableHealthMonitor() {
-    health_.reset();
-    health_baseline_pending_ = false;
-  }
   io::DeviceHealthMonitor* health_monitor() { return health_.get(); }
 
   sim::Simulator& simulator() { return sim_; }
@@ -267,12 +259,6 @@ class Database {
   /// and prefetch validation) into an executable exec::ScanSpec — the one
   /// place an AccessMethod becomes a scan.
   StatusOr<exec::ScanSpec> ResolveScanSpec(const ConcurrentScanSpec& spec) const;
-  /// Expected single-request read latency from the calibrated model
-  /// (whole-device band, queue depth 1). Requires calibrated().
-  double ModelReadLatencyBaseline() const;
-  /// Derives the health monitor's baseline once a model becomes available,
-  /// if EnableHealthMonitor ran uncalibrated without an explicit one.
-  void BackfillHealthBaseline();
   /// Flushes the plan cache and resyncs its generation/regime trackers
   /// after Calibrate()/InstallModel() swapped the whole model object.
   void OnModelReplaced();
@@ -286,9 +272,6 @@ class Database {
   storage::BufferPool pool_;
   sim::CpuScheduler cpu_;
   std::unique_ptr<io::DeviceHealthMonitor> health_;
-  /// The health monitor was enabled uncalibrated with no explicit baseline;
-  /// the next model install should backfill its expected read latency.
-  bool health_baseline_pending_ = false;
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<DriftDefense> drift_defense_;
   std::map<std::string, storage::Dataset> tables_;

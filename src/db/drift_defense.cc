@@ -32,8 +32,7 @@ DriftDefense::DriftDefense(sim::Simulator& sim, io::Device& device,
                            core::QdttModel& live_model,
                            AdmissionController* admission,
                            DriftDefenseOptions options)
-    : options_(options),
-      live_model_(live_model),
+    : live_model_(live_model),
       gate_(admission != nullptr
                 ? std::optional<AdmissionProbeGate>(std::in_place, *admission)
                 : std::nullopt),
@@ -102,7 +101,7 @@ void DriftDefense::ObserveQuery(const io::QueryContext& query,
 
 void DriftDefense::MaybeTriggerRecalibration() {
   if (calibrator_.loop_running()) return;  // bounded rate: one run at a time
-  if (detector_.confidence() >= options_.recalibrate_confidence) return;
+  if (!detector_.drifted()) return;
   std::vector<uint64_t> bands = detector_.DriftedBands();
   if (bands.empty()) return;
   Status started = calibrator_.StartPartial(bands);

@@ -44,10 +44,6 @@ struct DriftDefenseOptions {
   /// MUST match the live model's grids (Database::EnableDriftDefense fills
   /// them in); `probe_gate` is wired internally.
   core::IdleCalibratorOptions calibrator;
-  /// Trigger a partial recalibration when model confidence drops below this.
-  /// The default (1.0) reacts to any detected drift; lower it to tolerate
-  /// mild drift with conservative planning alone.
-  double recalibrate_confidence = 1.0;
 };
 
 /// The cost-model drift defense: closes the loop from mis-estimation
@@ -57,7 +53,7 @@ struct DriftDefenseOptions {
 ///     -> DriftDetector degrades model confidence
 ///       -> the optimizer, planning with that confidence, clamps DOP /
 ///          falls back to DTT costing (see opt::OptimizerOptions)
-///       -> below `recalibrate_confidence`, the drifted bands are handed to
+///       -> on any drifted cell, the drifted bands are handed to
 ///          the IdleCalibrator as a bounded-rate background job (idle-cycle
 ///          measurement, escalating to admission-gated probes on a
 ///          never-idle device)
@@ -97,9 +93,9 @@ class DriftDefense {
 
   /// Feeds one finished query: compares its prediction (stashed in the
   /// QueryContext at plan time) against `runtime_us` (admission wait
-  /// excluded) and, when confidence has dropped far enough and no
-  /// recalibration is in flight, triggers the partial refresh. Queries
-  /// without a valid I/O-dominated prediction are ignored.
+  /// excluded) and, when some cell has drifted and no recalibration is in
+  /// flight, triggers the partial refresh. Queries without a valid
+  /// I/O-dominated prediction are ignored.
   void ObserveQuery(const io::QueryContext& query, double runtime_us);
 
   double confidence() const { return detector_.confidence(); }
@@ -116,7 +112,6 @@ class DriftDefense {
   void OnPointRefreshed(uint64_t band_pages, int qd, double cost_us);
   void OnRecalibrationComplete();
 
-  DriftDefenseOptions options_;
   core::QdttModel& live_model_;
   std::optional<AdmissionProbeGate> gate_;  // absent when admission == null
   core::DriftDetector detector_;

@@ -571,17 +571,11 @@ std::unique_ptr<RunningScan> StartScan(ExecContext& ctx,
   PIOQO_CHECK(spec.prefetch_depth >= 0);
   const int dop =
       ctx.health != nullptr ? ctx.health->ClampDop(spec.dop) : spec.dop;
-  int prefetch = ClampPrefetch(ctx, dop, spec.prefetch_depth);
-  // A query's device queue-depth share also caps how much speculative I/O
-  // it may keep in flight.
-  const int share =
-      ctx.query != nullptr ? ctx.query->queue_depth_share : 0;
-  if (share > 0) prefetch = std::min(prefetch, share);
   if (spec.index == nullptr) {
-    int blocks = static_cast<int>(ctx.constants.fts_prefetch_blocks);
-    if (share > 0) blocks = std::max(1, std::min(blocks, share));
-    return std::make_unique<FtsJob>(ctx, spec, dop, blocks);
+    return std::make_unique<FtsJob>(
+        ctx, spec, dop, static_cast<int>(ctx.constants.fts_prefetch_blocks));
   }
+  const int prefetch = ClampPrefetch(ctx, dop, spec.prefetch_depth);
   if (spec.sorted) {
     return std::make_unique<SortedIsJob>(ctx, spec, dop, prefetch);
   }

@@ -36,9 +36,9 @@ struct ExecContext {
   /// the device looks unhealthy. Null disables graceful degradation.
   io::DeviceHealthMonitor* health = nullptr;
   /// Optional query lifecycle: when set, every page fetch observes the
-  /// query's cancellation token and pin quota, workers poll `CheckAlive()`
-  /// at page/leaf/group granularity, and the query's `queue_depth_share`
-  /// caps the per-worker prefetch depth. Null runs the scan unconditionally.
+  /// query's cancellation token and counts its pins, and workers poll
+  /// `CheckAlive()` at page/leaf/group granularity. Null runs the scan
+  /// unconditionally.
   io::QueryContext* query = nullptr;
 };
 
@@ -118,10 +118,9 @@ class RunningScan {
 };
 
 /// Spawns the scan described by `spec` at the current simulated instant and
-/// returns immediately. Applies the health monitor's DOP clamp, the pool-
-/// capacity prefetch clamp, and (when `ctx.query` is set) the query's
-/// `queue_depth_share` prefetch cap. The scan's coroutines reference `ctx`
-/// and the returned object: both must outlive the scan's completion.
+/// returns immediately. Applies the health monitor's DOP clamp and the
+/// pool-capacity prefetch clamp. The scan's coroutines reference `ctx` and
+/// the returned object: both must outlive the scan's completion.
 std::unique_ptr<RunningScan> StartScan(ExecContext& ctx, const ScanSpec& spec);
 
 /// Executes `spec` alone and returns when the simulation has drained:

@@ -26,10 +26,11 @@ namespace pioqo::io {
 /// (parity updates).
 ///
 /// When `rebuild` is set, a background rebuild starts at the failure
-/// instant: chunk by chunk it reads the reconstruction set from the
-/// survivors and rewrites the replacement spindle, pacing itself with
-/// `rebuild_interval_us` between chunks so foreground traffic interleaves.
-/// The array leaves degraded mode when the rebuild extent is done.
+/// instant: chunk by chunk (the array's chunk size) it reads the
+/// reconstruction set from the survivors and rewrites the replacement
+/// spindle, pacing itself with `rebuild_interval_us` between chunks so
+/// foreground traffic interleaves. The array leaves degraded mode when the
+/// rebuild extent is done.
 struct RaidDegradationSchedule {
   /// Simulated instant of the spindle loss; negative disables the schedule.
   double fail_at_us = -1.0;
@@ -45,8 +46,6 @@ struct RaidDegradationSchedule {
   /// healthy again. Kept far below real capacities so experiments see the
   /// whole degraded->rebuilt arc in simulated minutes.
   uint64_t rebuild_bytes = 64ULL * 1024 * 1024;
-  /// Rebuild unit; 0 uses the array's chunk size.
-  uint64_t rebuild_chunk_bytes = 0;
   /// Pause between rebuild chunks (the rebuild-rate governor): larger values
   /// yield more to foreground I/O and lengthen the degraded window.
   double rebuild_interval_us = 2'000.0;

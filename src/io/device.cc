@@ -62,16 +62,6 @@ uint64_t Device::Submit(const IoRequest& req, CompletionFn done,
   return id;
 }
 
-void Device::SubmitBatch(BatchEntry* entries, size_t count,
-                         QueryContext* query) {
-  // Default: a plain submission loop. Event order is the contract — each
-  // entry's submission must be indistinguishable from a standalone Submit
-  // call made at the same instant, in entry order.
-  for (size_t i = 0; i < count; ++i) {
-    entries[i].id = Submit(entries[i].req, std::move(entries[i].done), query);
-  }
-}
-
 bool Device::Cancel(uint64_t id) {
   if (!CancelImpl(id)) return false;
   // The subclass dropped the request (its wrapped completion — and so the

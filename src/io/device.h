@@ -60,28 +60,6 @@ class Device {
   uint64_t Submit(const IoRequest& req, CompletionFn done,
                   QueryContext* query = nullptr);
 
-  /// One request of a batch submission. `id` is an output: SubmitBatch
-  /// fills in the request id (usable with `Cancel`) for each entry.
-  struct BatchEntry {
-    IoRequest req;
-    CompletionFn done;
-    uint64_t id = 0;
-  };
-
-  /// Submits `entries[0..count)` in order, exactly as `count` consecutive
-  /// `Submit` calls at the same instant would: same request ids, same stats
-  /// and trace entries, and — the contract batch users rely on — the same
-  /// per-request event order, so a batched submission is trace-identical to
-  /// a submission loop (DESIGN.md §13). The base implementation simply
-  /// loops over `Submit`; subclasses with a cheaper bulk-enqueue path may
-  /// override, provided they preserve that ordering contract.
-  ///
-  /// Callers amortize *their* per-request bookkeeping (run splitting, frame
-  /// allocation, completion wiring) into one pass and hand the finished
-  /// batch over — see BufferPool::PrefetchBlock.
-  virtual void SubmitBatch(BatchEntry* entries, size_t count,
-                           QueryContext* query = nullptr);
-
   /// Attempts to reclaim request `id` before it is serviced. Returns true
   /// if the request was dropped: its completion is guaranteed never to fire,
   /// its queue slot is released, and it is counted in

@@ -26,15 +26,14 @@ void DeviceHealthMonitor::OnCompletion(const IoRequest& req,
   if (samples_ == 1) {
     ewma_us_ = result.latency_us;
   } else {
-    ewma_us_ += options_.ewma_alpha * (result.latency_us - ewma_us_);
+    ewma_us_ += kEwmaAlpha * (result.latency_us - ewma_us_);
   }
 }
 
 bool DeviceHealthMonitor::degraded() const {
   if (options_.expected_read_latency_us <= 0.0) return false;
   if (samples_ < options_.min_samples) return false;
-  return ewma_us_ > options_.degrade_latency_factor *
-                        options_.expected_read_latency_us;
+  return ewma_us_ > kDegradeLatencyFactor * options_.expected_read_latency_us;
 }
 
 double DeviceHealthMonitor::DegradationFactor() const {

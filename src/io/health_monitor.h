@@ -10,7 +10,7 @@ namespace pioqo::io {
 /// Watches a device's read completions and compares the observed latency
 /// (EWMA) against an expected baseline — typically the QDTT prediction for
 /// the workload's band size at low queue depth. When observed latency
-/// exceeds `degrade_latency_factor` times the expectation, the device is
+/// exceeds `kDegradeLatencyFactor` times the expectation, the device is
 /// considered degraded and `ClampDop` scales requested parallelism down:
 /// piling more outstanding I/O onto a struggling device only lengthens its
 /// queues, so graceful degradation means *less* concurrency, not more.
@@ -20,14 +20,15 @@ namespace pioqo::io {
 /// so attaching a monitor does not perturb the trace hash.
 class DeviceHealthMonitor {
  public:
+  /// EWMA smoothing weight for each new sample.
+  static constexpr double kEwmaAlpha = 0.2;
+  /// Degraded when ewma > factor * expected.
+  static constexpr double kDegradeLatencyFactor = 3.0;
+
   struct Options {
     /// Baseline expected read latency (us). <= 0 disables degradation
     /// detection (the monitor still tracks the EWMA).
     double expected_read_latency_us = 0.0;
-    /// EWMA smoothing weight for each new sample.
-    double ewma_alpha = 0.2;
-    /// Degraded when ewma > factor * expected.
-    double degrade_latency_factor = 3.0;
     /// Minimum successful reads before the signal is trusted.
     uint64_t min_samples = 8;
   };
@@ -56,20 +57,11 @@ class DeviceHealthMonitor {
   uint64_t samples() const { return samples_; }
   const Options& options() const { return options_; }
 
-  /// Installs (or replaces) the degradation baseline after construction —
-  /// the backfill path for a monitor enabled before calibration, whose
-  /// expected latency becomes derivable only once a QDTT model exists. The
-  /// observed EWMA is kept: re-baselining changes the comparison, not the
-  /// history.
-  void set_expected_read_latency_us(double expected_us) {
-    options_.expected_read_latency_us = expected_us;
-  }
-
  private:
   void OnCompletion(const IoRequest& req, const IoResult& result);
 
   Device& device_;
-  Options options_;
+  const Options options_;
   double ewma_us_ = 0.0;
   uint64_t samples_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "io/query_context.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -57,17 +56,6 @@ Status QueryContext::CheckAlive() {
     Cancel(Status::DeadlineExceeded("query deadline passed"));
   }
   return state_;
-}
-
-Status QueryContext::TryPin() {
-  if (pinned_frame_quota > 0 && pinned_frames_ >= pinned_frame_quota) {
-    ++quota_rejections_;
-    return Status::ResourceExhausted(
-        "query pinned-frame quota exhausted (" +
-        std::to_string(pinned_frame_quota) + " frames)");
-  }
-  ++pinned_frames_;
-  return Status::OK();
 }
 
 void QueryContext::OnUnpin() {

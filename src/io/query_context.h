@@ -11,7 +11,8 @@ namespace pioqo::io {
 
 /// Per-query lifecycle state, threaded from `Database::ExecuteQuery` down
 /// through the operators, the buffer pool, and `Device::Submit`: a deadline,
-/// a cooperative cancellation token, and the query's resource budgets.
+/// a cooperative cancellation token, and a count of the frames the query
+/// holds pinned.
 ///
 /// The context lives in the query's lifecycle coroutine frame and must
 /// outlive every operator/pool interaction of that query. It is a *token*,
@@ -62,31 +63,18 @@ class QueryContext {
   /// stretches notice expiry without waiting for the deadline event.
   Status CheckAlive();
 
-  /// --- Resource budgets -------------------------------------------------
-  /// Zero means unlimited; budgets are advisory shares, enforced by the
-  /// layer that owns the resource (buffer pool for pins, scan drivers for
-  /// prefetch depth).
-
-  /// Maximum frames this query may hold pinned at once.
-  int pinned_frame_quota = 0;
-  /// This query's share of the device queue depth: scan operators clamp
-  /// their per-worker prefetch depth to it so one query cannot monopolize
-  /// the device's NCQ slots.
-  int queue_depth_share = 0;
-
-  /// Charges one pinned frame against the quota; `kResourceExhausted` when
-  /// the quota is spent. Called by the buffer pool on every pin it takes on
-  /// the query's behalf (including suspend-time pins).
-  Status TryPin();
+  /// Pin accounting: the buffer pool calls `OnPin` for every pin it takes
+  /// on the query's behalf (including suspend-time pins) and `OnUnpin` when
+  /// it is released. The destructor checks that none leaked.
+  void OnPin() { ++pinned_frames_; }
   void OnUnpin();
   int pinned_frames() const { return pinned_frames_; }
-  uint64_t quota_rejections() const { return quota_rejections_; }
 
   /// --- Drift observation (predicted vs. observed I/O cost) ---------------
-  /// The planner records what it *predicted* for this query; the buffer pool
-  /// counts what actually happened. Pure counters: recording a prediction or
-  /// a page fetch schedules no events and draws no randomness, so threading
-  /// them through a query leaves the trace hash untouched.
+  /// The planner records what it *predicted* for this query; drift defense
+  /// compares it with the whole query's observed runtime. Recording a
+  /// prediction schedules no events and draws no randomness, so threading
+  /// it through a query leaves the trace hash untouched.
 
   /// The plan-time I/O prediction. `band_pages`/`queue_depth` name the QDTT
   /// grid cell the executed plan operates in (for drift attribution);
@@ -112,17 +100,6 @@ class QueryContext {
   }
   const IoPrediction& io_prediction() const { return prediction_; }
 
-  /// Called by the buffer pool on every successful fetch made on this
-  /// query's behalf.
-  void OnPageFetch(bool was_hit) {
-    ++pages_fetched_;
-    if (!was_hit) ++pool_misses_;
-  }
-  uint64_t pages_fetched() const { return pages_fetched_; }
-  /// Fetches that went to the device — the denominator for the observed
-  /// per-page-read I/O cost.
-  uint64_t pool_misses() const { return pool_misses_; }
-
   void AddCancelListener(CancelListener* listener);
   void RemoveCancelListener(CancelListener* listener);
   size_t num_cancel_listeners() const { return listeners_.size(); }
@@ -138,10 +115,7 @@ class QueryContext {
   bool deadline_armed_ = false;
   uint64_t deadline_token_ = 0;
   int pinned_frames_ = 0;
-  uint64_t quota_rejections_ = 0;
   IoPrediction prediction_;
-  uint64_t pages_fetched_ = 0;
-  uint64_t pool_misses_ = 0;
   std::vector<CancelListener*> listeners_;
 };
 

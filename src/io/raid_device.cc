@@ -55,24 +55,19 @@ void RaidDevice::OnSpindleLoss() {
   }
   stats().RecordRegimeTransition();
   if (!schedule_.rebuild) return;
-  const uint64_t chunk =
-      schedule_.rebuild_chunk_bytes > 0 ? schedule_.rebuild_chunk_bytes
-                                        : chunk_bytes_;
   const uint64_t member_capacity = members_[0]->capacity_bytes();
   const uint64_t extent = std::min(schedule_.rebuild_bytes, member_capacity);
-  rebuild_chunks_total_ = std::max<uint64_t>(1, (extent + chunk - 1) / chunk);
+  rebuild_chunks_total_ =
+      std::max<uint64_t>(1, (extent + chunk_bytes_ - 1) / chunk_bytes_);
   rebuild_chunks_done_ = 0;
   RebuildStep();
 }
 
 void RaidDevice::RebuildStep() {
   PIOQO_CHECK(degraded_ && failed_member_ >= 0);
-  const uint64_t chunk =
-      schedule_.rebuild_chunk_bytes > 0 ? schedule_.rebuild_chunk_bytes
-                                        : chunk_bytes_;
-  const uint64_t offset = rebuild_chunks_done_ * chunk;
+  const uint64_t offset = rebuild_chunks_done_ * chunk_bytes_;
   const uint32_t bytes = static_cast<uint32_t>(
-      std::min<uint64_t>(chunk, members_[0]->capacity_bytes() - offset));
+      std::min<uint64_t>(chunk_bytes_, members_[0]->capacity_bytes() - offset));
   stats().RecordRebuildChunk();
 
   // Stage 1: read the reconstruction set from every survivor. Stage 2: once

@@ -30,7 +30,7 @@ Optimizer::Optimizer(const core::QdttModel& model,
   PIOQO_CHECK(!options_.parallel_degrees.empty());
   PIOQO_CHECK(!options_.prefetch_depths.empty());
   PIOQO_CHECK(options_.dtt_fallback_confidence <=
-              options_.conservative_confidence_threshold);
+              kConservativeConfidenceThreshold);
 }
 
 OptimizationResult Optimizer::ChooseAccessPath(const core::TableProfile& profile,
@@ -47,7 +47,7 @@ OptimizationResult Optimizer::ChooseAccessPath(const core::TableProfile& profile
   // shrinks linearly with confidence. Degree 1 always survives, so the
   // search space never empties (unless force_parallel, checked below).
   int max_dop = std::numeric_limits<int>::max();
-  if (model_confidence < options_.conservative_confidence_threshold) {
+  if (model_confidence < kConservativeConfidenceThreshold) {
     const int largest = *std::max_element(options_.parallel_degrees.begin(),
                                           options_.parallel_degrees.end());
     max_dop = std::max(

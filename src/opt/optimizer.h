@@ -10,6 +10,13 @@
 
 namespace pioqo::opt {
 
+/// Drift-defense fallback threshold: below this model confidence (see
+/// core::DriftDetector) the enumerated parallel degrees are clamped toward
+/// conservative plans. Max allowed DOP scales down with confidence, so a
+/// mildly distrusted grid still parallelizes but stops betting on the
+/// deepest queue depths, whose costs extrapolate worst under drift.
+inline constexpr double kConservativeConfidenceThreshold = 0.75;
+
 struct OptimizerOptions {
   /// true: cost I/O with the plan's generated queue depth (the paper's new
   /// QDTT optimizer). false: legacy DTT behaviour (queue depth ignored).
@@ -36,17 +43,11 @@ struct OptimizerOptions {
   /// per-query vector churn (and the plan cache stores slim entries).
   bool record_considered = true;
 
-  /// --- Drift-defense fallback thresholds --------------------------------
-  /// Below this model confidence (see core::DriftDetector) the enumerated
-  /// parallel degrees are clamped toward conservative plans: max allowed
-  /// DOP scales down with confidence, so a mildly distrusted grid still
-  /// parallelizes but stops betting on the deepest queue depths, whose
-  /// costs extrapolate worst under drift.
-  double conservative_confidence_threshold = 0.75;
-  /// Below this confidence the QDTT grid is not trusted at any depth:
-  /// plans are costed queue-depth-blind (legacy DTT behaviour, the paper's
-  /// Sec. 2 baseline), which prices deep-queue parallel plans at their
-  /// qd=1 cost and so never *over*-promises on a degraded device.
+  /// Drift-defense fallback: below this confidence (at most
+  /// kConservativeConfidenceThreshold) the QDTT grid is not trusted at any
+  /// depth: plans are costed queue-depth-blind (legacy DTT behaviour, the
+  /// paper's Sec. 2 baseline), which prices deep-queue parallel plans at
+  /// their qd=1 cost and so never *over*-promises on a degraded device.
   double dtt_fallback_confidence = 0.35;
 };
 
@@ -79,7 +80,7 @@ class Optimizer {
   }
 
   /// Plans under a drift-detector confidence score: full trust plans as
-  /// usual; below `conservative_confidence_threshold` the DOP set is
+  /// usual; below `kConservativeConfidenceThreshold` the DOP set is
   /// clamped (max allowed degree scales with confidence, degree 1 always
   /// survives); below `dtt_fallback_confidence` candidates are additionally
   /// costed with the queue-depth-blind DTT model. The result records which

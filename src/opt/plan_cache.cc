@@ -39,7 +39,6 @@ uint64_t OptionsFingerprint(const OptimizerOptions& o) {
   h = Fold(h, static_cast<uint64_t>(o.enable_sorted_index_scan));
   h = Fold(h, static_cast<uint64_t>(o.record_considered));
   h = Fold(h, static_cast<uint64_t>(o.concurrent_streams));
-  h = Fold(h, DoubleBits(o.conservative_confidence_threshold));
   h = Fold(h, DoubleBits(o.dtt_fallback_confidence));
   h = Fold(h, o.parallel_degrees.size());
   for (int d : o.parallel_degrees) h = Fold(h, static_cast<uint64_t>(d));
@@ -78,7 +77,7 @@ PlanCache::Regime PlanCache::RegimeFor(double confidence,
       confidence < options.dtt_fallback_confidence) {
     return Regime::kDttFallback;
   }
-  if (confidence < options.conservative_confidence_threshold) {
+  if (confidence < kConservativeConfidenceThreshold) {
     return Regime::kConservative;
   }
   return Regime::kFull;

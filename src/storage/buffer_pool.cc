@@ -124,12 +124,7 @@ bool BufferPool::FetchAwaiter::await_ready() {
   Frame* f = pool_.FindFrame(pid_);
   if (f != nullptr && f->state == FrameState::kReady) {
     if (query_ != nullptr) {
-      Status quota = query_->TryPin();
-      if (!quota.ok()) {
-        ++pool_.stats_.fetch_errors;
-        status_ = std::move(quota);
-        return true;
-      }
+      query_->OnPin();
       counted_pin_ = true;
     }
     // Hit: pin immediately, no suspension.
@@ -147,17 +142,6 @@ bool BufferPool::FetchAwaiter::await_ready() {
 
 bool BufferPool::FetchAwaiter::await_suspend(std::coroutine_handle<> h) {
   ++pool_.stats_.misses;
-  if (query_ != nullptr) {
-    // The suspend-time pin counts against the quota too: it is a real frame
-    // the query keeps un-evictable while it waits.
-    Status quota = query_->TryPin();
-    if (!quota.ok()) {
-      ++pool_.stats_.fetch_errors;
-      status_ = std::move(quota);
-      return false;
-    }
-    counted_pin_ = true;
-  }
   Frame* f = pool_.FindFrame(pid_);
   if (f == nullptr) {
     Status st = pool_.StartRead(pid_, 1, /*prefetch=*/false, query_);
@@ -166,10 +150,6 @@ bool BufferPool::FetchAwaiter::await_suspend(std::coroutine_handle<> h) {
       // suspending (the old pool aborted the process here).
       ++pool_.stats_.fetch_errors;
       status_ = std::move(st);
-      if (counted_pin_) {
-        query_->OnUnpin();
-        counted_pin_ = false;
-      }
       return false;
     }
     f = pool_.FindFrame(pid_);
@@ -183,9 +163,12 @@ bool BufferPool::FetchAwaiter::await_suspend(std::coroutine_handle<> h) {
   sim::checks::OnWaiterRegistered(h.address());
   AppendWaiter(*f, this);
   // Pin at suspend time: a waiter resumed earlier could otherwise evict the
-  // page (via its own fetches) before this waiter runs.
+  // page (via its own fetches) before this waiter runs. The query counts
+  // this pin too: it is a real frame the query keeps un-evictable.
   ++f->pin_count;
   if (query_ != nullptr) {
+    query_->OnPin();
+    counted_pin_ = true;
     query_->AddCancelListener(this);
     listening_ = true;
   }
@@ -210,11 +193,8 @@ BufferPool::PageRef BufferPool::FetchAwaiter::await_resume() {
   PIOQO_CHECK(f != nullptr && f->state == FrameState::kReady)
       << "page " << pid_ << " not resident after fetch";
   // Hit path pinned in await_ready; miss path pinned in await_suspend. The
-  // quota pin (counted_pin_) stays charged until Unpin(pid, query).
+  // query's pin (counted_pin_) stays counted until Unpin(pid, query).
   PIOQO_CHECK(f->pin_count > 0);
-  // Feed the query's drift observation: every successful fetch is one page,
-  // misses are the ones that cost device time.
-  if (query_ != nullptr) query_->OnPageFetch(was_hit_);
   return PageRef{f->data, was_hit_, Status::OK()};
 }
 
@@ -259,14 +239,8 @@ void BufferPool::Prefetch(PageId pid) {
 
 void BufferPool::PrefetchBlock(PageId first, uint32_t count) {
   stats_.prefetch_issued += count;
-  // One bookkeeping pass: split the block into maximal runs of absent pages
-  // (each run is one device request), allocate every run's frames and
-  // inflight entry, then hand the whole batch to the device in a single
-  // SubmitBatch call. Preparation schedules nothing, and batch submission
-  // preserves per-request event order, so this is trace-identical to the
-  // prepare-submit-prepare-submit loop it replaces.
-  uint64_t read_ids[kMaxPrefetchRuns];
-  uint32_t num_runs = 0;
+  // Split the block into maximal runs of absent pages; each run is one
+  // device request.
   uint32_t run_start = 0;
   bool in_run = false;
   for (uint32_t i = 0; i <= count; ++i) {
@@ -275,21 +249,12 @@ void BufferPool::PrefetchBlock(PageId first, uint32_t count) {
       run_start = i;
       in_run = true;
     } else if (!absent && in_run) {
-      uint64_t read_id = 0;
-      Status st = PrepareRead(first + run_start, i - run_start,
-                              /*prefetch=*/true, nullptr, &read_id);
+      Status st =
+          StartRead(first + run_start, i - run_start, /*prefetch=*/true);
       (void)st;  // prefetch is best-effort; drops are counted in stats
-      if (read_id != 0) {
-        read_ids[num_runs++] = read_id;
-        if (num_runs == kMaxPrefetchRuns) {
-          SubmitPrepared(read_ids, num_runs);
-          num_runs = 0;
-        }
-      }
       in_run = false;
     }
   }
-  SubmitPrepared(read_ids, num_runs);
 }
 
 bool BufferPool::IsResident(PageId pid) const {
@@ -351,18 +316,7 @@ bool BufferPool::EnsureCapacity() {
 
 Status BufferPool::StartRead(PageId first, uint32_t count, bool prefetch,
                              io::QueryContext* originator) {
-  uint64_t read_id = 0;
-  PIOQO_RETURN_IF_ERROR(
-      PrepareRead(first, count, prefetch, originator, &read_id));
-  if (read_id != 0) IssueAttempt(read_id);
-  return Status::OK();
-}
-
-Status BufferPool::PrepareRead(PageId first, uint32_t count, bool prefetch,
-                               io::QueryContext* originator,
-                               uint64_t* out_read_id) {
   PIOQO_CHECK(count >= 1);
-  *out_read_id = 0;
   const uint64_t read_id = next_read_id_++;
   uint32_t created = 0;
   for (uint32_t i = 0; i < count; ++i) {
@@ -397,39 +351,8 @@ Status BufferPool::PrepareRead(PageId first, uint32_t count, bool prefetch,
   r.prefetch = prefetch;
   r.originator = prefetch ? nullptr : originator;
   inflight_.Insert(read_id, r);
-  *out_read_id = read_id;
+  IssueAttempt(read_id);
   return Status::OK();
-}
-
-void BufferPool::SubmitPrepared(const uint64_t* read_ids, uint32_t count) {
-  if (count == 0) return;
-  PIOQO_CHECK(count <= kMaxPrefetchRuns);
-  if (options_.retry.timeout_us > 0.0 || count == 1) {
-    // Each read's deadline must be armed immediately before its submission
-    // (the per-read order IssueAttempt produces); only a deadline-free
-    // configuration can batch the submissions together.
-    for (uint32_t i = 0; i < count; ++i) IssueAttempt(read_ids[i]);
-    return;
-  }
-  io::Device::BatchEntry entries[kMaxPrefetchRuns];
-  for (uint32_t i = 0; i < count; ++i) {
-    const InflightRead* r = inflight_.Find(read_ids[i]);
-    PIOQO_CHECK(r != nullptr);
-    const uint64_t read_id = read_ids[i];
-    const int attempt = r->attempt;
-    entries[i].req = io::IoRequest{io::IoRequest::Kind::kRead,
-                                   disk_.OffsetOf(r->first),
-                                   r->count * kPageSize};
-    entries[i].done = [this, read_id, attempt](const io::IoResult& result) {
-      OnReadComplete(read_id, attempt, result.status);
-    };
-  }
-  disk_.device().SubmitBatch(entries, count);
-  for (uint32_t i = 0; i < count; ++i) {
-    InflightRead* r = inflight_.Find(read_ids[i]);
-    PIOQO_CHECK(r != nullptr);
-    r->device_request_id = entries[i].id;
-  }
 }
 
 void BufferPool::OnWaiterCancelled(PageId pid, io::QueryContext* query) {

@@ -131,20 +131,20 @@ class BufferPool {
     FetchAwaiter* next_waiter_ = nullptr;
     bool was_hit_ = false;
     bool registered_ = false;   // currently in a frame's waiter chain
-    bool counted_pin_ = false;  // pin charged against the query's quota
+    bool counted_pin_ = false;  // pin counted in the query's pin counter
     bool listening_ = false;    // registered as the query's cancel listener
   };
 
   /// Awaitable: resumes when the fetch of page `pid` resolves (success or
   /// failure — check `PageRef::ok()`). With a `query`, the fetch observes
-  /// its cancellation token, charges the pin against its quota, and is
-  /// failed (with pins released) the instant the query is cancelled.
+  /// its cancellation token, counts the pin in the query's pin counter, and
+  /// is failed (with pins released) the instant the query is cancelled.
   FetchAwaiter Fetch(PageId pid, io::QueryContext* query = nullptr) {
     return FetchAwaiter(*this, pid, query);
   }
 
   /// Releases one pin taken by a *successful* Fetch. Pass the same `query`
-  /// the Fetch carried so its quota accounting balances.
+  /// the Fetch carried so its pin counter balances.
   void Unpin(PageId pid, io::QueryContext* query = nullptr);
 
   /// Starts an asynchronous read of `pid` if it is neither resident nor in
@@ -156,7 +156,8 @@ class BufferPool {
   /// yet resident/in-flight, as a single large request (the paper's FTS
   /// "instead of prefetching pages one by one a large block consisting of
   /// several consecutive pages is read at a time"). Pages already resident
-  /// or in flight are skipped by splitting the block at them.
+  /// or in flight are skipped by splitting the block at them: each run of
+  /// absent pages is one StartRead.
   void PrefetchBlock(PageId first, uint32_t count);
 
   /// True if `pid` can be returned by Fetch without device I/O right now.
@@ -244,9 +245,6 @@ class BufferPool {
   /// Unlinks `w` from the frame's waiter chain; false if not present.
   static bool RemoveWaiter(Frame& f, FetchAwaiter* w);
 
-  /// Upper bound on prefetch runs gathered before a batch flush.
-  static constexpr uint32_t kMaxPrefetchRuns = 32;
-
   /// Makes room for one more frame, evicting the LRU unpinned page if at
   /// capacity (counting in-flight frames against capacity). Returns false
   /// when every frame is pinned or loading.
@@ -257,19 +255,6 @@ class BufferPool {
   /// truncated to the frames available (possibly to nothing).
   Status StartRead(PageId first, uint32_t count, bool prefetch,
                    io::QueryContext* originator = nullptr);
-  /// The bookkeeping half of StartRead: allocates loading frames, records
-  /// stats, and creates the inflight entry — but schedules nothing.
-  /// `*read_id` is 0 when there is nothing to read (fully dropped
-  /// prefetch). Callers must follow up with IssueAttempt/SubmitPrepared for
-  /// every nonzero read id before returning to the simulator.
-  Status PrepareRead(PageId first, uint32_t count, bool prefetch,
-                     io::QueryContext* originator, uint64_t* read_id);
-  /// Issues the first attempt of every prepared read, in order. With an
-  /// inert retry policy (no per-attempt deadline) the whole batch goes to
-  /// the device in one SubmitBatch call; with a deadline configured it
-  /// falls back to per-read IssueAttempt so each read's deadline arming
-  /// stays interleaved with its submission (the exact legacy event order).
-  void SubmitPrepared(const uint64_t* read_ids, uint32_t count);
   /// A cancelled query's waiter detached from `pid`'s loading frame: if the
   /// read was started for that query and nobody else waits on it, try to
   /// reclaim the queued device request (else let it land as an unpinned

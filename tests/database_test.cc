@@ -127,6 +127,54 @@ TEST(DatabaseTest, QdttChoiceBeatsDttChoiceOnSsd) {
   EXPECT_EQ(old_opt->optimization.chosen.dop, 1);
 }
 
+TEST(DatabaseTest, HealthMonitorBaselineComesFromCalibratedModel) {
+  // Enabling the monitor on a calibrated database without an explicit
+  // baseline derives it from the model: whole-device band, queue depth 1.
+  Database db(SmallSsd());
+  db.Calibrate();
+  db.EnableHealthMonitor();
+  const double capacity_pages = static_cast<double>(
+      db.device().capacity_bytes() / storage::kPageSize);
+  EXPECT_EQ(db.health_monitor()->options().expected_read_latency_us,
+            db.qdtt().Lookup(capacity_pages, 1.0));
+}
+
+TEST(DatabaseTest, UncalibratedMonitorWithoutBaselineStaysObserveOnly) {
+  // A monitor enabled before calibration with no baseline only observes: a
+  // later Calibrate() does not give it one, so even a device serving at 8x
+  // its calibrated latency never reads as degraded.
+  DatabaseOptions options = SmallSsd();
+  io::FaultConfig faults;
+  faults.phases.push_back(io::FaultPhase{0.0, 1e12, 8.0, 0.0});
+  options.faults = faults;
+  Database db(options);
+  ASSERT_TRUE(db.CreateTable(SmallTable("t", 30000, 33)).ok());
+  db.EnableHealthMonitor();
+  db.Calibrate();
+  EXPECT_EQ(db.health_monitor()->options().expected_read_latency_us, 0.0);
+
+  exec::RangePredicate pred{0,
+                            storage::C2UpperBoundForSelectivity(1 << 24, 0.1)};
+  auto scan = db.ExecuteScan("t", pred, core::AccessMethod::kPis, 8, 0, true);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_GE(db.health_monitor()->samples(),
+            db.health_monitor()->options().min_samples);
+  EXPECT_FALSE(db.health_monitor()->degraded());
+  EXPECT_EQ(db.device().stats().degraded_clamps(), 0u);
+}
+
+TEST(DatabaseDeathTest, EnableHealthMonitorTwiceDies) {
+  // The monitor is enable-once: a second one would be left deaf when the
+  // first one's destructor uninstalls the device's completion observer.
+  EXPECT_DEATH(
+      {
+        Database db(SmallSsd());
+        db.EnableHealthMonitor();
+        db.EnableHealthMonitor();
+      },
+      "health monitor already enabled");
+}
+
 TEST(ExperimentConfigTest, TableOneHasSixConfigs) {
   auto configs = PaperExperimentConfigs();
   ASSERT_EQ(configs.size(), 6u);
