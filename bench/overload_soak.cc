@@ -4,7 +4,7 @@
 // (admission control, deadlines, cooperative cancellation) absorbing the
 // excess. For each device the driver reports terminal-state counts and
 // completion-latency percentiles, once with admission control on and once
-// with it disabled — the A/B that shows what the controller buys.
+// with unlimited caps — the A/B that shows what the controller buys.
 //
 // Environment:
 //   PIOQO_SCALE      table scale factor (default 0.5)
@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -160,8 +161,9 @@ int main() {
     }
     {
       auto database = MakeSoakDb(kind, scale);
-      db::AdmissionOptions off = admission;
-      off.enabled = false;
+      db::AdmissionOptions off = admission;  // no gate: unlimited caps
+      off.max_concurrent_queries = std::numeric_limits<int>::max();
+      off.max_total_dop = std::numeric_limits<int>::max();
       database->EnableAdmissionControl(off);
       auto report = database->RunWorkload(requests, true);
       PIOQO_CHECK_OK(report.status());

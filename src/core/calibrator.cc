@@ -91,7 +91,35 @@ sim::Task ActiveWaitingDriver(sim::Simulator& sim, io::Device& device,
   done.CountDown();
 }
 
+/// Driver coroutines Calibrator::SpawnDrivers starts for one measurement.
+int DriverCount(CalibrationMethod method, int qd) {
+  return method == CalibrationMethod::kMultiThread ? qd : 1;
+}
+
 }  // namespace
+
+bool EarlyStopReached(const QdttModel& model, size_t band_idx,
+                      size_t qd_idx) {
+  const size_t largest = model.num_bands() - 1;
+  if (qd_idx == 0 || band_idx != largest) return false;
+  return model.PointAt(largest, qd_idx) >
+         model.PointAt(largest, qd_idx - 1) * (1.0 - kEarlyStopThreshold);
+}
+
+int FillEarlyStopDefaults(QdttModel& model) {
+  int filled = 0;
+  for (size_t bi = 0; bi < model.num_bands(); ++bi) {
+    const double base = model.PointAt(bi, 0);
+    PIOQO_CHECK(base >= 0.0);
+    for (size_t qi = 1; qi < model.num_qds(); ++qi) {
+      if (!model.IsSet(bi, qi)) {
+        model.SetPoint(bi, qi, base * kEarlyStopDefaultFactor);
+        ++filled;
+      }
+    }
+  }
+  return filled;
+}
 
 std::string_view CalibrationMethodName(CalibrationMethod method) {
   switch (method) {
@@ -153,45 +181,9 @@ std::vector<uint64_t> Calibrator::BuildSequence(uint64_t band_pages,
   return sequence;
 }
 
-sim::Task Calibrator::MeasurePointAsync(uint64_t band_pages, int qd,
-                                        CalibrationMethod method,
-                                        uint64_t seed,
-                                        double* out_us_per_page,
-                                        sim::Latch& done) {
-  PIOQO_CHECK(qd >= 1);
-  const std::vector<uint64_t> pages = BuildSequence(band_pages, seed);
-  PIOQO_CHECK(!pages.empty());
-  const sim::SimTime start = sim_.Now();
-  sim::Latch inner(sim_, method == CalibrationMethod::kMultiThread ? qd : 1);
-  size_t next = 0;
-  switch (method) {
-    case CalibrationMethod::kMultiThread:
-      for (int t = 0; t < qd; ++t) {
-        MultiThreadWorker(device_, pages, next, inner, probe_io_errors_)
-            .Detach();
-      }
-      break;
-    case CalibrationMethod::kGroupWaiting:
-      GroupWaitingDriver(sim_, device_, pages, qd, inner, probe_io_errors_)
-          .Detach();
-      break;
-    case CalibrationMethod::kActiveWaiting:
-      ActiveWaitingDriver(sim_, device_, pages, qd, inner, probe_io_errors_)
-          .Detach();
-      break;
-  }
-  co_await inner.Wait();
-  *out_us_per_page = (sim_.Now() - start) / static_cast<double>(pages.size());
-  done.CountDown();
-}
-
-double Calibrator::RunSequence(const std::vector<uint64_t>& pages, int qd,
-                               CalibrationMethod method) {
-  PIOQO_CHECK(!pages.empty());
-  PIOQO_CHECK(qd >= 1);
-  const sim::SimTime start = sim_.Now();
-  sim::Latch done(sim_, method == CalibrationMethod::kMultiThread ? qd : 1);
-  size_t next = 0;
+void Calibrator::SpawnDrivers(const std::vector<uint64_t>& pages, int qd,
+                              CalibrationMethod method, size_t& next,
+                              sim::Latch& done) {
   switch (method) {
     case CalibrationMethod::kMultiThread:
       for (int t = 0; t < qd; ++t) {
@@ -208,15 +200,37 @@ double Calibrator::RunSequence(const std::vector<uint64_t>& pages, int qd,
           .Detach();
       break;
   }
-  sim_.Run();
-  PIOQO_CHECK(done.done());
-  const double elapsed = sim_.Now() - start;
-  return elapsed / static_cast<double>(pages.size());
+}
+
+sim::Task Calibrator::MeasurePointAsync(uint64_t band_pages, int qd,
+                                        CalibrationMethod method,
+                                        uint64_t seed,
+                                        double* out_us_per_page,
+                                        sim::Latch& done) {
+  PIOQO_CHECK(qd >= 1);
+  const std::vector<uint64_t> pages = BuildSequence(band_pages, seed);
+  PIOQO_CHECK(!pages.empty());
+  const sim::SimTime start = sim_.Now();
+  sim::Latch inner(sim_, DriverCount(method, qd));
+  size_t next = 0;
+  SpawnDrivers(pages, qd, method, next, inner);
+  co_await inner.Wait();
+  *out_us_per_page = (sim_.Now() - start) / static_cast<double>(pages.size());
+  done.CountDown();
 }
 
 double Calibrator::MeasurePoint(uint64_t band_pages, int qd,
                                 CalibrationMethod method, uint64_t seed) {
-  return RunSequence(BuildSequence(band_pages, seed), qd, method);
+  PIOQO_CHECK(qd >= 1);
+  const std::vector<uint64_t> pages = BuildSequence(band_pages, seed);
+  PIOQO_CHECK(!pages.empty());
+  const sim::SimTime start = sim_.Now();
+  sim::Latch done(sim_, DriverCount(method, qd));
+  size_t next = 0;
+  SpawnDrivers(pages, qd, method, next, done);
+  sim_.Run();
+  PIOQO_CHECK(done.done());
+  return (sim_.Now() - start) / static_cast<double>(pages.size());
 }
 
 RunningStat Calibrator::MeasurePointStats(uint64_t band_pages, int qd,
@@ -254,34 +268,14 @@ CalibrationResult Calibrator::Calibrate() {
       ++result.points_measured;
       result.pages_read += static_cast<uint64_t>(options_.repetitions) *
                            options_.max_pages_per_point;
-
-      // Early-stop check after the largest band of each queue depth > 1:
-      // continue only if the deeper queue improved it by >= T.
-      if (options_.early_stop && qi > 0 && bi == nb - 1) {
-        const double prev = result.model.PointAt(nb - 1, qi - 1);
-        const double curr = stat.mean();
-        if (curr > prev * (1.0 - kEarlyStopThreshold)) {
-          stopped = true;
-          break;
-        }
+      if (options_.early_stop && EarlyStopReached(result.model, bi, qi)) {
+        stopped = true;
+        break;
       }
     }
   }
-
-  if (stopped || !result.model.complete()) {
-    // Assign defaults "slightly larger than the measured costs for queue
-    // depth one" to every remaining point.
-    for (size_t bi = 0; bi < nb; ++bi) {
-      const double base = result.model.PointAt(bi, 0);
-      PIOQO_CHECK(base >= 0.0);
-      for (size_t qi = 1; qi < nq; ++qi) {
-        if (!result.model.IsSet(bi, qi)) {
-          result.model.SetPoint(bi, qi, base * kEarlyStopDefaultFactor);
-          ++result.points_defaulted;
-        }
-      }
-    }
-  }
+  // Points the early stop skipped get their defaults (a no-op otherwise).
+  result.points_defaulted = FillEarlyStopDefaults(result.model);
 
   result.calibration_time_us = sim_.Now() - start;
   result.io_errors = probe_io_errors_ - errors_before;

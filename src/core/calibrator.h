@@ -41,6 +41,17 @@ inline constexpr double kEarlyStopThreshold = 0.20;
 /// queue depth one").
 inline constexpr double kEarlyStopDefaultFactor = 1.05;
 
+/// The early-stop test, run after grid point (band_idx, qd_idx) of `model`
+/// was measured: true when it is the largest band at a queue depth past the
+/// first and that band's cost improved on the previous depth's by less than
+/// kEarlyStopThreshold.
+bool EarlyStopReached(const QdttModel& model, size_t band_idx, size_t qd_idx);
+
+/// The default fill after an early stop: every unset point gets its band's
+/// queue-depth-1 cost times kEarlyStopDefaultFactor. Returns the number of
+/// points filled.
+int FillEarlyStopDefaults(QdttModel& model);
+
 struct CalibratorOptions {
   /// Band sizes (pages) to calibrate; empty -> QdttModel::DefaultBandGrid
   /// for the device.
@@ -121,8 +132,12 @@ class Calibrator {
   /// distinct random pages.
   std::vector<uint64_t> BuildSequence(uint64_t band_pages, uint64_t seed) const;
 
-  double RunSequence(const std::vector<uint64_t>& pages, int qd,
-                     CalibrationMethod method);
+  /// Starts the `method` driver coroutines reading `pages` at queue depth
+  /// `qd`: `qd` multi-thread workers sharing the cursor `next`, or one
+  /// group- or active-waiting driver. `done` must be counted for that many
+  /// drivers; each counts it down once. All three must outlive the drivers.
+  void SpawnDrivers(const std::vector<uint64_t>& pages, int qd,
+                    CalibrationMethod method, size_t& next, sim::Latch& done);
 
   sim::Simulator& sim_;
   io::Device& device_;

@@ -92,23 +92,8 @@ bool IdleCalibrator::DeviceIdle() const {
   return sim_.Now() - quiet_since_ >= options_.idle_threshold_us;
 }
 
-void IdleCalibrator::ApplyEarlyStopDefaults() {
-  for (size_t b = 0; b < model_.num_bands(); ++b) {
-    const double base = model_.PointAt(b, 0);
-    PIOQO_CHECK(base >= 0.0);
-    for (size_t q = 1; q < model_.num_qds(); ++q) {
-      if (!model_.IsSet(b, q)) {
-        model_.SetPoint(b, q, base * kEarlyStopDefaultFactor);
-        ++points_defaulted_;
-      }
-    }
-  }
-  next_point_ = pending_.size();
-}
-
 sim::Task IdleCalibrator::Loop() {
   const auto& opts = calibrator_.options();
-  const size_t largest_band = model_.num_bands() - 1;
   // When the device has been continuously busy since `busy_since`, a probe
   // gate lets the loop measure under load instead of starving.
   double busy_since = sim_.Now();
@@ -148,16 +133,13 @@ sim::Task IdleCalibrator::Loop() {
       on_point_(opts.band_grid[point.band_idx], point_qd, cost);
     }
 
-    // Early-stop check mirrors the offline calibrator: compare the largest
-    // band across consecutive queue depths. Partial refreshes measure
-    // exactly what was asked for.
-    if (!partial_run_ && opts.early_stop && point.qd_idx > 0 &&
-        point.band_idx == largest_band) {
-      const double prev = model_.PointAt(largest_band, point.qd_idx - 1);
-      if (cost > prev * (1.0 - kEarlyStopThreshold)) {
-        ApplyEarlyStopDefaults();
-        break;
-      }
+    // The offline calibrator's early stop and default fill. Partial
+    // refreshes measure exactly what was asked for.
+    if (!partial_run_ && opts.early_stop &&
+        EarlyStopReached(model_, point.band_idx, point.qd_idx)) {
+      points_defaulted_ += FillEarlyStopDefaults(model_);
+      next_point_ = pending_.size();
+      break;
     }
     // Yield between points so foreground I/O can resume promptly. Busy
     // probes pace themselves with the (longer) busy interval.

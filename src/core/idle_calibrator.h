@@ -111,7 +111,6 @@ class IdleCalibrator {
   sim::Task Loop();
   /// True when the device has been quiet for the idle threshold.
   bool DeviceIdle() const;
-  void ApplyEarlyStopDefaults();
 
   sim::Simulator& sim_;
   io::Device& device_;

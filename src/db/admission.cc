@@ -30,13 +30,11 @@ AdmissionGrant AdmissionController::Charge(int requested_dop) {
       ++stats_.degraded_clamps;
     }
   }
-  if (options_.enabled) {
-    const int budget = options_.max_total_dop - total_dop_;
-    PIOQO_CHECK(budget >= 1);
-    if (dop > budget) {
-      dop = budget;
-      ++stats_.partial_grants;
-    }
+  const int budget = options_.max_total_dop - total_dop_;
+  PIOQO_CHECK(budget >= 1);
+  if (dop > budget) {
+    dop = budget;
+    ++stats_.partial_grants;
   }
   ++running_;
   total_dop_ += dop;
@@ -98,12 +96,6 @@ bool AdmissionController::AdmitAwaiter::await_ready() {
       ++ctrl_.stats_.shed_cancelled;
     }
     grant_.status = std::move(alive);
-    return true;
-  }
-  if (!ctrl_.options_.enabled) {
-    // Disabled knob: admit everything immediately at the requested DOP,
-    // but keep the running/peak accounting so experiments can compare.
-    grant_ = ctrl_.Charge(requested_dop_);
     return true;
   }
   // Strict FIFO: even an admissible arrival queues behind earlier ones.

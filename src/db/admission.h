@@ -15,11 +15,11 @@ class DeviceHealthMonitor;
 
 namespace pioqo::db {
 
-/// Capacity policy for the admission controller.
+/// Capacity policy for the admission controller. An uncontrolled baseline
+/// (every query admitted on arrival at its requested DOP, still counted so
+/// A/B experiments can compare peaks) sets both caps to
+/// std::numeric_limits<int>::max().
 struct AdmissionOptions {
-  /// Master switch: when false, every query is admitted immediately at its
-  /// requested DOP (still counted, so A/B experiments can compare peaks).
-  bool enabled = true;
   /// Maximum queries running at once; arrivals beyond it queue.
   int max_concurrent_queries = 8;
   /// Aggregate scan DOP budget across all running queries. A query is
@@ -153,7 +153,7 @@ class AdmissionController {
   /// True when one more query (at >= 1 worker) fits right now.
   bool CanAdmit() const;
   /// Computes and charges a grant for `requested_dop`. Caller must have
-  /// checked CanAdmit() (or options_.enabled == false).
+  /// checked CanAdmit().
   AdmissionGrant Charge(int requested_dop);
   /// Admits queue heads while capacity lasts.
   void Pump();

@@ -22,11 +22,7 @@ Database::Database(DatabaseOptions options)
                                      : *device_),
       pool_(disk_, options.pool_pages, options.pool_options),
       cpu_(sim_, options.constants.logical_cores,
-           options.constants.physical_cores, options.constants.smt_penalty) {
-  if (options_.enable_plan_cache) {
-    plan_cache_ = std::make_unique<opt::PlanCache>();
-  }
-}
+           options.constants.physical_cores, options.constants.smt_penalty) {}
 
 void Database::EnableHealthMonitor(io::DeviceHealthMonitor::Options options) {
   // Enable-once: the monitor is the device's completion observer, and
@@ -97,24 +93,17 @@ core::CalibrationResult Database::Calibrate() {
   core::Calibrator calibrator(sim_, *device_, options_.calibration);
   core::CalibrationResult result = calibrator.Calibrate();
   qdtt_ = result.model;
-  OnModelReplaced();
+  // A replaced model can carry the generation number the cache's entries
+  // were tagged with (generations count SetPoint calls per model object),
+  // so the tag cannot vouch across a swap: flush.
+  plan_cache_.InvalidateAll();
   return result;
 }
 
 void Database::InstallModel(core::QdttModel model) {
   PIOQO_CHECK(model.complete());
   qdtt_ = std::move(model);
-  OnModelReplaced();
-}
-
-void Database::OnModelReplaced() {
-  if (plan_cache_ == nullptr) return;
-  // A *replaced* model can coincidentally carry the generation number the
-  // cache last saw (generations count SetPoint calls per model object), so
-  // the generation tag alone cannot be trusted across installs — flush.
-  plan_cache_->InvalidateAll();
-  plan_cache_generation_ = qdtt_->generation();
-  plan_cache_regime_ = opt::PlanCache::Regime::kFull;
+  plan_cache_.InvalidateAll();  // as in Calibrate()
 }
 
 const core::QdttModel& Database::qdtt() const {
@@ -157,6 +146,12 @@ StatusOr<exec::ScanResult> Database::ExecuteScan(const std::string& table,
   PIOQO_ASSIGN_OR_RETURN(
       exec::ScanSpec spec,
       ResolveScanSpec({table, pred, method, dop, prefetch_depth}));
+  return RunSpec(spec, flush_pool, query);
+}
+
+StatusOr<exec::ScanResult> Database::RunSpec(const exec::ScanSpec& spec,
+                                             bool flush_pool,
+                                             io::QueryContext* query) {
   if (flush_pool) PIOQO_RETURN_IF_ERROR(pool_.Clear());
   exec::ExecContext ctx{sim_,          cpu_, pool_, options_.constants,
                         health_.get(), query};
@@ -223,24 +218,13 @@ StatusOr<Database::QueryOutcome> Database::ExecuteQuery(
     const std::string& table, exec::RangePredicate pred,
     bool queue_depth_aware, bool flush_pool, opt::OptimizerOptions options,
     io::QueryContext* query) {
-  if (!calibrated()) {
-    return Status::FailedPrecondition("calibrate the database first");
-  }
-  PIOQO_ASSIGN_OR_RETURN(const storage::Dataset* ds, GetTable(table));
-  // Plans are costed from the histogram estimate, as a production optimizer
-  // would (the executed result is exact regardless).
-  PIOQO_ASSIGN_OR_RETURN(double selectivity,
-                         EstimatedSelectivityOf(table, pred));
-
   options.queue_depth_aware = queue_depth_aware;
-  opt::Optimizer optimizer(*qdtt_, options_.constants, options);
+  PIOQO_ASSIGN_OR_RETURN(PlannedQuery planned,
+                         Plan({table, pred}, options, /*confidence=*/1.0));
   QueryOutcome outcome;
-  outcome.optimization = optimizer.ChooseAccessPath(ProfileFor(*ds), selectivity);
-
-  const auto& plan = outcome.optimization.chosen;
-  PIOQO_ASSIGN_OR_RETURN(
-      outcome.scan, ExecuteScan(table, pred, plan.method, plan.dop,
-                                plan.prefetch_depth, flush_pool, query));
+  outcome.optimization = std::move(planned.optimization);
+  PIOQO_ASSIGN_OR_RETURN(outcome.scan,
+                         RunSpec(planned.spec, flush_pool, query));
   return outcome;
 }
 
@@ -261,60 +245,45 @@ void Database::EnableDriftDefense(DriftDefenseOptions options) {
 
 StatusOr<Database::PlannedQuery> Database::PlanWorkloadQuery(
     const QueryRequest& request) {
-  if (!calibrated()) {
-    return Status::FailedPrecondition("calibrate the database first");
-  }
-  PIOQO_ASSIGN_OR_RETURN(const storage::Dataset* ds,
-                         GetTable(request.scan.table));
-  PlannedQuery planned;
-  PIOQO_ASSIGN_OR_RETURN(
-      planned.selectivity,
-      EstimatedSelectivityOf(request.scan.table, request.scan.pred));
-  planned.profile = ProfileFor(*ds);
-
-  const double confidence =
-      drift_defense_ != nullptr ? drift_defense_->confidence() : 1.0;
   // Arrival-time planning only needs the winner; EXPLAIN-style callers use
   // ExecuteQuery, where record_considered keeps its default. The chosen
   // plan is unaffected (optimizer.h).
-  opt::OptimizerOptions planner_options = request.optimizer;
-  planner_options.record_considered = false;
+  opt::OptimizerOptions options = request.optimizer;
+  options.record_considered = false;
+  return Plan(request.scan, options,
+              drift_defense_ != nullptr ? drift_defense_->confidence() : 1.0);
+}
 
-  if (plan_cache_ != nullptr) {
-    const uint64_t generation = qdtt_->generation();
-    const opt::PlanCache::Regime regime =
-        opt::PlanCache::RegimeFor(confidence, planner_options);
-    if (generation != plan_cache_generation_ ||
-        regime != plan_cache_regime_) {
-      // DriftDefense merged refreshed grid points (SetPoint bumps the
-      // generation) or confidence crossed a fallback threshold: every
-      // cached plan was chosen under assumptions that no longer hold.
-      plan_cache_->InvalidateAll();
-      plan_cache_generation_ = generation;
-      plan_cache_regime_ = regime;
-    }
-    opt::PlanCache::Key key;
-    key.table_id = ds->table.first_page();
-    key.selectivity = planned.selectivity;
-    key.confidence = confidence;
-    key.profile = planned.profile;
-    key.options = planner_options;
-    key.model_generation = generation;
-    if (const opt::OptimizationResult* cached = plan_cache_->Lookup(key)) {
-      planned.optimization = *cached;
-    } else {
-      opt::Optimizer optimizer(*qdtt_, options_.constants, planner_options);
-      planned.optimization = optimizer.ChooseAccessPath(
-          planned.profile, planned.selectivity, confidence);
-      plan_cache_->Insert(key, planned.optimization);
-    }
+StatusOr<Database::PlannedQuery> Database::Plan(
+    const ConcurrentScanSpec& scan, const opt::OptimizerOptions& options,
+    double confidence) {
+  if (!calibrated()) {
+    return Status::FailedPrecondition("calibrate the database first");
+  }
+  PIOQO_ASSIGN_OR_RETURN(const storage::Dataset* ds, GetTable(scan.table));
+  PlannedQuery planned;
+  // Plans are costed from the histogram estimate, as a production optimizer
+  // would (the executed result is exact regardless).
+  PIOQO_ASSIGN_OR_RETURN(planned.selectivity,
+                         EstimatedSelectivityOf(scan.table, scan.pred));
+  planned.profile = ProfileFor(*ds);
+
+  const opt::PlanCache::Key key{.table_id = ds->table.first_page(),
+                                .selectivity = planned.selectivity,
+                                .confidence = confidence,
+                                .profile = planned.profile,
+                                .options = options,
+                                .model_generation = qdtt_->generation()};
+  if (const opt::OptimizationResult* cached = plan_cache_.Lookup(key)) {
+    planned.optimization = *cached;
   } else {
-    opt::Optimizer optimizer(*qdtt_, options_.constants, planner_options);
+    const opt::Optimizer optimizer(*qdtt_, options_.constants, options);
     planned.optimization = optimizer.ChooseAccessPath(
         planned.profile, planned.selectivity, confidence);
+    plan_cache_.Insert(key, planned.optimization);
   }
 
-  ConcurrentScanSpec chosen = request.scan;
+  ConcurrentScanSpec chosen = scan;
   chosen.method = planned.optimization.chosen.method;
   chosen.dop = planned.optimization.chosen.dop;
   chosen.prefetch_depth = planned.optimization.chosen.prefetch_depth;
@@ -453,8 +422,7 @@ StatusOr<Database::WorkloadReport> Database::RunWorkload(
   }
   if (flush_pool) PIOQO_RETURN_IF_ERROR(pool_.Clear());
 
-  const opt::PlanCacheStats cache_before =
-      plan_cache_ != nullptr ? plan_cache_->stats() : opt::PlanCacheStats{};
+  const opt::PlanCacheStats cache_before = plan_cache_.stats();
   WorkloadReport report;
   report.queries.resize(requests.size());
   sim::Latch all_done(sim_, static_cast<int64_t>(requests.size()));
@@ -475,13 +443,11 @@ StatusOr<Database::WorkloadReport> Database::RunWorkload(
       case QueryTerminal::kFailed:    ++report.failed; break;
     }
   }
-  if (plan_cache_ != nullptr) {
-    const opt::PlanCacheStats& now = plan_cache_->stats();
-    report.plan_cache.hits = now.hits - cache_before.hits;
-    report.plan_cache.misses = now.misses - cache_before.misses;
-    report.plan_cache.invalidations =
-        now.invalidations - cache_before.invalidations;
-  }
+  const opt::PlanCacheStats& now = plan_cache_.stats();
+  report.plan_cache.hits = now.hits - cache_before.hits;
+  report.plan_cache.misses = now.misses - cache_before.misses;
+  report.plan_cache.invalidations =
+      now.invalidations - cache_before.invalidations;
   return report;
 }
 

@@ -46,11 +46,6 @@ struct DatabaseOptions {
   /// The inert default costs nothing; give timeout_us > 0 to survive stuck
   /// requests.
   storage::BufferPoolOptions pool_options;
-  /// Memoize arrival-time planning in RunWorkload (opt::PlanCache). A hit
-  /// returns the bit-identical plan a fresh optimization would choose
-  /// (verified by plan_cache_test.cc's A/B run); turn off to force every
-  /// query through full enumeration, e.g. for such A/B comparisons.
-  bool enable_plan_cache = true;
 };
 
 /// The top-level facade: one simulated host (clock, 8 logical cores), one
@@ -111,7 +106,9 @@ class Database {
       const std::vector<ConcurrentScanSpec>& specs, bool flush_pool);
 
   /// Plans Q with the optimizer (QDTT if `queue_depth_aware`, the legacy
-  /// DTT costing otherwise) and executes the winning plan.
+  /// DTT costing otherwise) at full model confidence, then flushes the pool
+  /// if asked and executes the winning plan. The plan is costed against the
+  /// pool as it was *before* the flush.
   StatusOr<QueryOutcome> ExecuteQuery(const std::string& table,
                                       exec::RangePredicate pred,
                                       bool queue_depth_aware, bool flush_pool,
@@ -176,8 +173,7 @@ class Database {
     size_t timed_out = 0;
     size_t cancelled = 0;
     size_t failed = 0;
-    /// Plan-cache activity during *this* workload (all zero when
-    /// DatabaseOptions::enable_plan_cache is off).
+    /// Plan-cache activity during *this* workload.
     opt::PlanCacheStats plan_cache;
   };
 
@@ -201,8 +197,9 @@ class Database {
 
   /// Arrival-time planning for a `use_optimizer` workload query: estimates
   /// selectivity, plans under the current drift-defense confidence (1.0
-  /// when the defense is off), and resolves the winning plan. Exposed for
-  /// the query lifecycle and for tests.
+  /// when the defense is off) without recording the losing candidates, and
+  /// resolves the winning plan. Exposed for the query lifecycle and for
+  /// tests.
   struct PlannedQuery {
     exec::ScanSpec spec;
     opt::OptimizationResult optimization;
@@ -211,9 +208,9 @@ class Database {
   };
   StatusOr<PlannedQuery> PlanWorkloadQuery(const QueryRequest& request);
 
-  /// The arrival-time plan cache (nullptr when disabled). Cumulative stats;
+  /// The cache behind every optimizer call (never null). Cumulative stats;
   /// WorkloadReport::plan_cache carries the per-workload delta.
-  opt::PlanCache* plan_cache() { return plan_cache_.get(); }
+  opt::PlanCache* plan_cache() { return &plan_cache_; }
 
   /// Optimizer-facing statistics for a table.
   core::TableProfile ProfileFor(const storage::Dataset& dataset) const;
@@ -259,9 +256,15 @@ class Database {
   /// and prefetch validation) into an executable exec::ScanSpec — the one
   /// place an AccessMethod becomes a scan.
   StatusOr<exec::ScanSpec> ResolveScanSpec(const ConcurrentScanSpec& spec) const;
-  /// Flushes the plan cache and resyncs its generation/regime trackers
-  /// after Calibrate()/InstallModel() swapped the whole model object.
-  void OnModelReplaced();
+  /// The one planner behind ExecuteQuery and PlanWorkloadQuery: histogram
+  /// estimate, table profile, then a plan-cache hit or a fresh
+  /// Optimizer::ChooseAccessPath (inserted), resolved into a scan.
+  StatusOr<PlannedQuery> Plan(const ConcurrentScanSpec& scan,
+                              const opt::OptimizerOptions& options,
+                              double confidence);
+  /// Flushes the pool if asked, then runs `spec` as one query.
+  StatusOr<exec::ScanResult> RunSpec(const exec::ScanSpec& spec,
+                                     bool flush_pool, io::QueryContext* query);
 
   DatabaseOptions options_;
   sim::Simulator sim_;
@@ -277,11 +280,9 @@ class Database {
   std::map<std::string, storage::Dataset> tables_;
   std::map<std::string, core::EquiWidthHistogram> histograms_;
   std::optional<core::QdttModel> qdtt_;
-  std::unique_ptr<opt::PlanCache> plan_cache_;
-  /// Model generation / confidence regime the cache's entries were planned
-  /// under; a change in either flushes the cache (DESIGN.md §13).
-  uint64_t plan_cache_generation_ = 0;
-  opt::PlanCache::Regime plan_cache_regime_ = opt::PlanCache::Regime::kFull;
+  /// Flushed when Calibrate()/InstallModel() replace the model object; its
+  /// exact tags cover everything else (DESIGN.md §13).
+  opt::PlanCache plan_cache_;
 };
 
 }  // namespace pioqo::db

@@ -117,9 +117,6 @@ class Device {
   IoAwaiter Read(uint64_t offset, uint32_t length) {
     return IoAwaiter(*this, IoRequest{IoRequest::Kind::kRead, offset, length});
   }
-  IoAwaiter Write(uint64_t offset, uint32_t length) {
-    return IoAwaiter(*this, IoRequest{IoRequest::Kind::kWrite, offset, length});
-  }
 
  protected:
   explicit Device(sim::Simulator& sim) : sim_(sim) {}

@@ -14,11 +14,6 @@ const FaultPhase* FaultInjectingDevice::ActivePhase() const {
 
 void FaultInjectingDevice::SubmitImpl(uint64_t id, const IoRequest& req,
                                       CompletionFn done) {
-  if (!config_.enabled) {
-    // Zero-cost passthrough: no RNG draw, no extra event.
-    Passthrough(id, req, std::move(done));
-    return;
-  }
   const FaultPhase* phase = ActivePhase();
   const double latency_mult = phase != nullptr ? phase->latency_mult : 1.0;
   const double phase_error = phase != nullptr ? phase->extra_error_prob : 0.0;
@@ -41,9 +36,8 @@ void FaultInjectingDevice::SubmitImpl(uint64_t id, const IoRequest& req,
     return;
   }
 
-  const bool is_read = req.kind == IoRequest::Kind::kRead;
   const double error_prob =
-      (is_read ? config_.read_error_prob : config_.write_error_prob) +
+      (req.kind == IoRequest::Kind::kRead ? config_.read_error_prob : 0.0) +
       phase_error;
   if (error_roll < error_prob) {
     ++total_injected_;

@@ -14,8 +14,8 @@
 namespace pioqo::io {
 
 /// A window of simulated time during which the wrapped device is degraded:
-/// service latencies are stretched by `latency_mult` and the read/write
-/// error probability is raised by `extra_error_prob`. Models a RAID rebuild,
+/// service latencies are stretched by `latency_mult` and the error
+/// probability is raised by `extra_error_prob`. Models a RAID rebuild,
 /// a firmware GC storm, or a failing-but-not-failed disk.
 struct FaultPhase {
   double start_us = 0.0;
@@ -27,19 +27,15 @@ struct FaultPhase {
 /// Seeded fault schedule for FaultInjectingDevice. All randomness comes from
 /// one Pcg32 seeded with `seed` and advanced in a fixed per-request order,
 /// so the schedule is a pure function of (seed, submission sequence) — the
-/// same property the rest of the simulator guarantees.
+/// same property the rest of the simulator guarantees. The all-zero default
+/// injects nothing: its trace_hash is bit-identical to running without the
+/// wrapper at all.
 struct FaultConfig {
   uint64_t seed = 1;
 
-  /// Master switch. When false the injector forwards submissions directly
-  /// to the wrapped device: no RNG draws, no extra simulator events, and a
-  /// trace_hash bit-identical to running without the wrapper at all.
-  bool enabled = true;
-
-  /// Probability that a read/write completes with a transient kIoError
-  /// (after `error_latency_us`, modelling a failed-fast media error).
+  /// Probability that a read completes with a transient kIoError (after
+  /// `error_latency_us`, modelling a failed-fast media error).
   double read_error_prob = 0.0;
-  double write_error_prob = 0.0;
   double error_latency_us = 100.0;
 
   /// Probability of a latency spike: the request is served normally but its

@@ -71,23 +71,10 @@ PlanCache::PlanCache(size_t num_buckets) {
   mask_ = buckets_.size() - 1;
 }
 
-PlanCache::Regime PlanCache::RegimeFor(double confidence,
-                                       const OptimizerOptions& options) {
-  if (options.queue_depth_aware &&
-      confidence < options.dtt_fallback_confidence) {
-    return Regime::kDttFallback;
-  }
-  if (confidence < kConservativeConfidenceThreshold) {
-    return Regime::kConservative;
-  }
-  return Regime::kFull;
-}
-
 size_t PlanCache::BucketOf(const Key& key) const {
   uint64_t h = Mix64(key.table_id);
   h = Fold(h, SelectivityBucket(key.selectivity));
   h = Fold(h, static_cast<uint64_t>(key.options.concurrent_streams));
-  h = Fold(h, static_cast<uint64_t>(RegimeFor(key.confidence, key.options)));
   return static_cast<size_t>(h) & mask_;
 }
 
@@ -115,8 +102,7 @@ const OptimizationResult* PlanCache::Lookup(const Key& key) {
     return nullptr;
   }
   if (entry.model_generation != key.model_generation) {
-    // Backstop: the caller normally calls InvalidateAll on a generation
-    // bump, but an entry that outlived its model must never be served.
+    // Planned against a grid that has since changed: drop it for good.
     entry.valid = false;
     ++stats_.invalidations;
     ++stats_.misses;

@@ -13,45 +13,35 @@ struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   /// Entries dropped because the model they were planned against is no
-  /// longer live (QDTT generation advanced — e.g. a DriftDefense point
-  /// merge) or the confidence regime crossed a fallback threshold.
+  /// longer live: its generation advanced (e.g. a DriftDefense point merge)
+  /// or the caller replaced the model object (InvalidateAll).
   uint64_t invalidations = 0;
 };
 
 /// Memoizes access-path selection for repeated planning problems
 /// (DESIGN.md §13).
 ///
-/// Arrival-time planning in Database::RunWorkload re-runs the full
-/// enumerate-and-cost loop for every `use_optimizer` query, yet open-loop
-/// workloads overwhelmingly repeat a handful of (table, predicate) shapes.
-/// The cache is direct-mapped: the bucket index hashes the *coarse* plan
-/// problem — table, log-spaced selectivity bucket, concurrent streams, and
-/// the drift-defense confidence regime — while the entry stores an *exact*
-/// tag over every input the optimizer reads (selectivity and confidence to
-/// the bit, a fingerprint of the whole TableProfile including the live
+/// Every optimizer call in db::Database goes through this cache, and
+/// open-loop workloads overwhelmingly repeat a handful of (table,
+/// predicate) shapes. The cache is direct-mapped: the bucket index hashes
+/// the *coarse* plan problem — table, log-spaced selectivity bucket and
+/// concurrent streams — while the entry stores an *exact* tag over every
+/// input the optimizer reads (selectivity and confidence to the bit, a
+/// fingerprint of the whole TableProfile including the live
 /// cached_fraction, an OptimizerOptions fingerprint, and the QDTT model
 /// generation). A hit therefore returns a plan that is bit-identical to
 /// what a fresh ChooseAccessPath would produce; anything the tag cannot
-/// prove unchanged is a miss. That is the invariant the A/B test in
-/// plan_cache_test.cc pins down.
+/// prove unchanged is a miss. plan_cache_test.cc pins that invariant.
 ///
-/// Invalidation: entries are implicitly dead once the model generation they
-/// captured is stale (core::QdttModel::SetPoint bumps it — DriftDefense
-/// merges refreshed points through exactly that path), and Database also
-/// calls InvalidateAll() eagerly when it observes a generation bump or a
-/// confidence-regime crossing, so the counters surface *why* replanning
-/// happened rather than burying it in tag misses.
+/// Invalidation has one rule: the tags. An entry whose model generation is
+/// stale (core::QdttModel::SetPoint bumps it — DriftDefense merges refreshed
+/// points through exactly that path) is dropped on lookup, and a changed
+/// confidence is a tag miss. The generation only counts mutations of one
+/// model object, so a caller that replaces the object calls InvalidateAll().
 class PlanCache {
  public:
-  /// Drift-defense trust bands (optimizer.h thresholds): plans cached in
-  /// one regime are never served in another, because the optimizer's
-  /// search-space clamps differ across them.
-  enum class Regime { kFull, kConservative, kDttFallback };
-
   /// `num_buckets` is rounded up to a power of two.
   explicit PlanCache(size_t num_buckets = 256);
-
-  static Regime RegimeFor(double confidence, const OptimizerOptions& options);
 
   /// Everything ChooseAccessPath reads, gathered by the caller.
   struct Key {

@@ -1,8 +1,9 @@
 // Unit tests for the admission controller: exact simulated timelines for
 // queueing, bounded-wait shedding, deadline/cancellation while queued,
 // partial DOP grants, FIFO ordering, degraded-device clamping, and the
-// disabled (A/B) mode.
+// unlimited-caps (A/B) mode.
 
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -252,11 +253,12 @@ TEST(AdmissionTest, DegradedDeviceClampsGrantedDop) {
 }
 
 TEST(AdmissionTest, DisabledControllerAdmitsEverythingButTracksPeaks) {
+  // "Disabled" is unlimited caps: nothing queues or is cut to a partial
+  // grant, yet the controller still counts what ran.
   sim::Simulator sim;
   AdmissionOptions options;
-  options.enabled = false;
-  options.max_concurrent_queries = 1;  // would queue 4 of the 5 if enabled
-  options.max_total_dop = 2;
+  options.max_concurrent_queries = std::numeric_limits<int>::max();
+  options.max_total_dop = std::numeric_limits<int>::max();
   AdmissionController ctrl(sim, options);
   std::vector<io::QueryContext*> queries;
   std::vector<Probe> probes(5);

@@ -7,12 +7,13 @@
 //   2. Nothing leaks: pool Clear() succeeds, the simulator drains, and the
 //      PIOQO_SIM_CHECKS registry is quiescent.
 //   3. The same seed reproduces the same trace hash bit-for-bit.
-//   4. The A/B: with the admission controller disabled, concurrency is
+//   4. The A/B: with the admission caps unlimited, concurrency is
 //      unbounded (peak running far above the cap) and the completion tail
 //      is measurably worse.
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -202,8 +203,9 @@ TEST_F(OverloadSoakTest, DisablingAdmissionUnboundsConcurrencyAndTail) {
   on.max_queue_wait_us = 2.0 * mean_us;  // bound the controlled run's waits
   const SoakRun with = RunSoak(requests, on);
 
-  AdmissionOptions off = on;
-  off.enabled = false;
+  AdmissionOptions off = on;  // no gate: unlimited caps
+  off.max_concurrent_queries = std::numeric_limits<int>::max();
+  off.max_total_dop = std::numeric_limits<int>::max();
   const SoakRun without = RunSoak(requests, off);
 
   // Unbounded queueing: with no gate, far more queries pile onto the device

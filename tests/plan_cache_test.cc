@@ -3,10 +3,10 @@
 //      exact tags cover (selectivity, confidence, profile, options) misses.
 //   2. A QdttModel::SetPoint merge bumps the model generation and kills
 //      cached plans (the DriftDefense refresh path).
-//   3. A confidence-regime crossing flushes via the caller protocol
-//      (RegimeFor + InvalidateAll), and model replacement flushes end to end.
-//   4. A/B: RunWorkload chooses bit-identical plans with the cache on and
-//      off — a hit is indistinguishable from fresh optimization.
+//   3. Database plans every query through the cache: repeat arrivals and
+//      repeated ExecuteQuery calls hit, a hit equals a fresh
+//      Optimizer::ChooseAccessPath on the same inputs, and model
+//      replacement flushes.
 
 #include <memory>
 #include <vector>
@@ -91,7 +91,10 @@ TEST(PlanCacheTest, HitsOnRepeatMissesOnAnyTagChange) {
   k.selectivity = 0.0100000001;  // same log2 bucket, different bits
   EXPECT_EQ(cache.Lookup(k), nullptr);
   k = key;
-  k.confidence = 0.99;  // same (full-trust) regime, different bits
+  k.confidence = 0.99;  // still full trust, different bits
+  EXPECT_EQ(cache.Lookup(k), nullptr);
+  k = key;
+  k.confidence = 0.5;  // the optimizer now clamps its DOP set
   EXPECT_EQ(cache.Lookup(k), nullptr);
   k = key;
   k.profile.cached_fraction = 0.26;  // pool residency moved
@@ -103,7 +106,7 @@ TEST(PlanCacheTest, HitsOnRepeatMissesOnAnyTagChange) {
   k.options.record_considered = true;  // wants the full candidate list
   EXPECT_EQ(cache.Lookup(k), nullptr);
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 6u);
+  EXPECT_EQ(cache.stats().misses, 7u);
   EXPECT_EQ(cache.stats().invalidations, 0u);
 }
 
@@ -125,33 +128,7 @@ TEST(PlanCacheTest, SetPointMergeInvalidatesCachedPlans) {
   EXPECT_EQ(cache.size(), 0u);  // the stale entry is gone, not just skipped
 }
 
-TEST(PlanCacheTest, RegimeCrossingFlushesViaCallerProtocol) {
-  const OptimizerOptions options;  // thresholds 0.75 / 0.35
-  EXPECT_EQ(PlanCache::RegimeFor(1.0, options), PlanCache::Regime::kFull);
-  EXPECT_EQ(PlanCache::RegimeFor(0.75, options), PlanCache::Regime::kFull);
-  EXPECT_EQ(PlanCache::RegimeFor(0.5, options),
-            PlanCache::Regime::kConservative);
-  EXPECT_EQ(PlanCache::RegimeFor(0.1, options),
-            PlanCache::Regime::kDttFallback);
-  // Queue-depth-blind planning has no DTT fallback to cross into.
-  OptimizerOptions dtt = options;
-  dtt.queue_depth_aware = false;
-  EXPECT_EQ(PlanCache::RegimeFor(0.1, dtt), PlanCache::Regime::kConservative);
-
-  // The Database protocol: regime crossing ⇒ InvalidateAll, counted.
-  core::QdttModel model = TestModel();
-  PlanCache cache;
-  PlanCache::Key key = TestKey(model);
-  cache.Insert(key, TestResult());
-  const PlanCache::Regime planned_under = PlanCache::RegimeFor(1.0, options);
-  const PlanCache::Regime now = PlanCache::RegimeFor(0.5, options);
-  ASSERT_NE(planned_under, now);
-  cache.InvalidateAll();
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-// --- End-to-end: RunWorkload with the cache on/off ------------------------
+// --- End to end: every Database planner call goes through the cache ------
 
 storage::DatasetConfig SmallTable() {
   storage::DatasetConfig config;
@@ -163,100 +140,141 @@ storage::DatasetConfig SmallTable() {
   return config;
 }
 
-struct WorkloadOutcome {
-  Database::WorkloadReport report;
-  uint64_t trace_hash = 0;
-};
-
-WorkloadOutcome RunCachedWorkload(bool cache_on) {
+std::unique_ptr<Database> MakeDb() {
   DatabaseOptions options;
   options.device = io::DeviceKind::kSsdConsumer;
   options.pool_pages = 1024;
   options.calibration.max_pages_per_point = 256;
-  options.enable_plan_cache = cache_on;
-  Database db(std::move(options));
-  PIOQO_CHECK(db.CreateTable(SmallTable()).ok());
-  db.Calibrate();
-  db.EnableAdmissionControl();
+  auto db = std::make_unique<Database>(std::move(options));
+  PIOQO_CHECK(db->CreateTable(SmallTable()).ok());
+  db->Calibrate();
+  db->EnableAdmissionControl();
+  return db;
+}
 
+exec::RangePredicate PredFor(double selectivity) {
+  return exec::RangePredicate{0, storage::C2UpperBoundForSelectivity(
+                                     SmallTable().c2_domain, selectivity)};
+}
+
+void ExpectSameCandidate(const core::PlanCandidate& a,
+                         const core::PlanCandidate& b) {
+  EXPECT_EQ(a.method, b.method);
+  EXPECT_EQ(a.dop, b.dop);
+  EXPECT_EQ(a.prefetch_depth, b.prefetch_depth);
+  EXPECT_EQ(a.io_us, b.io_us);
+  EXPECT_EQ(a.cpu_us, b.cpu_us);
+  EXPECT_EQ(a.total_us, b.total_us);
+}
+
+void ExpectSamePlan(const OptimizationResult& a, const OptimizationResult& b) {
+  ExpectSameCandidate(a.chosen, b.chosen);
+  ASSERT_EQ(a.considered.size(), b.considered.size());
+  for (size_t i = 0; i < a.considered.size(); ++i) {
+    ExpectSameCandidate(a.considered[i], b.considered[i]);
+  }
+  EXPECT_EQ(a.model_confidence, b.model_confidence);
+  EXPECT_EQ(a.dop_clamped, b.dop_clamped);
+  EXPECT_EQ(a.dtt_fallback, b.dtt_fallback);
+}
+
+TEST(PlanCacheWorkloadTest, RepeatArrivalsHit) {
+  std::unique_ptr<Database> db = MakeDb();
   static constexpr double kSelectivities[4] = {0.30, 0.01, 0.10, 0.02};
-  const int32_t domain = SmallTable().c2_domain;
   std::vector<Database::QueryRequest> requests;
-  const double start_us = db.simulator().Now() + 1'000.0;
+  const double start_us = db->simulator().Now() + 1'000.0;
   for (size_t i = 0; i < 20; ++i) {
     Database::QueryRequest req;
     req.scan.table = "T";
-    req.scan.pred = exec::RangePredicate{
-        0, storage::C2UpperBoundForSelectivity(domain, kSelectivities[i % 4])};
+    req.scan.pred = PredFor(kSelectivities[i % 4]);
     req.use_optimizer = true;
     req.arrival_us = start_us + static_cast<double>(i) * 100'000.0;
     requests.push_back(req);
   }
 
-  auto report = db.RunWorkload(requests, /*flush_pool=*/true);
+  auto report = db->RunWorkload(requests, /*flush_pool=*/true);
   PIOQO_CHECK_OK(report.status());
-  WorkloadOutcome out;
-  out.report = std::move(report).value();
-  out.trace_hash = db.simulator().trace_hash();
-  EXPECT_TRUE(db.pool().Clear().ok());
+  ASSERT_EQ(report->queries.size(), 20u);
+  EXPECT_EQ(report->failed, 0u);
+  EXPECT_EQ(report->completed, 20u);
+  // Hits happen once pool residency stabilizes; every query planned.
+  EXPECT_GE(report->plan_cache.hits, 8u);
+  EXPECT_GE(report->plan_cache.misses, 4u);
+  EXPECT_EQ(report->plan_cache.hits + report->plan_cache.misses, 20u);
+  EXPECT_TRUE(db->pool().Clear().ok());
   sim::checks::ExpectQuiescent("plan cache workload");
-  return out;
 }
 
-TEST(PlanCacheWorkloadTest, RepeatArrivalsHitAndChosenPlansAreBitIdentical) {
-  const WorkloadOutcome on = RunCachedWorkload(/*cache_on=*/true);
-  const WorkloadOutcome off = RunCachedWorkload(/*cache_on=*/false);
+TEST(PlanCacheWorkloadTest, HitEqualsFreshOptimization) {
+  std::unique_ptr<Database> db = MakeDb();
+  for (double selectivity : {0.30, 0.01, 0.10, 0.02}) {
+    Database::QueryRequest req;
+    req.scan.table = "T";
+    req.scan.pred = PredFor(selectivity);
+    req.use_optimizer = true;
+    req.optimizer.prefetch_depths = {0, 4};
 
-  ASSERT_EQ(on.report.queries.size(), 20u);
-  EXPECT_EQ(on.report.failed, 0u);
-  EXPECT_EQ(on.report.completed, 20u);
+    auto first = db->PlanWorkloadQuery(req);
+    PIOQO_CHECK_OK(first.status());
+    const uint64_t hits = db->plan_cache()->stats().hits;
+    auto hit = db->PlanWorkloadQuery(req);
+    PIOQO_CHECK_OK(hit.status());
+    EXPECT_EQ(db->plan_cache()->stats().hits, hits + 1) << selectivity;
 
-  // Hits happen once pool residency stabilizes; every query planned.
-  EXPECT_GE(on.report.plan_cache.hits, 8u);
-  EXPECT_GE(on.report.plan_cache.misses, 4u);
-  EXPECT_EQ(on.report.plan_cache.hits + on.report.plan_cache.misses, 20u);
-  EXPECT_EQ(off.report.plan_cache.hits, 0u);
-  EXPECT_EQ(off.report.plan_cache.misses, 0u);
-
-  // A/B: a cache hit must be indistinguishable from fresh optimization —
-  // same chosen plans, and therefore a bit-identical simulation.
-  for (size_t i = 0; i < on.report.queries.size(); ++i) {
-    EXPECT_EQ(on.report.queries[i].planned_method,
-              off.report.queries[i].planned_method) << "query " << i;
-    EXPECT_EQ(on.report.queries[i].planned_dop,
-              off.report.queries[i].planned_dop) << "query " << i;
-    EXPECT_EQ(on.report.queries[i].rows_matched,
-              off.report.queries[i].rows_matched) << "query " << i;
+    // The planner's own options: the request's, without the candidate list.
+    OptimizerOptions options = req.optimizer;
+    options.record_considered = false;
+    const opt::Optimizer optimizer(db->qdtt(), db->options().constants,
+                                   options);
+    const OptimizationResult fresh = optimizer.ChooseAccessPath(
+        hit->profile, hit->selectivity, hit->optimization.model_confidence);
+    ExpectSamePlan(hit->optimization, fresh);
+    ExpectSamePlan(hit->optimization, first->optimization);
+    EXPECT_EQ(hit->spec.index, first->spec.index);
+    EXPECT_EQ(hit->spec.dop, first->spec.dop);
+    EXPECT_EQ(hit->spec.prefetch_depth, first->spec.prefetch_depth);
   }
-  EXPECT_EQ(on.trace_hash, off.trace_hash);
+}
+
+TEST(PlanCacheQueryTest, RepeatedExecuteQueryHitsWithTheSamePlan) {
+  std::unique_ptr<Database> db = MakeDb();
+  const exec::RangePredicate pred = PredFor(0.05);
+  auto first = db->ExecuteQuery("T", pred, /*queue_depth_aware=*/true,
+                                /*flush_pool=*/true);
+  PIOQO_CHECK_OK(first.status());
+  ASSERT_FALSE(first->optimization.considered.empty());
+
+  // ExecuteQuery plans before its flush, so empty the pool the first scan
+  // filled: the second call then sees the first one's inputs exactly.
+  ASSERT_TRUE(db->pool().Clear().ok());
+  const opt::PlanCacheStats before = db->plan_cache()->stats();
+  auto second = db->ExecuteQuery("T", pred, /*queue_depth_aware=*/true,
+                                 /*flush_pool=*/true);
+  PIOQO_CHECK_OK(second.status());
+  EXPECT_EQ(db->plan_cache()->stats().hits, before.hits + 1);
+  EXPECT_EQ(db->plan_cache()->stats().misses, before.misses);
+  ExpectSamePlan(second->optimization, first->optimization);
+  EXPECT_EQ(second->scan.rows_matched, first->scan.rows_matched);
+  EXPECT_TRUE(db->pool().Clear().ok());
+  sim::checks::ExpectQuiescent("plan cache execute query");
 }
 
 TEST(PlanCacheWorkloadTest, ModelReplacementFlushesTheCache) {
-  DatabaseOptions options;
-  options.device = io::DeviceKind::kSsdConsumer;
-  options.pool_pages = 1024;
-  options.calibration.max_pages_per_point = 256;
-  Database db(std::move(options));
-  PIOQO_CHECK(db.CreateTable(SmallTable()).ok());
-  db.Calibrate();
-  db.EnableAdmissionControl();
-  ASSERT_NE(db.plan_cache(), nullptr);
-
+  std::unique_ptr<Database> db = MakeDb();
   Database::QueryRequest req;
   req.scan.table = "T";
-  req.scan.pred = exec::RangePredicate{
-      0, storage::C2UpperBoundForSelectivity(SmallTable().c2_domain, 0.1)};
+  req.scan.pred = PredFor(0.1);
   req.use_optimizer = true;
-  req.arrival_us = db.simulator().Now() + 1'000.0;
-  auto first = db.RunWorkload({req}, /*flush_pool=*/true);
+  req.arrival_us = db->simulator().Now() + 1'000.0;
+  auto first = db->RunWorkload({req}, /*flush_pool=*/true);
   PIOQO_CHECK_OK(first.status());
-  EXPECT_GE(db.plan_cache()->size(), 1u);
+  EXPECT_GE(db->plan_cache()->size(), 1u);
 
   // Reinstalling a model (even an identical copy) must flush: generation
   // counters are per model object and cannot vouch across a swap.
-  db.InstallModel(db.qdtt());
-  EXPECT_EQ(db.plan_cache()->size(), 0u);
-  EXPECT_GE(db.plan_cache()->stats().invalidations, 1u);
+  db->InstallModel(db->qdtt());
+  EXPECT_EQ(db->plan_cache()->size(), 0u);
+  EXPECT_GE(db->plan_cache()->stats().invalidations, 1u);
   sim::checks::ExpectQuiescent("plan cache install");
 }
 
