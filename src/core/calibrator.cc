@@ -62,28 +62,29 @@ sim::Task ActiveWaitingDriver(sim::Simulator& sim, io::Device& device,
                               const std::vector<uint64_t>& pages, int qd,
                               sim::Latch& done, uint64_t& io_errors) {
   const size_t n = std::min<size_t>(static_cast<size_t>(qd), pages.size());
-  std::vector<std::unique_ptr<sim::Event>> slots;
+  // One 0-permit semaphore per slot: a completion releases its permit, and
+  // one that lands before the driver waits on the slot stays banked.
+  std::vector<std::unique_ptr<sim::Semaphore>> slots;
   slots.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    slots.push_back(std::make_unique<sim::Event>(sim));
+    slots.push_back(std::make_unique<sim::Semaphore>(sim, 0));
   }
   size_t issued = 0;
   for (; issued < n; ++issued) {
     device.Submit(PageRead(pages[issued]),
-                  [ev = slots[issued].get(), &io_errors](const io::IoResult& r) {
+                  [&slot = *slots[issued], &io_errors](const io::IoResult& r) {
                     if (!r.ok()) ++io_errors;
-                    ev->Set();
+                    slot.Release();
                   });
   }
   for (size_t waited = 0; waited < pages.size(); ++waited) {
-    sim::Event& slot = *slots[waited % n];
-    co_await slot.Wait();
-    slot.Reset();
+    sim::Semaphore& slot = *slots[waited % n];
+    co_await slot.WaitAcquire();
     if (issued < pages.size()) {
       device.Submit(PageRead(pages[issued]),
                     [&slot, &io_errors](const io::IoResult& r) {
                       if (!r.ok()) ++io_errors;
-                      slot.Set();
+                      slot.Release();
                     });
       ++issued;
     }

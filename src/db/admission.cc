@@ -74,9 +74,7 @@ void AdmissionController::ReleaseBackground(int queue_depth) {
 
 void AdmissionController::Pump() {
   while (!queue_.empty() && CanAdmit()) {
-    AdmitAwaiter* head = queue_.front();
-    queue_.pop_front();
-    head->queued_ = false;
+    AdmitAwaiter* head = queue_.PopFront();
     head->grant_ = Charge(head->requested_dop_);
     head->grant_.wait_us = sim_.Now() - head->arrival_us_;
     head->ResolveWhileQueued();
@@ -116,10 +114,7 @@ bool AdmissionController::AdmitAwaiter::await_ready() {
 
 void AdmissionController::AdmitAwaiter::await_suspend(
     std::coroutine_handle<> h) {
-  handle_ = h;
-  queued_ = true;
-  sim::checks::OnWaiterRegistered(h.address());
-  ctrl_.queue_.push_back(this);
+  ctrl_.queue_.Park(*this, h);
   ctrl_.stats_.peak_queued =
       std::max(ctrl_.stats_.peak_queued, ctrl_.queue_.size());
   if (ctrl_.options_.max_queue_wait_us > 0.0) {
@@ -132,12 +127,11 @@ void AdmissionController::AdmitAwaiter::await_suspend(
 }
 
 AdmissionGrant AdmissionController::AdmitAwaiter::await_resume() {
-  PIOQO_CHECK(!queued_ && !timer_armed_ && !listening_);
+  PIOQO_CHECK(!parked() && !timer_armed_ && !listening_);
   return std::move(grant_);
 }
 
 void AdmissionController::AdmitAwaiter::ResolveWhileQueued() {
-  // Caller already removed us from the queue and cleared queued_.
   if (timer_armed_) {
     ctrl_.sim_.Cancel(timer_token_);
     timer_armed_ = false;
@@ -146,17 +140,13 @@ void AdmissionController::AdmitAwaiter::ResolveWhileQueued() {
     query_.RemoveCancelListener(this);
     listening_ = false;
   }
-  sim::checks::OnWaiterUnregistered(handle_.address());
-  sim::ScheduleResume(ctrl_.sim_, 0.0, handle_);
+  sim::ScheduleResume(ctrl_.sim_, 0.0, handle());
 }
 
 void AdmissionController::AdmitAwaiter::OnWaitTimeout() {
   timer_armed_ = false;  // this timer just fired
-  PIOQO_CHECK(queued_);
-  auto it = std::find(ctrl_.queue_.begin(), ctrl_.queue_.end(), this);
-  PIOQO_CHECK(it != ctrl_.queue_.end());
-  ctrl_.queue_.erase(it);
-  queued_ = false;
+  PIOQO_CHECK(parked());
+  Unpark();
   ++ctrl_.stats_.shed_wait_timeout;
   grant_.status = Status::ResourceExhausted(
       "shed after " + std::to_string(ctrl_.options_.max_queue_wait_us) +
@@ -169,11 +159,8 @@ void AdmissionController::AdmitAwaiter::OnQueryCancelled(
     const Status& reason) {
   // The QueryContext already dropped us from its listener list.
   listening_ = false;
-  PIOQO_CHECK(queued_);
-  auto it = std::find(ctrl_.queue_.begin(), ctrl_.queue_.end(), this);
-  PIOQO_CHECK(it != ctrl_.queue_.end());
-  ctrl_.queue_.erase(it);
-  queued_ = false;
+  PIOQO_CHECK(parked());
+  Unpark();
   if (reason.code() == StatusCode::kDeadlineExceeded) {
     ++ctrl_.stats_.shed_deadline;
   } else {
@@ -193,14 +180,7 @@ AdmissionController::AdmitAwaiter::~AdmitAwaiter() {
     ctrl_.sim_.Cancel(timer_token_);
     timer_armed_ = false;
   }
-  if (queued_) {
-    auto it = std::find(ctrl_.queue_.begin(), ctrl_.queue_.end(), this);
-    if (it != ctrl_.queue_.end()) {
-      ctrl_.queue_.erase(it);
-      sim::checks::OnWaiterUnregistered(handle_.address());
-    }
-    queued_ = false;
-  }
+  // ~WaitNode leaves the queue.
 }
 
 }  // namespace pioqo::db

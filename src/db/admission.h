@@ -3,11 +3,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
 #include "common/status.h"
 #include "io/query_context.h"
 #include "sim/simulator.h"
+#include "sim/wait_queue.h"
 
 namespace pioqo::io {
 class DeviceHealthMonitor;
@@ -89,16 +89,15 @@ class AdmissionController {
   /// once the query is admitted or shed. The awaiter registers as `query`'s
   /// cancel listener while queued, so cancellation/deadline resolves the
   /// wait immediately.
-  class AdmitAwaiter : public io::QueryContext::CancelListener {
+  class AdmitAwaiter : public io::QueryContext::CancelListener,
+                       public sim::WaitNode {
    public:
     AdmitAwaiter(AdmissionController& ctrl, io::QueryContext& query,
                  int requested_dop)
         : ctrl_(ctrl), query_(query), requested_dop_(requested_dop) {}
-    /// Self-unregisters (queue slot, wait timer, cancel listener) if the
+    /// Leaves the queue and drops its wait timer and cancel listener if the
     /// awaiting coroutine is destroyed while queued.
     ~AdmitAwaiter();
-    AdmitAwaiter(const AdmitAwaiter&) = delete;
-    AdmitAwaiter& operator=(const AdmitAwaiter&) = delete;
 
     bool await_ready();
     void await_suspend(std::coroutine_handle<> h);
@@ -108,7 +107,8 @@ class AdmissionController {
     friend class AdmissionController;
     void OnQueryCancelled(const Status& reason) override;
     void OnWaitTimeout();
-    /// Detach from queue/timer/listener; `grant_` must already be set.
+    /// Detach from timer/listener and resume; the caller has unparked us
+    /// and set `grant_`.
     void ResolveWhileQueued();
 
     AdmissionController& ctrl_;
@@ -116,8 +116,6 @@ class AdmissionController {
     int requested_dop_;
     double arrival_us_ = 0.0;
     AdmissionGrant grant_;
-    std::coroutine_handle<> handle_;
-    bool queued_ = false;
     bool timer_armed_ = false;
     uint64_t timer_token_ = 0;
     bool listening_ = false;
@@ -164,7 +162,7 @@ class AdmissionController {
   int running_ = 0;
   int total_dop_ = 0;
   int background_dop_ = 0;
-  std::deque<AdmitAwaiter*> queue_;
+  sim::WaitQueue<AdmitAwaiter> queue_;
 };
 
 }  // namespace pioqo::db

@@ -229,11 +229,17 @@ StatusOr<Database::QueryOutcome> Database::ExecuteQuery(
 }
 
 void Database::EnableAdmissionControl(AdmissionOptions options) {
+  // Enable-once: drift defense's probe gate holds a raw pointer to the
+  // controller.
+  PIOQO_CHECK(admission_ == nullptr) << "admission control already enabled";
   if (options.health == nullptr) options.health = health_.get();
   admission_ = std::make_unique<AdmissionController>(sim_, options);
 }
 
 void Database::EnableDriftDefense(DriftDefenseOptions options) {
+  // Enable-once: a replacement would drop the detector's learned state, and
+  // a recalibration in flight calls back into the defense it started from.
+  PIOQO_CHECK(drift_defense_ == nullptr) << "drift defense already enabled";
   PIOQO_CHECK(qdtt_.has_value())
       << "EnableDriftDefense requires a calibrated model";
   // The recalibrator probes the raw device, like Calibrate() does: it must

@@ -120,6 +120,7 @@ class Database {
   /// Installs the admission controller for RunWorkload. When
   /// `options.health` is null, the database's health monitor (if enabled)
   /// is wired in, so degraded devices clamp admitted DOP automatically.
+  /// May be called at most once per database.
   void EnableAdmissionControl(AdmissionOptions options = {});
   AdmissionController* admission() { return admission_.get(); }
 
@@ -191,7 +192,8 @@ class Database {
   /// enable admission control first if busy-probe escalation should work on
   /// a never-idle device. Workload queries with `use_optimizer` then plan
   /// under the defense's confidence, feed their predicted-vs-observed
-  /// runtime back, and trigger guarded recalibration on drift.
+  /// runtime back, and trigger guarded recalibration on drift. May be
+  /// called at most once per database.
   void EnableDriftDefense(DriftDefenseOptions options = {});
   DriftDefense* drift_defense() { return drift_defense_.get(); }
 

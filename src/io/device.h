@@ -2,7 +2,6 @@
 #define PIOQO_IO_DEVICE_H_
 
 #include <coroutine>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "io/device_stats.h"
 #include "io/io_request.h"
 #include "io/query_context.h"
+#include "sim/inline_function.h"
 #include "sim/sim_checks.h"
 #include "sim/simulator.h"
 
@@ -45,7 +45,7 @@ class Device {
   /// DeviceHealthMonitor to compare observed latencies against model
   /// predictions.
   using CompletionObserver =
-      std::function<void(const IoRequest&, const IoResult&)>;
+      sim::InlineFunction<void(const IoRequest&, const IoResult&), 16>;
 
   virtual ~Device() = default;
   Device(const Device&) = delete;
@@ -84,8 +84,8 @@ class Device {
   /// tracing). The sink must outlive the tracing window.
   void set_trace_sink(std::vector<TraceEntry>* sink) { trace_sink_ = sink; }
 
-  /// Installs `observer` (empty function uninstalls). The observer must
-  /// outlive the device's in-flight requests.
+  /// Installs `observer` (nullptr uninstalls). The observer must outlive
+  /// the device's in-flight requests.
   void set_completion_observer(CompletionObserver observer) {
     observer_ = std::move(observer);
   }

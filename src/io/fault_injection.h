@@ -75,17 +75,10 @@ class FaultInjectingDevice : public Device {
   uint64_t capacity_bytes() const override { return inner_.capacity_bytes(); }
   std::string name() const override { return inner_.name() + "+faults"; }
 
-  Device& inner() { return inner_; }
-  const FaultConfig& config() const { return config_; }
-
   /// Lifetime total of injected faults. Unlike stats().errors_injected()
   /// this is never Reset() — scan drivers reset device stats per
   /// measurement interval, but run summaries want the whole story.
   uint64_t total_injected() const { return total_injected_; }
-
-  /// Stuck requests currently occupying a queue slot (injected, not yet
-  /// reclaimed by Cancel).
-  size_t stuck_outstanding() const { return stuck_ids_.size(); }
 
  protected:
   void SubmitImpl(uint64_t id, const IoRequest& req,

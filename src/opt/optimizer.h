@@ -90,7 +90,6 @@ class Optimizer {
                                       double model_confidence) const;
 
   const OptimizerOptions& options() const { return options_; }
-  const core::CostModel& cost_model() const { return cost_model_; }
 
  private:
   core::CostModel cost_model_;

@@ -1,6 +1,7 @@
 #include "sim/cpu.h"
 
 #include "common/logging.h"
+#include "sim/sim_checks.h"
 
 namespace pioqo::sim {
 
@@ -16,22 +17,11 @@ CpuScheduler::CpuScheduler(Simulator& sim, int num_cores, int physical_cores,
   PIOQO_CHECK(smt_penalty_ >= 1.0);
 }
 
-void CpuScheduler::Enqueue(std::coroutine_handle<> h, double duration) {
+void CpuScheduler::Enqueue(ConsumeAwaiter& w, std::coroutine_handle<> h) {
   if (free_cores_ > 0) {
-    StartBurst(h, duration);
+    StartBurst(h, w.duration_);
   } else {
-    checks::OnWaiterRegistered(h.address());
-    waiters_.push_back(Waiter{h, duration});
-  }
-}
-
-void CpuScheduler::CancelWait(std::coroutine_handle<> h) {
-  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-    if (it->handle == h) {
-      waiters_.erase(it);
-      checks::OnWaiterUnregistered(h.address());
-      return;
-    }
+    waiters_.Park(w, h);
   }
 }
 
@@ -51,11 +41,8 @@ void CpuScheduler::StartBurst(std::coroutine_handle<> h, double duration) {
 
 void CpuScheduler::FinishBurst(std::coroutine_handle<> h) {
   ++free_cores_;
-  if (!waiters_.empty()) {
-    Waiter next = waiters_.front();
-    waiters_.pop_front();
-    checks::OnWaiterUnregistered(next.handle.address());
-    StartBurst(next.handle, next.duration);
+  if (ConsumeAwaiter* next = waiters_.PopFront()) {
+    StartBurst(next->handle(), next->duration_);
   }
   // Resume after handing the core to the next waiter so a worker that
   // immediately requests another burst queues behind already-waiting peers.

@@ -3,10 +3,9 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 
-#include "sim/sim_checks.h"
 #include "sim/simulator.h"
+#include "sim/wait_queue.h"
 
 namespace pioqo::sim {
 
@@ -34,39 +33,22 @@ class CpuScheduler {
   CpuScheduler(const CpuScheduler&) = delete;
   CpuScheduler& operator=(const CpuScheduler&) = delete;
 
-  class ConsumeAwaiter {
+  class ConsumeAwaiter : public WaitNode {
    public:
     ConsumeAwaiter(CpuScheduler& cpu, double duration)
         : cpu_(cpu), duration_(duration) {}
-    ConsumeAwaiter(const ConsumeAwaiter&) = delete;
-    ConsumeAwaiter& operator=(const ConsumeAwaiter&) = delete;
-    /// Removes the handle from the ready queue if the owning coroutine is
-    /// destroyed while still waiting for a core (see sim/sync.h for the
-    /// waiter-lifetime rules).
-    ~ConsumeAwaiter() {
-      if (suspended_) cpu_.CancelWait(handle_);
-    }
     bool await_ready() const noexcept { return duration_ <= 0.0; }
-    void await_suspend(std::coroutine_handle<> h) {
-      suspended_ = true;
-      handle_ = h;
-      cpu_.Enqueue(h, duration_);
-    }
-    void await_resume() noexcept { suspended_ = false; }
+    void await_suspend(std::coroutine_handle<> h) { cpu_.Enqueue(*this, h); }
+    void await_resume() const noexcept {}
 
    private:
+    friend class CpuScheduler;
     CpuScheduler& cpu_;
     double duration_;
-    std::coroutine_handle<> handle_;
-    bool suspended_ = false;
   };
 
   /// Awaitable CPU burst of `duration` microseconds on one core.
   ConsumeAwaiter Consume(double duration) { return {*this, duration}; }
-
-  int num_cores() const { return num_cores_; }
-  int busy_cores() const { return num_cores_ - free_cores_; }
-  size_t queue_length() const { return waiters_.size(); }
 
   /// Total core-microseconds of completed + in-progress-started bursts.
   double busy_time() const { return busy_time_; }
@@ -76,13 +58,8 @@ class CpuScheduler {
   double Utilization(SimTime now) const;
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    double duration;
-  };
-
-  void Enqueue(std::coroutine_handle<> h, double duration);
-  void CancelWait(std::coroutine_handle<> h);
+  /// Starts the burst at once on a free core, else parks `w` for one.
+  void Enqueue(ConsumeAwaiter& w, std::coroutine_handle<> h);
   void StartBurst(std::coroutine_handle<> h, double duration);
   void FinishBurst(std::coroutine_handle<> h);
 
@@ -91,7 +68,7 @@ class CpuScheduler {
   const int physical_cores_;
   const double smt_penalty_;
   int free_cores_;
-  std::deque<Waiter> waiters_;
+  WaitQueue<ConsumeAwaiter> waiters_;
   double busy_time_ = 0.0;
   uint64_t num_bursts_ = 0;
 };

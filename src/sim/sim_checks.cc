@@ -14,7 +14,7 @@ struct FrameInfo {
   bool live = false;     // created and not yet destroyed
   bool counted = false;  // registered via OnFrameCreated (vs. seen ad hoc)
   int32_t pending = 0;   // scheduled resumes not yet delivered
-  int32_t waiting = 0;   // sync-primitive waiter lists holding this frame
+  int32_t waiting = 0;   // wait queues holding this frame
 };
 
 struct Registry {

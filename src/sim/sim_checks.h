@@ -9,16 +9,15 @@
 /// Debug-mode invariant checker for the coroutine simulator.
 ///
 /// The whole library drives C++20 coroutines from a single-threaded event
-/// loop; the handles stored in sync primitives (`Latch`, `Event`,
-/// `Semaphore`, `Channel`), device completion callbacks and the CPU
-/// scheduler are raw `std::coroutine_handle<>`s. Resuming a handle twice,
-/// resuming a handle whose frame was destroyed, or destroying a frame that
-/// still has a scheduled resume is undefined behavior that typically
-/// corrupts memory *silently*. When compiled in (CMake option
-/// `PIOQO_SIM_CHECKS`, default ON) this layer tracks every coroutine frame
-/// and every scheduled resume, and turns each of those bugs into an
-/// immediate PIOQO_LOG_FATAL with a precise message. When the option is OFF
-/// every hook below compiles to an empty inline function — zero cost.
+/// loop; the handles parked in wait queues (sim/wait_queue.h), device
+/// completion callbacks and CPU bursts are raw `std::coroutine_handle<>`s.
+/// Resuming a handle twice, resuming a handle whose frame was destroyed, or
+/// destroying a frame that still has a scheduled resume is undefined
+/// behavior that typically corrupts memory *silently*. When compiled in
+/// (CMake option `PIOQO_SIM_CHECKS`, default ON) this layer tracks every
+/// coroutine frame and every scheduled resume, and turns each of those bugs
+/// into an immediate PIOQO_LOG_FATAL with a precise message. When the option
+/// is OFF every hook below compiles to an empty inline function — zero cost.
 ///
 /// The registry is `thread_local`: a simulator (and all its coroutines) is
 /// confined to one thread, so no synchronization is needed and the checker
@@ -44,9 +43,9 @@ void OnResumeScheduled(void* frame);
 /// the resume was scheduled.
 void OnBeforeResume(void* frame);
 
-/// `frame` parked itself in a sync-primitive waiter list / left it again.
-/// Destroying a frame still registered as a waiter is fatal (the primitive
-/// would later resume a dangling handle).
+/// `frame` parked itself in a `WaitQueue` / left it again (only the queue
+/// calls these). Destroying a frame still registered as a waiter is fatal
+/// (its queue would later resume a dangling handle).
 void OnWaiterRegistered(void* frame);
 void OnWaiterUnregistered(void* frame);
 

@@ -1,31 +1,22 @@
 #ifndef PIOQO_SIM_SYNC_H_
 #define PIOQO_SIM_SYNC_H_
 
-#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <vector>
 
 #include "common/logging.h"
 #include "sim/sim_checks.h"
 #include "sim/simulator.h"
+#include "sim/wait_queue.h"
 
 namespace pioqo::sim {
 
-/// Shared waiter-lifetime rules for every primitive in this header:
-///
-///  - An awaiter that parked its coroutine in a primitive's waiter list
-///    removes itself again in its destructor. The awaiter lives in the
-///    coroutine frame, so destroying a suspended coroutine runs the awaiter
-///    destructor first — a destroyed coroutine can therefore never leave a
-///    dangling handle (or `PopAwaiter*`) behind in a waiter list.
-///  - A primitive must outlive its waiters: each destructor checks that the
-///    waiter list is empty and aborts otherwise, because waking (or even
-///    unregistering from) a destroyed primitive is use-after-free.
-///  - All wakeups go through `ScheduleResume`, so the PIOQO_SIM_CHECKS
-///    invariant layer validates every resume (see sim/sim_checks.h).
+/// Every primitive here parks its waiters in a `WaitQueue`, which holds the
+/// waiter-lifetime rules (sim/wait_queue.h), and wakes them through
+/// `ScheduleResume`, so the PIOQO_SIM_CHECKS invariant layer validates every
+/// resume (see sim/sim_checks.h).
 
 /// A one-shot countdown latch for joining a team of simulated workers.
 ///
@@ -47,44 +38,26 @@ class Latch {
   void CountDown() {
     PIOQO_CHECK(count_ > 0) << "latch counted down below zero";
     if (--count_ == 0) {
-      for (auto h : waiters_) {
-        checks::OnWaiterUnregistered(h.address());
-        ScheduleResume(sim_, 0.0, h);
+      while (WaitNode* w = waiters_.PopFront()) {
+        ScheduleResume(sim_, 0.0, w->handle());
       }
-      waiters_.clear();
     }
   }
 
   bool done() const { return count_ == 0; }
 
   /// `co_await latch.Wait()` suspends until the count reaches zero.
-  class Waiter {
+  class Waiter : public WaitNode {
    public:
     explicit Waiter(Latch& latch) : latch_(latch) {}
-    Waiter(const Waiter&) = delete;
-    Waiter& operator=(const Waiter&) = delete;
-    ~Waiter() {
-      if (!suspended_) return;
-      auto& w = latch_.waiters_;
-      auto it = std::find(w.begin(), w.end(), handle_);
-      if (it != w.end()) {
-        w.erase(it);
-        checks::OnWaiterUnregistered(handle_.address());
-      }
-    }
     bool await_ready() const noexcept { return latch_.count_ == 0; }
     void await_suspend(std::coroutine_handle<> h) {
-      suspended_ = true;
-      handle_ = h;
-      checks::OnWaiterRegistered(h.address());
-      latch_.waiters_.push_back(h);
+      latch_.waiters_.Park(*this, h);
     }
-    void await_resume() noexcept { suspended_ = false; }
+    void await_resume() const noexcept {}
 
    private:
     Latch& latch_;
-    std::coroutine_handle<> handle_;
-    bool suspended_ = false;
   };
 
   Waiter Wait() { return Waiter(*this); }
@@ -92,73 +65,13 @@ class Latch {
  private:
   Simulator& sim_;
   int64_t count_;
-  std::vector<std::coroutine_handle<>> waiters_;
-};
-
-/// A resettable completion event: `Set()` wakes all current waiters;
-/// awaiting an already-set event does not suspend. `Reset()` re-arms it.
-/// Used for slot completion in the active-waiting (AW) calibration method.
-class Event {
- public:
-  explicit Event(Simulator& sim) : sim_(sim) {}
-  ~Event() {
-    PIOQO_CHECK(waiters_.empty())
-        << "Event destroyed with " << waiters_.size() << " suspended waiter(s)";
-  }
-  Event(const Event&) = delete;
-  Event& operator=(const Event&) = delete;
-
-  void Set() {
-    set_ = true;
-    for (auto h : waiters_) {
-      checks::OnWaiterUnregistered(h.address());
-      ScheduleResume(sim_, 0.0, h);
-    }
-    waiters_.clear();
-  }
-
-  void Reset() { set_ = false; }
-  bool is_set() const { return set_; }
-
-  class Waiter {
-   public:
-    explicit Waiter(Event& event) : event_(event) {}
-    Waiter(const Waiter&) = delete;
-    Waiter& operator=(const Waiter&) = delete;
-    ~Waiter() {
-      if (!suspended_) return;
-      auto& w = event_.waiters_;
-      auto it = std::find(w.begin(), w.end(), handle_);
-      if (it != w.end()) {
-        w.erase(it);
-        checks::OnWaiterUnregistered(handle_.address());
-      }
-    }
-    bool await_ready() const noexcept { return event_.set_; }
-    void await_suspend(std::coroutine_handle<> h) {
-      suspended_ = true;
-      handle_ = h;
-      checks::OnWaiterRegistered(h.address());
-      event_.waiters_.push_back(h);
-    }
-    void await_resume() noexcept { suspended_ = false; }
-
-   private:
-    Event& event_;
-    std::coroutine_handle<> handle_;
-    bool suspended_ = false;
-  };
-
-  Waiter Wait() { return Waiter(*this); }
-
- private:
-  Simulator& sim_;
-  bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  WaitQueue<> waiters_;
 };
 
 /// Counting semaphore with FIFO wakeup, used e.g. to model a serialized
-/// critical section (buffer-pool latch) or to bound outstanding prefetches.
+/// critical section (buffer-pool latch), to bound outstanding prefetches,
+/// or, with 0 initial permits, as a completion signal (a `Release` before
+/// the wait banks its permit).
 class Semaphore {
  public:
   Semaphore(Simulator& sim, int64_t initial) : sim_(sim), count_(initial) {
@@ -172,20 +85,9 @@ class Semaphore {
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
 
-  class Acquire {
+  class Acquire : public WaitNode {
    public:
     explicit Acquire(Semaphore& sem) : sem_(sem) {}
-    Acquire(const Acquire&) = delete;
-    Acquire& operator=(const Acquire&) = delete;
-    ~Acquire() {
-      if (!suspended_) return;
-      auto& w = sem_.waiters_;
-      auto it = std::find(w.begin(), w.end(), handle_);
-      if (it != w.end()) {
-        w.erase(it);
-        checks::OnWaiterUnregistered(handle_.address());
-      }
-    }
     bool await_ready() noexcept {
       if (sem_.count_ > 0) {
         --sem_.count_;
@@ -194,17 +96,12 @@ class Semaphore {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      suspended_ = true;
-      handle_ = h;
-      checks::OnWaiterRegistered(h.address());
-      sem_.waiters_.push_back(h);
+      sem_.waiters_.Park(*this, h);
     }
-    void await_resume() noexcept { suspended_ = false; }
+    void await_resume() const noexcept {}
 
    private:
     Semaphore& sem_;
-    std::coroutine_handle<> handle_;
-    bool suspended_ = false;
   };
 
   /// `co_await sem.WaitAcquire()` obtains one permit (FIFO).
@@ -214,11 +111,8 @@ class Semaphore {
   /// handed directly to the waiter (no count increment) to preserve FIFO
   /// fairness.
   void Release() {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      checks::OnWaiterUnregistered(h.address());
-      ScheduleResume(sim_, 0.0, h);
+    if (WaitNode* w = waiters_.PopFront()) {
+      ScheduleResume(sim_, 0.0, w->handle());
     } else {
       ++count_;
     }
@@ -230,7 +124,7 @@ class Semaphore {
  private:
   Simulator& sim_;
   int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitQueue<> waiters_;
 };
 
 /// An unbounded multi-producer multi-consumer queue of work items with
@@ -254,13 +148,9 @@ class Channel {
     PIOQO_CHECK(!closed_) << "push on closed channel";
     // Direct handoff to the oldest waiter avoids the classic lost-wakeup /
     // stolen-item race: a woken consumer is guaranteed to hold its item.
-    if (!waiters_.empty()) {
-      PopAwaiter* w = waiters_.front();
-      waiters_.pop_front();
+    if (PopAwaiter* w = waiters_.PopFront()) {
       w->slot_ = std::move(item);
-      auto h = w->handle_;
-      checks::OnWaiterUnregistered(h.address());
-      ScheduleResume(sim_, 0.0, h);
+      ScheduleResume(sim_, 0.0, w->handle());
       return;
     }
     items_.push_back(std::move(item));
@@ -269,42 +159,21 @@ class Channel {
   /// After Close(), consumers drain remaining items then observe nullopt.
   void Close() {
     closed_ = true;
-    for (PopAwaiter* w : waiters_) {
-      auto h = w->handle_;
-      checks::OnWaiterUnregistered(h.address());
-      ScheduleResume(sim_, 0.0, h);
+    while (PopAwaiter* w = waiters_.PopFront()) {
+      ScheduleResume(sim_, 0.0, w->handle());
     }
-    waiters_.clear();
   }
 
-  class PopAwaiter {
+  class PopAwaiter : public WaitNode {
    public:
     explicit PopAwaiter(Channel& ch) : ch_(ch) {}
-    PopAwaiter(const PopAwaiter&) = delete;
-    PopAwaiter& operator=(const PopAwaiter&) = delete;
-    /// If the owning coroutine is destroyed while suspended in Pop(), this
-    /// runs during frame teardown and removes the (about to dangle)
-    /// `PopAwaiter*` from the channel's waiter list.
-    ~PopAwaiter() {
-      if (!suspended_) return;
-      auto& w = ch_.waiters_;
-      auto it = std::find(w.begin(), w.end(), this);
-      if (it != w.end()) {
-        w.erase(it);
-        checks::OnWaiterUnregistered(handle_.address());
-      }
-    }
     bool await_ready() const noexcept {
       return !ch_.items_.empty() || ch_.closed_;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      suspended_ = true;
-      handle_ = h;
-      checks::OnWaiterRegistered(h.address());
-      ch_.waiters_.push_back(this);
+      ch_.waiters_.Park(*this, h);
     }
     std::optional<T> await_resume() {
-      suspended_ = false;
       if (slot_.has_value()) return std::move(slot_);
       if (!ch_.items_.empty()) {
         T item = std::move(ch_.items_.front());
@@ -318,9 +187,7 @@ class Channel {
    private:
     friend class Channel;
     Channel& ch_;
-    std::coroutine_handle<> handle_;
     std::optional<T> slot_;
-    bool suspended_ = false;
   };
 
   PopAwaiter Pop() { return PopAwaiter(*this); }
@@ -332,7 +199,7 @@ class Channel {
   Simulator& sim_;
   bool closed_ = false;
   std::deque<T> items_;
-  std::deque<PopAwaiter*> waiters_;
+  WaitQueue<PopAwaiter> waiters_;
 };
 
 }  // namespace pioqo::sim

@@ -54,39 +54,8 @@ void BufferPool::ReleaseFrame(Frame& f) {
   page_table_.Erase(f.pid);
   --num_frames_;
   f.pid = kInvalidPageId;
-  f.waiters_head = f.waiters_tail = nullptr;
   f.next_free = free_head_;
   free_head_ = slot;
-}
-
-void BufferPool::AppendWaiter(Frame& f, FetchAwaiter* w) {
-  w->next_waiter_ = nullptr;
-  if (f.waiters_tail != nullptr) {
-    f.waiters_tail->next_waiter_ = w;
-  } else {
-    f.waiters_head = w;
-  }
-  f.waiters_tail = w;
-}
-
-bool BufferPool::RemoveWaiter(Frame& f, FetchAwaiter* w) {
-  FetchAwaiter* prev = nullptr;
-  for (FetchAwaiter* cur = f.waiters_head; cur != nullptr;
-       cur = cur->next_waiter_) {
-    if (cur != w) {
-      prev = cur;
-      continue;
-    }
-    if (prev != nullptr) {
-      prev->next_waiter_ = cur->next_waiter_;
-    } else {
-      f.waiters_head = cur->next_waiter_;
-    }
-    if (f.waiters_tail == cur) f.waiters_tail = prev;
-    cur->next_waiter_ = nullptr;
-    return true;
-  }
-  return false;
 }
 
 BufferPool::FetchAwaiter::~FetchAwaiter() {
@@ -94,15 +63,21 @@ BufferPool::FetchAwaiter::~FetchAwaiter() {
     query_->RemoveCancelListener(this);
     listening_ = false;
   }
-  // Self-unregistration: if the waiting coroutine is destroyed before the
-  // load resolves, drop out of the frame's waiter chain and release the
-  // suspend-time pin so the frame can still be evicted later.
-  if (!registered_) return;
-  Frame* f = pool_.FindFrame(pid_);
-  if (f == nullptr) return;
-  if (!RemoveWaiter(*f, this)) return;
-  sim::checks::OnWaiterUnregistered(handle_.address());
-  if (f->pin_count > 0) --f->pin_count;
+  // If the waiting coroutine is destroyed before the load resolves, release
+  // the suspend-time pin so the frame can still be evicted later.
+  if (parked()) LeaveEarly();
+}
+
+void BufferPool::FetchAwaiter::LeaveEarly() {
+  Unpark();
+  // A failed read already dropped its frames, and their pins with them.
+  if (status_.ok()) {
+    Frame* f = pool_.FindFrame(pid_);
+    PIOQO_CHECK(f != nullptr && f->pin_count > 0);
+    if (--f->pin_count == 0 && f->state == FrameState::kReady) {
+      pool_.AddToLru(*f);
+    }
+  }
   if (counted_pin_) {
     query_->OnUnpin();
     counted_pin_ = false;
@@ -158,10 +133,7 @@ bool BufferPool::FetchAwaiter::await_suspend(std::coroutine_handle<> h) {
     ++pool_.stats_.joined_inflight;
   }
   PIOQO_CHECK(f->state == FrameState::kLoading);
-  handle_ = h;
-  registered_ = true;
-  sim::checks::OnWaiterRegistered(h.address());
-  AppendWaiter(*f, this);
+  f->waiters.Park(*this, h);
   // Pin at suspend time: a waiter resumed earlier could otherwise evict the
   // page (via its own fetches) before this waiter runs. The query counts
   // this pin too: it is a real frame the query keeps un-evictable.
@@ -201,25 +173,15 @@ BufferPool::PageRef BufferPool::FetchAwaiter::await_resume() {
 void BufferPool::FetchAwaiter::OnQueryCancelled(const Status& reason) {
   // The QueryContext already dropped us from its listener list.
   listening_ = false;
-  PIOQO_CHECK(registered_);
-  Frame* f = pool_.FindFrame(pid_);
-  PIOQO_CHECK(f != nullptr);
-  PIOQO_CHECK(RemoveWaiter(*f, this));
-  registered_ = false;
-  sim::checks::OnWaiterUnregistered(handle_.address());
-  PIOQO_CHECK(f->pin_count > 0);
-  --f->pin_count;
-  if (counted_pin_) {
-    query_->OnUnpin();
-    counted_pin_ = false;
-  }
+  PIOQO_CHECK(parked() && status_.ok());
+  LeaveEarly();
   status_ = reason;
   ++pool_.stats_.cancelled_fetches;
   ++pool_.stats_.fetch_errors;
   pool_.OnWaiterCancelled(pid_, query_);
   // Resume through the event queue: this callback runs synchronously inside
   // Cancel(), possibly deep in another coroutine's frame.
-  sim::ScheduleResume(pool_.disk_.device().simulator(), 0.0, handle_);
+  sim::ScheduleResume(pool_.disk_.device().simulator(), 0.0, handle());
 }
 
 void BufferPool::Unpin(PageId pid, io::QueryContext* query) {
@@ -361,7 +323,7 @@ void BufferPool::OnWaiterCancelled(PageId pid, io::QueryContext* query) {
   InflightRead* r = inflight_.Find(f->read_id);
   PIOQO_CHECK(r != nullptr);
   if (r->originator != query) return;  // started by (or handed to) another query
-  if (f->waiters_head != nullptr) {
+  if (!f->waiters.empty()) {
     // Someone else still wants the page: the read survives its originator.
     r->originator = nullptr;
     return;
@@ -383,7 +345,7 @@ void BufferPool::OnWaiterCancelled(PageId pid, io::QueryContext* query) {
   for (uint32_t i = 0; i < count; ++i) {
     Frame* df = FindFrame(first + i);
     PIOQO_CHECK(df != nullptr && df->state == FrameState::kLoading &&
-                df->waiters_head == nullptr && df->pin_count == 0);
+                df->waiters.empty() && df->pin_count == 0);
     ReleaseFrame(*df);
   }
   ++stats_.cancelled_reads;
@@ -436,19 +398,14 @@ void BufferPool::OnReadComplete(uint64_t read_id, int attempt,
     f->state = FrameState::kReady;
     f->data = disk_.PageData(first + i);
     if (f->pin_count == 0) AddToLru(*f);  // waiters already hold pins
-    // Detach the waiter chain before resuming: a resumed coroutine may
-    // fetch this page again, appending fresh waiters to the (now-empty)
-    // frame chain without disturbing this walk.
-    FetchAwaiter* w = f->waiters_head;
-    f->waiters_head = f->waiters_tail = nullptr;
-    while (w != nullptr) {
-      FetchAwaiter* next = w->next_waiter_;
-      w->next_waiter_ = nullptr;
-      w->registered_ = false;
-      sim::checks::OnWaiterUnregistered(w->handle_.address());
-      sim::checks::OnBeforeResume(w->handle_.address());
-      w->handle_.resume();
-      w = next;
+    // Detach the waiters before resuming any: a resumed coroutine may fetch
+    // this page again, parking a fresh waiter on the (now empty) frame
+    // queue without disturbing this walk.
+    sim::WaitQueue<FetchAwaiter> ready;
+    ready.Append(f->waiters);
+    while (FetchAwaiter* w = ready.PopFront()) {
+      sim::checks::OnBeforeResume(w->handle().address());
+      w->handle().resume();
     }
   }
 }
@@ -496,9 +453,7 @@ bool BufferPool::RetryWorthwhile(const InflightRead& r, double backoff) const {
   for (uint32_t i = 0; i < r.count; ++i) {
     const Frame* f = FindFrame(r.first + i);
     if (f == nullptr) continue;
-    for (FetchAwaiter* w = f->waiters_head; w != nullptr; w = w->next_waiter_) {
-      consider(w->query_);
-    }
+    f->waiters.ForEach([&](const FetchAwaiter& w) { consider(w.query_); });
   }
   if (!any_consumer) {
     // No suspended waiters: prefetches stay best-effort (land unpinned), a
@@ -543,39 +498,24 @@ void BufferPool::FailRead(uint64_t read_id, const Status& status) {
   // Drop every loading frame *before* resuming any waiter: a resumed
   // coroutine that immediately re-fetches the page must start a fresh read,
   // and the suspend-time pins die with their frames (a failed fetch is
-  // never Unpinned). The per-frame chains are concatenated (page order, then
-  // arrival order within a page — the same order the waiter vectors gave).
-  FetchAwaiter* head = nullptr;
-  FetchAwaiter* tail = nullptr;
+  // never Unpinned). Waiters resume in page order, then arrival order.
+  sim::WaitQueue<FetchAwaiter> failed;
   for (uint32_t i = 0; i < count; ++i) {
     Frame* f = FindFrame(first + i);
     PIOQO_CHECK(f != nullptr && f->state == FrameState::kLoading);
-    if (f->waiters_head != nullptr) {
-      if (tail != nullptr) {
-        tail->next_waiter_ = f->waiters_head;
-      } else {
-        head = f->waiters_head;
-      }
-      tail = f->waiters_tail;
-    }
-    f->waiters_head = f->waiters_tail = nullptr;
+    failed.Append(f->waiters);
     ReleaseFrame(*f);
   }
-  // Mark every waiter resolved before resuming the first one, so a resumed
-  // coroutine that tears down a sibling (whose awaiter then self-
-  // unregisters) sees consistent state.
-  for (FetchAwaiter* w = head; w != nullptr; w = w->next_waiter_) {
+  // Mark every waiter failed before resuming the first one, so a resumed
+  // coroutine that tears down a sibling (whose awaiter then unparks) finds
+  // it holding no pin.
+  failed.ForEach([&](FetchAwaiter& w) {
     ++stats_.fetch_errors;
-    w->registered_ = false;
-    w->status_ = status;
-    sim::checks::OnWaiterUnregistered(w->handle_.address());
-  }
-  for (FetchAwaiter* w = head; w != nullptr;) {
-    FetchAwaiter* next = w->next_waiter_;
-    w->next_waiter_ = nullptr;
-    sim::checks::OnBeforeResume(w->handle_.address());
-    w->handle_.resume();
-    w = next;
+    w.status_ = status;
+  });
+  while (FetchAwaiter* w = failed.PopFront()) {
+    sim::checks::OnBeforeResume(w->handle().address());
+    w->handle().resume();
   }
 }
 

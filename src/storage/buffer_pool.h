@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "io/query_context.h"
 #include "io/retry_policy.h"
+#include "sim/wait_queue.h"
 #include "storage/disk_image.h"
 #include "storage/page.h"
 
@@ -76,7 +77,7 @@ struct BufferPoolOptions {
 /// page table is an open-addressed `FlatIntMap` from PageId to slab slot
 /// (no per-node allocation, `Mix64`-scrambled linear probing), the LRU is a
 /// doubly-linked list threaded through the slab by slot index, and fetch
-/// waiters form an intrusive chain through the awaiters themselves. The
+/// waiters park in each loading frame's intrusive `sim::WaitQueue`. The
 /// steady-state fetch path therefore performs zero heap allocations. All of
 /// this is host-side bookkeeping: device request order, eviction victims,
 /// and waiter resume order are bit-identical to the node-based
@@ -98,15 +99,14 @@ class BufferPool {
     bool ok() const { return status.ok(); }
   };
 
-  class FetchAwaiter : public io::QueryContext::CancelListener {
+  class FetchAwaiter : public io::QueryContext::CancelListener,
+                       public sim::WaitNode {
    public:
     FetchAwaiter(BufferPool& pool, PageId pid, io::QueryContext* query)
         : pool_(pool), pid_(pid), query_(query) {}
-    /// Self-unregisters (and releases the suspend-time pin) if the waiting
-    /// coroutine is destroyed before the load resolves.
+    /// Unparks (and releases the suspend-time pin) if the waiting coroutine
+    /// is destroyed before the load resolves.
     ~FetchAwaiter();
-    FetchAwaiter(const FetchAwaiter&) = delete;
-    FetchAwaiter& operator=(const FetchAwaiter&) = delete;
 
     bool await_ready();
     /// Returns false (resume immediately) when the fetch resolves without
@@ -120,17 +120,14 @@ class BufferPool {
     /// release every pin, fail with the cancellation reason, and resume via
     /// the event queue (never inline — the cancel may originate anywhere).
     void OnQueryCancelled(const Status& reason) override;
+    /// Unparks before the read resolved it and drops the pins it holds.
+    void LeaveEarly();
 
     BufferPool& pool_;
     PageId pid_;
     io::QueryContext* query_;
-    std::coroutine_handle<> handle_;
     Status status_;
-    /// Intrusive link in the loading frame's waiter chain (the awaiter IS
-    /// the waiter node — no per-frame vector, no allocation per waiter).
-    FetchAwaiter* next_waiter_ = nullptr;
     bool was_hit_ = false;
-    bool registered_ = false;   // currently in a frame's waiter chain
     bool counted_pin_ = false;  // pin counted in the query's pin counter
     bool listening_ = false;    // registered as the query's cancel listener
   };
@@ -176,13 +173,11 @@ class BufferPool {
   uint32_t capacity() const { return capacity_; }
   uint32_t resident_pages() const { return num_frames_; }
   const BufferPoolStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = BufferPoolStats{}; }
 
   DiskImage& disk() { return disk_; }
-  const io::RetryPolicy& retry_policy() const { return options_.retry; }
 
  private:
-  enum class FrameState { kLoading, kReady };
+  enum class FrameState : uint8_t { kLoading, kReady };
 
   /// Sentinel slot index for the intrusive LRU links and the free list.
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -190,22 +185,24 @@ class BufferPool {
   struct Frame {
     PageId pid = kInvalidPageId;
     FrameState state = FrameState::kLoading;
-    const char* data = nullptr;
-    uint32_t pin_count = 0;
     bool from_prefetch = false;
+    bool in_lru = false;  // linked into the LRU list (see lru_prev)
+    const char* data = nullptr;
     /// The read loading this frame; valid only while state == kLoading.
     uint64_t read_id = 0;
-    /// Intrusive FIFO of suspended fetches (valid while state == kLoading).
-    FetchAwaiter* waiters_head = nullptr;
-    FetchAwaiter* waiters_tail = nullptr;
+    /// Suspended fetches, oldest first; empty unless state == kLoading.
+    sim::WaitQueue<FetchAwaiter> waiters;
+    uint32_t pin_count = 0;
     /// Intrusive LRU links (slot indices into the slab); valid only when
     /// in_lru, i.e. state == kReady and pin_count == 0.
     uint32_t lru_prev = kNoSlot;
     uint32_t lru_next = kNoSlot;
-    bool in_lru = false;
     /// Free-list link; valid only while the slot is unused.
     uint32_t next_free = kNoSlot;
   };
+  // One frame per 64-byte cache line: a 72-byte frame measurably slowed
+  // ResidentInRange's sweep of the slab, which every planned query runs.
+  static_assert(sizeof(Frame) == 64);
 
   /// One outstanding device read (possibly spanning several pages), tracked
   /// across retries. `attempt` versions the completion callbacks: a
@@ -238,12 +235,6 @@ class BufferPool {
   /// Unbinds the frame from the page table and returns its slot to the
   /// free list.
   void ReleaseFrame(Frame& f);
-
-  /// Appends `w` to the frame's waiter chain (FIFO order — resume order is
-  /// arrival order, as with the old per-frame vector).
-  static void AppendWaiter(Frame& f, FetchAwaiter* w);
-  /// Unlinks `w` from the frame's waiter chain; false if not present.
-  static bool RemoveWaiter(Frame& f, FetchAwaiter* w);
 
   /// Makes room for one more frame, evicting the LRU unpinned page if at
   /// capacity (counting in-flight frames against capacity). Returns false

@@ -175,6 +175,30 @@ TEST(DatabaseDeathTest, EnableHealthMonitorTwiceDies) {
       "health monitor already enabled");
 }
 
+TEST(DatabaseDeathTest, EnableAdmissionControlTwiceDies) {
+  // A second controller would free the one drift defense's probe gate
+  // still points at.
+  EXPECT_DEATH(
+      {
+        Database db(SmallSsd());
+        db.EnableAdmissionControl();
+        db.EnableAdmissionControl();
+      },
+      "admission control already enabled");
+}
+
+TEST(DatabaseDeathTest, EnableDriftDefenseTwiceDies) {
+  // A second defense would drop the detector's learned state.
+  EXPECT_DEATH(
+      {
+        Database db(SmallSsd());
+        db.Calibrate();
+        db.EnableDriftDefense();
+        db.EnableDriftDefense();
+      },
+      "drift defense already enabled");
+}
+
 TEST(ExperimentConfigTest, TableOneHasSixConfigs) {
   auto configs = PaperExperimentConfigs();
   ASSERT_EQ(configs.size(), 6u);

@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include "db/admission.h"
+#include "io/query_context.h"
+#include "io/ssd_device.h"
+#include "sim/cpu.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_image.h"
 
 #if PIOQO_SIM_CHECKS
 
@@ -58,8 +64,8 @@ TEST(SimChecksDeathTest, DoubleResumeScheduledDies) {
   EXPECT_DEATH(
       {
         Simulator sim;
-        Event event(sim);
-        auto worker = [&]() -> Killable { co_await event.Wait(); };
+        Latch latch(sim, 1);
+        auto worker = [&]() -> Killable { co_await latch.Wait(); };
         Killable k = worker();
         auto h = std::coroutine_handle<>::from_address(k.handle.address());
         ScheduleResume(sim, 0.0, h);
@@ -72,8 +78,8 @@ TEST(SimChecksDeathTest, ScheduleResumeOfDestroyedFrameDies) {
   EXPECT_DEATH(
       {
         Simulator sim;
-        Event event(sim);
-        auto worker = [&]() -> Killable { co_await event.Wait(); };
+        Latch latch(sim, 1);
+        auto worker = [&]() -> Killable { co_await latch.Wait(); };
         Killable k = worker();
         void* addr = k.handle.address();
         // Destruction itself is safe (the waiter unregisters), but resuming
@@ -90,11 +96,11 @@ TEST(SimChecksDeathTest, ExpectQuiescentDiesOnLeakedWorker) {
       {
         checks::ResetForTest();
         Simulator sim;
-        Event event(sim);
-        auto worker = [&]() -> Killable { co_await event.Wait(); };
+        Latch latch(sim, 1);
+        auto worker = [&]() -> Killable { co_await latch.Wait(); };
         Killable k = worker();
         (void)k;
-        sim.Run();  // nothing ever sets the event: worker is leaked
+        sim.Run();  // nothing counts the latch down: worker is leaked
         checks::ExpectQuiescent("test teardown");
       },
       "leaked worker");
@@ -142,18 +148,6 @@ TEST(SimChecksTest, DestroyedChannelConsumerLeavesNoDanglingWaiter) {
   EXPECT_EQ(checks::NumLiveFrames(), 0u);
 }
 
-TEST(SimChecksTest, DestroyedEventWaiterUnregisters) {
-  checks::ResetForTest();
-  Simulator sim;
-  Event event(sim);
-  auto waiter = [&]() -> Killable { co_await event.Wait(); };
-  Killable k = waiter();
-  k.handle.destroy();
-  event.Set();  // pre-fix: resume of a destroyed frame
-  sim.Run();
-  EXPECT_EQ(checks::NumLiveFrames(), 0u);
-}
-
 TEST(SimChecksTest, DestroyedLatchWaiterUnregisters) {
   checks::ResetForTest();
   Simulator sim;
@@ -180,6 +174,106 @@ TEST(SimChecksTest, DestroyedSemaphoreWaiterUnregisters) {
   EXPECT_EQ(checks::NumLiveFrames(), 0u);
 }
 
+TEST(SimChecksTest, DestroyedCpuWaiterUnparks) {
+  checks::ResetForTest();
+  Simulator sim;
+  CpuScheduler cpu(sim, 1);
+  int served = 0;
+  auto worker = [&]() -> Task {
+    co_await cpu.Consume(10.0);
+    ++served;
+  };
+  worker().Detach();  // holds the only core until t=10
+  auto waiter = [&]() -> Killable { co_await cpu.Consume(5.0); };
+  Killable k = waiter();
+  worker().Detach();  // parks behind the doomed waiter
+  k.handle.destroy();
+  sim.Run();
+  // The core passes straight to the next waiter; the destroyed burst never
+  // runs.
+  EXPECT_EQ(served, 2);
+  EXPECT_EQ(cpu.num_bursts(), 2u);
+  EXPECT_DOUBLE_EQ(sim.Now(), 20.0);
+  checks::ExpectQuiescent("DestroyedCpuWaiterUnparks");
+}
+
+TEST(SimChecksTest, DestroyedAdmissionWaiterUnparks) {
+  checks::ResetForTest();
+  Simulator sim;
+  {
+    db::AdmissionOptions options;
+    options.max_concurrent_queries = 1;
+    options.max_queue_wait_us = 100.0;  // arms a timer per queued query
+    db::AdmissionController ctrl(sim, options);
+    io::QueryContext q1(sim), q2(sim), q3(sim);
+    int served = 0;
+    auto query = [&](io::QueryContext& q) -> Task {
+      db::AdmissionGrant grant = co_await ctrl.Admit(q, 4);
+      if (!grant.ok()) co_return;
+      co_await Delay(sim, 10.0);
+      ctrl.Release(grant);
+      ++served;
+    };
+    query(q1).Detach();
+    auto queued = [&]() -> Killable {
+      db::AdmissionGrant grant = co_await ctrl.Admit(q2, 4);
+      (void)grant;
+    };
+    Killable k = queued();
+    query(q3).Detach();
+    ASSERT_EQ(ctrl.queued(), 2u);
+    k.handle.destroy();
+    // The destroyed waiter left the queue, its cancel listener and its wait
+    // timer (which would otherwise fire into the dead frame at t=100).
+    EXPECT_EQ(ctrl.queued(), 1u);
+    EXPECT_EQ(q2.num_cancel_listeners(), 0u);
+    sim.Run();
+    EXPECT_EQ(served, 2);
+    EXPECT_EQ(ctrl.running(), 0);
+    EXPECT_EQ(ctrl.total_dop(), 0);
+    EXPECT_EQ(ctrl.stats().shed_wait_timeout, 0u);
+    EXPECT_DOUBLE_EQ(sim.Now(), 20.0);
+  }
+  checks::ExpectQuiescent("DestroyedAdmissionWaiterUnparks");
+}
+
+TEST(SimChecksTest, DestroyedFetchWaiterUnparks) {
+  checks::ResetForTest();
+  Simulator sim;
+  {
+    io::SsdDevice ssd(sim, io::SsdGeometry::ConsumerPcie());
+    storage::DiskImage disk(ssd);
+    const storage::PageId page = disk.AllocatePages(1);
+    storage::BufferPool pool(disk, 4);
+    io::QueryContext doomed(sim);
+    int served = 0;
+    auto fetch = [&]() -> Task {
+      storage::BufferPool::PageRef ref = co_await pool.Fetch(page);
+      if (!ref.ok()) co_return;
+      pool.Unpin(page);
+      ++served;
+    };
+    fetch().Detach();  // starts the read
+    auto joined = [&]() -> Killable {
+      storage::BufferPool::PageRef ref = co_await pool.Fetch(page, &doomed);
+      (void)ref;
+    };
+    Killable k = joined();  // joins the loading frame
+    fetch().Detach();       // joins behind it
+    ASSERT_EQ(pool.stats().joined_inflight, 2u);
+    k.handle.destroy();
+    // The destroyed fetch released its suspend-time pin, its query's pin
+    // count and its cancel listener.
+    EXPECT_EQ(doomed.pinned_frames(), 0);
+    EXPECT_EQ(doomed.num_cancel_listeners(), 0u);
+    sim.Run();
+    EXPECT_EQ(served, 2);
+    EXPECT_EQ(pool.stats().device_reads, 1u);
+    EXPECT_TRUE(pool.Clear().ok());  // no pin leaked on the frame
+  }
+  checks::ExpectQuiescent("DestroyedFetchWaiterUnparks");
+}
+
 // --- Bookkeeping -----------------------------------------------------------
 
 TEST(SimChecksTest, TaskFramesReachQuiescenceAfterRun) {
@@ -203,8 +297,8 @@ TEST(SimChecksTest, TaskFramesReachQuiescenceAfterRun) {
 TEST(SimChecksTest, LeakedWorkerIsCountedUntilDestroyed) {
   checks::ResetForTest();
   Simulator sim;
-  Event event(sim);
-  auto worker = [&]() -> Killable { co_await event.Wait(); };
+  Latch latch(sim, 1);
+  auto worker = [&]() -> Killable { co_await latch.Wait(); };
   Killable k = worker();
   sim.Run();
   EXPECT_EQ(checks::NumLiveFrames(), 1u);  // suspended, nobody to wake it

@@ -126,44 +126,6 @@ TEST(SemaphoreEdgeTest, FifoHandoffUnderContention) {
   checks::ExpectQuiescent("FifoHandoffUnderContention");
 }
 
-TEST(EventEdgeTest, ResetReArmsAfterSet) {
-  checks::ResetForTest();
-  Simulator sim;
-  Event event(sim);
-  int phase1 = 0, phase2 = 0;
-  auto waiter1 = [&]() -> Task {
-    co_await event.Wait();
-    ++phase1;
-  };
-  waiter1().Detach();
-  event.Set();
-  sim.Run();
-  EXPECT_EQ(phase1, 1);
-  EXPECT_TRUE(event.is_set());
-
-  // While set, waiting does not suspend.
-  auto waiter_no_suspend = [&]() -> Task {
-    co_await event.Wait();
-    ++phase1;
-  };
-  waiter_no_suspend().Detach();
-  EXPECT_EQ(phase1, 2);
-
-  // Reset re-arms: the next waiter suspends until the next Set().
-  event.Reset();
-  EXPECT_FALSE(event.is_set());
-  auto waiter2 = [&]() -> Task {
-    co_await event.Wait();
-    ++phase2;
-  };
-  waiter2().Detach();
-  EXPECT_EQ(phase2, 0);  // suspended
-  sim.ScheduleAt(5.0, [&] { event.Set(); });
-  sim.Run();
-  EXPECT_EQ(phase2, 1);
-  checks::ExpectQuiescent("ResetReArmsAfterSet");
-}
-
 // --- A primitive must outlive its waiters ----------------------------------
 
 TEST(SyncDtorDeathTest, LatchDestroyedWithWaitersDies) {
@@ -176,18 +138,6 @@ TEST(SyncDtorDeathTest, LatchDestroyedWithWaitersDies) {
         latch.reset();
       },
       "Latch destroyed with");
-}
-
-TEST(SyncDtorDeathTest, EventDestroyedWithWaitersDies) {
-  EXPECT_DEATH(
-      {
-        Simulator sim;
-        auto event = std::make_unique<Event>(sim);
-        auto waiter = [&]() -> Task { co_await event->Wait(); };
-        waiter().Detach();
-        event.reset();
-      },
-      "Event destroyed with");
 }
 
 TEST(SyncDtorDeathTest, SemaphoreDestroyedWithWaitersDies) {

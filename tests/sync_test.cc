@@ -187,52 +187,5 @@ TEST(ChannelTest, WaiterWokenByCloseGetsNullopt) {
   EXPECT_TRUE(saw_end);
 }
 
-TEST(EventTest, WaitAfterSetDoesNotSuspend) {
-  Simulator sim;
-  Event event(sim);
-  event.Set();
-  bool ran = false;
-  auto waiter = [&]() -> Task {
-    co_await event.Wait();
-    ran = true;
-  };
-  waiter().Detach();
-  EXPECT_TRUE(ran);  // no suspension needed
-}
-
-TEST(EventTest, SetWakesAllWaiters) {
-  Simulator sim;
-  Event event(sim);
-  int woken = 0;
-  auto waiter = [&]() -> Task {
-    co_await event.Wait();
-    ++woken;
-  };
-  for (int i = 0; i < 3; ++i) waiter().Detach();
-  EXPECT_EQ(woken, 0);
-  sim.ScheduleAt(5.0, [&] { event.Set(); });
-  sim.Run();
-  EXPECT_EQ(woken, 3);
-}
-
-TEST(EventTest, ResetRearmsForReuse) {
-  Simulator sim;
-  Event event(sim);
-  std::vector<double> wake_times;
-  auto waiter = [&]() -> Task {
-    for (int round = 0; round < 2; ++round) {
-      co_await event.Wait();
-      wake_times.push_back(sim.Now());
-      event.Reset();
-    }
-  };
-  waiter().Detach();
-  sim.ScheduleAt(10.0, [&] { event.Set(); });
-  sim.ScheduleAt(30.0, [&] { event.Set(); });
-  sim.Run();
-  EXPECT_EQ(wake_times, (std::vector<double>{10.0, 30.0}));
-  EXPECT_FALSE(event.is_set());
-}
-
 }  // namespace
 }  // namespace pioqo::sim

@@ -12,11 +12,10 @@ parameter, alias target, or local is flagged. Use `sim::InlineFunction`
 (48-byte inline capture, move-only, heap fallback for oversized captures)
 instead.
 
-Public factory-style APIs that legitimately want copyable type erasure off
-the hot path — e.g. `Device::CompletionObserver`, installed once per device
-and only invoked per completion *batch* — are suppressed through the shared
-allowlist (tools/static_analysis_allowlist.txt), so each exception carries
-a written justification.
+An API that legitimately wants copyable type erasure off the hot path is
+suppressed through the shared allowlist
+(tools/static_analysis_allowlist.txt), so each exception carries a written
+justification.
 
 Other layers (`src/storage` upward, bench/, tests/) are not judged:
 `std::function` is fine where calls are per-query or per-experiment rather
