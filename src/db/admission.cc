@@ -10,6 +10,17 @@
 
 namespace pioqo::db {
 
+AdmissionController::AdmissionController(sim::Simulator& sim,
+                                         AdmissionOptions options)
+    : sim_(sim), options_(options) {
+  PIOQO_CHECK(options_.max_concurrent_queries >= 1)
+      << "AdmissionOptions::max_concurrent_queries must be >= 1, got "
+      << options_.max_concurrent_queries;
+  PIOQO_CHECK(options_.max_total_dop >= 1)
+      << "AdmissionOptions::max_total_dop must be >= 1, got "
+      << options_.max_total_dop;
+}
+
 AdmissionController::~AdmissionController() {
   PIOQO_CHECK(queue_.empty())
       << "AdmissionController destroyed with " << queue_.size()

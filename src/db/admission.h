@@ -79,8 +79,8 @@ struct AdmissionStats {
 /// simulator's determinism guarantees.
 class AdmissionController {
  public:
-  AdmissionController(sim::Simulator& sim, AdmissionOptions options)
-      : sim_(sim), options_(options) {}
+  /// Both caps must be at least 1 (a zero cap would admit nothing, ever).
+  AdmissionController(sim::Simulator& sim, AdmissionOptions options);
   ~AdmissionController();
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;

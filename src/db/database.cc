@@ -366,6 +366,7 @@ sim::Task QueryLifecycle(Database& db, AdmissionController& ctrl,
   bool admitted = false;
   Status final_status;
   double exec_us = 0.0;
+  DriftDefense::IoPrediction prediction;
   if (!planned_ok) {
     final_status = std::move(plan_status);
   } else {
@@ -385,10 +386,10 @@ sim::Task QueryLifecycle(Database& db, AdmissionController& ctrl,
       if (planned.has_value()) {
         // Prediction at the *granted* degree: what the live model promises
         // for the plan as it will actually run.
-        query.set_io_prediction(DriftDefense::PredictPlanIo(
+        prediction = DriftDefense::PredictPlanIo(
             out.planned_method, grant.dop, spec.prefetch_depth,
             planned->profile, planned->selectivity, db.qdtt(),
-            db.options().constants, req.optimizer.concurrent_streams));
+            db.options().constants, req.optimizer.concurrent_streams);
       }
       const double exec_start = sim.Now();
       auto scan = exec::StartScan(ctx, spec);
@@ -400,7 +401,7 @@ sim::Task QueryLifecycle(Database& db, AdmissionController& ctrl,
     }
   }
   if (db.drift_defense() != nullptr && final_status.ok() && exec_us > 0.0) {
-    db.drift_defense()->ObserveQuery(query, exec_us);
+    db.drift_defense()->ObserveQuery(prediction, exec_us);
   }
   if (cancel_armed) sim.Cancel(cancel_token);
   out.status = std::move(final_status);

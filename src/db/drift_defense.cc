@@ -46,7 +46,7 @@ DriftDefense::DriftDefense(sim::Simulator& sim, io::Device& device,
   calibrator_.set_on_complete([this] { OnRecalibrationComplete(); });
 }
 
-io::QueryContext::IoPrediction DriftDefense::PredictPlanIo(
+DriftDefense::IoPrediction DriftDefense::PredictPlanIo(
     core::AccessMethod method, int dop, int prefetch_depth,
     const core::TableProfile& profile, double selectivity,
     const core::QdttModel& model, const core::CostConstants& constants,
@@ -79,7 +79,7 @@ io::QueryContext::IoPrediction DriftDefense::PredictPlanIo(
                   static_cast<double>(std::max(1, prefetch_depth));
       break;
   }
-  io::QueryContext::IoPrediction prediction;
+  IoPrediction prediction;
   prediction.band_pages = band_pages;
   prediction.queue_depth =
       std::max(1.0, raw_depth / static_cast<double>(std::max(1, concurrent_streams)));
@@ -88,9 +88,8 @@ io::QueryContext::IoPrediction DriftDefense::PredictPlanIo(
   return prediction;
 }
 
-void DriftDefense::ObserveQuery(const io::QueryContext& query,
+void DriftDefense::ObserveQuery(const IoPrediction& prediction,
                                 double runtime_us) {
-  const io::QueryContext::IoPrediction& prediction = query.io_prediction();
   if (!prediction.valid() || !prediction.io_dominated) return;
   if (runtime_us <= 0.0) return;
   detector_.Observe(prediction.band_pages, prediction.queue_depth,

@@ -70,36 +70,6 @@ class QueryContext {
   void OnUnpin();
   int pinned_frames() const { return pinned_frames_; }
 
-  /// --- Drift observation (predicted vs. observed I/O cost) ---------------
-  /// The planner records what it *predicted* for this query; drift defense
-  /// compares it with the whole query's observed runtime. Recording a
-  /// prediction schedules no events and draws no randomness, so threading
-  /// it through a query leaves the trace hash untouched.
-
-  /// The plan-time I/O prediction. `band_pages`/`queue_depth` name the QDTT
-  /// grid cell the executed plan operates in (for drift attribution);
-  /// `predicted_us` is the model's runtime estimate for the executed plan,
-  /// compared against observed wall time at whole-query granularity (robust
-  /// to prefetching shifting pages between pool hits and misses).
-  struct IoPrediction {
-    /// Band size (pages) the plan's fetches fall in.
-    double band_pages = 0.0;
-    /// Effective queue depth the plan runs the device at.
-    double queue_depth = 0.0;
-    /// QDTT-costed runtime estimate of the executed plan.
-    double predicted_us = 0.0;
-    /// True when the plan's estimated I/O time dominated its CPU time —
-    /// only then is wall time a meaningful I/O cost observation.
-    bool io_dominated = false;
-
-    bool valid() const { return predicted_us > 0.0; }
-  };
-
-  void set_io_prediction(const IoPrediction& prediction) {
-    prediction_ = prediction;
-  }
-  const IoPrediction& io_prediction() const { return prediction_; }
-
   void AddCancelListener(CancelListener* listener);
   void RemoveCancelListener(CancelListener* listener);
   size_t num_cancel_listeners() const { return listeners_.size(); }
@@ -115,7 +85,6 @@ class QueryContext {
   bool deadline_armed_ = false;
   uint64_t deadline_token_ = 0;
   int pinned_frames_ = 0;
-  IoPrediction prediction_;
   std::vector<CancelListener*> listeners_;
 };
 

@@ -1,7 +1,7 @@
 // Unit tests for the admission controller: exact simulated timelines for
 // queueing, bounded-wait shedding, deadline/cancellation while queued,
-// partial DOP grants, FIFO ordering, degraded-device clamping, and the
-// unlimited-caps (A/B) mode.
+// partial DOP grants, FIFO ordering, degraded-device clamping, the
+// unlimited-caps (A/B) mode, and the rejection of zero caps.
 
 #include <limits>
 #include <vector>
@@ -278,6 +278,23 @@ TEST(AdmissionTest, DisabledControllerAdmitsEverythingButTracksPeaks) {
   EXPECT_EQ(ctrl.stats().peak_queued, 0u);
   for (io::QueryContext* q : queries) delete q;
   sim::checks::ExpectQuiescent("disabled mode");
+}
+
+// A zero cap would admit nothing, so a workload could never drain.
+TEST(AdmissionDeathTest, ZeroQueryCapDies) {
+  sim::Simulator sim;
+  AdmissionOptions options;
+  options.max_concurrent_queries = 0;
+  EXPECT_DEATH({ AdmissionController ctrl(sim, options); },
+               "max_concurrent_queries must be >= 1");
+}
+
+TEST(AdmissionDeathTest, ZeroDopCapDies) {
+  sim::Simulator sim;
+  AdmissionOptions options;
+  options.max_total_dop = 0;
+  EXPECT_DEATH({ AdmissionController ctrl(sim, options); },
+               "max_total_dop must be >= 1");
 }
 
 }  // namespace

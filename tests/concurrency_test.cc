@@ -1,7 +1,14 @@
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "db/database.h"
+#include "io/device_factory.h"
+#include "sim/sim_checks.h"
 
 namespace pioqo::db {
 namespace {
@@ -115,6 +122,118 @@ TEST_F(ConcurrencyTest, OptimizerDividesQueueBudgetAcrossStreams) {
   auto contended = shared_opt.ChooseAccessPath(profile, 0.01);
   EXPECT_GT(contended.chosen.total_us, alone.chosen.total_us * 1.5);
 }
+
+// --- Forced and planned scans overlapping under admission ------------------
+//
+// An open-loop mix through RunWorkload with default admission (8 queries,
+// 32 DOP): forced FTS/PFTS/IS/PIS plans interleaved with optimizer-planned
+// arrivals, cycling from full-table to needle selectivities. The 512-frame
+// pool is smaller than the table plus its index, so scans evict, prefetches
+// race demand fetches and the index scans touch cold pages while several
+// queries run at once, some of them queued or on partial DOP grants.
+
+storage::DatasetConfig MixTable() {
+  storage::DatasetConfig config;
+  config.name = "T";
+  config.num_rows = 33 * 512;  // 512 data pages
+  return config;
+}
+
+/// Arrival spacing matched to device speed, close enough that six to eight
+/// queries run at once and some queue. At 20x these gaps every query of
+/// this mix finishes before the next one arrives.
+double MixSpacingUs(io::DeviceKind kind) {
+  switch (kind) {
+    case io::DeviceKind::kHdd7200:
+      return 30'000.0;
+    case io::DeviceKind::kRaid8:
+      return 5'000.0;
+    default:
+      return 1'000.0;
+  }
+}
+
+std::vector<Database::QueryRequest> MixRequests(double start_us,
+                                                double spacing_us,
+                                                size_t count) {
+  auto pred = [](double sel) {
+    return exec::RangePredicate{
+        0, storage::C2UpperBoundForSelectivity(MixTable().c2_domain, sel)};
+  };
+  std::vector<Database::QueryRequest> requests(count);
+  for (size_t i = 0; i < count; ++i) {
+    Database::QueryRequest& req = requests[i];
+    switch (i % 8) {
+      case 0:
+        req.scan = {"T", pred(1.0), core::AccessMethod::kFts, 1, 0};
+        break;
+      case 1:
+        req.scan = {"T", pred(1.0), core::AccessMethod::kPfts, 8, 0};
+        break;
+      case 2:
+        req.scan = {"T", pred(0.02), core::AccessMethod::kIs, 1, 0};
+        break;
+      case 3:
+        req.scan = {"T", pred(0.10), core::AccessMethod::kPis, 8, 8};
+        break;
+      case 6:
+        req.scan = {"T", pred(0.05), core::AccessMethod::kPis, 16, 4};
+        break;
+      default: {  // 4, 5, 7: planned at arrival
+        const double sel = i % 8 == 4 ? 0.30 : i % 8 == 5 ? 0.01 : 0.10;
+        req.scan = {"T", pred(sel), core::AccessMethod::kFts, 1, 0};
+        req.use_optimizer = true;
+        break;
+      }
+    }
+    req.arrival_us = start_us + static_cast<double>(i) * spacing_us;
+  }
+  return requests;
+}
+
+class MixedWorkloadTest : public ::testing::TestWithParam<io::DeviceKind> {};
+
+TEST_P(MixedWorkloadTest, OverlappingForcedAndPlannedScansAreExact) {
+  DatabaseOptions options;
+  options.device = GetParam();
+  options.pool_pages = 512;
+  options.calibration.max_pages_per_point = 256;
+  Database db(options);
+  PIOQO_CHECK_OK(db.CreateTable(MixTable()));
+  db.Calibrate();
+  db.EnableAdmissionControl();
+
+  const std::vector<Database::QueryRequest> requests =
+      MixRequests(db.simulator().Now() + 1'000.0, MixSpacingUs(GetParam()),
+                  /*count=*/3 * 8);
+  auto report = db.RunWorkload(requests, /*flush_pool=*/true);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->completed, requests.size());
+  EXPECT_EQ(report->failed, 0u);
+  EXPECT_GT(report->admission.peak_running, 1);     // the queries overlapped,
+  EXPECT_GT(report->admission.peak_queued, 0u);      // some waited
+  EXPECT_GT(report->admission.partial_grants, 0u);   // and some got less DOP
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const Database::QueryReport& q = report->queries[i];
+    ASSERT_TRUE(q.status.ok()) << "query " << i << ": " << q.status.ToString();
+    auto sel = db.SelectivityOf("T", requests[i].scan.pred);
+    ASSERT_TRUE(sel.ok());
+    const auto exact = static_cast<uint64_t>(
+        std::llround(*sel * static_cast<double>(MixTable().num_rows)));
+    EXPECT_EQ(q.rows_matched, exact) << "query " << i;
+  }
+
+  EXPECT_TRUE(db.pool().Clear().ok()) << db.pool().Clear().ToString();
+  sim::checks::ExpectQuiescent("mixed workload");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDevices, MixedWorkloadTest,
+                         ::testing::Values(io::DeviceKind::kHdd7200,
+                                           io::DeviceKind::kSsdConsumer,
+                                           io::DeviceKind::kRaid8),
+                         [](const auto& info) {
+                           return std::string(io::DeviceKindName(info.param));
+                         });
 
 }  // namespace
 }  // namespace pioqo::db
