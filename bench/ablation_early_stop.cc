@@ -1,9 +1,12 @@
 // Ablation of paper Sec. 4.6: the early-stop control mechanism (threshold
-// T = 20%) vs full-grid calibration, on each device class.
+// T = 20%, with the far anchor of core::CalibrationSchedule) vs full-grid
+// calibration, on each device class.
 //
-// Expected: on the single-spindle HDD early stop skips most deep-queue
-// points and slashes calibration time; on SSD and RAID every point clears
-// the threshold so the runs are identical.
+// Expected: on the single-spindle HDD the T test fires at queue depth 2,
+// but the qd-32 anchor clears it (NCQ reorders deeper queues), so the qd-32
+// column is measured and the depths between are interpolated: about a third
+// of the points, under half the calibration time. On SSD and RAID every
+// point clears the threshold, so the runs are identical.
 
 #include <cstdio>
 #include <memory>

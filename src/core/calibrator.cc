@@ -1,6 +1,7 @@
 #include "core/calibrator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "common/logging.h"
@@ -99,24 +100,85 @@ int DriverCount(CalibrationMethod method, int qd) {
 
 }  // namespace
 
-bool EarlyStopReached(const QdttModel& model, size_t band_idx,
-                      size_t qd_idx) {
-  const size_t largest = model.num_bands() - 1;
-  if (qd_idx == 0 || band_idx != largest) return false;
-  return model.PointAt(largest, qd_idx) >
-         model.PointAt(largest, qd_idx - 1) * (1.0 - kEarlyStopThreshold);
+CalibrationSchedule CalibrationSchedule::FullGrid(size_t num_bands,
+                                                  size_t num_qds,
+                                                  bool early_stop) {
+  CalibrationSchedule schedule;
+  schedule.early_stop_ = early_stop;
+  for (size_t qi = 0; qi < num_qds; ++qi) {
+    for (size_t bi = num_bands; bi-- > 0;) {
+      schedule.order_.push_back(Point{bi, qi});
+    }
+  }
+  return schedule;
 }
 
-int FillEarlyStopDefaults(QdttModel& model) {
+CalibrationSchedule CalibrationSchedule::Rows(
+    const std::vector<size_t>& band_idxs, size_t num_qds) {
+  CalibrationSchedule schedule;
+  for (size_t bi : band_idxs) {
+    for (size_t qi = 0; qi < num_qds; ++qi) {
+      schedule.order_.push_back(Point{bi, qi});
+    }
+  }
+  return schedule;
+}
+
+std::optional<CalibrationSchedule::Point> CalibrationSchedule::Next() const {
+  if (next_ == order_.size()) return std::nullopt;
+  return order_[next_];
+}
+
+void CalibrationSchedule::Record(QdttModel& model, double cost_us) {
+  PIOQO_CHECK(next_ < order_.size()) << "schedule already done";
+  const Point point = order_[next_++];
+  model.SetPoint(point.band_idx, point.qd_idx, cost_us);
+  if (!early_stop_) return;
+  const size_t largest = model.num_bands() - 1;
+  const size_t deepest = model.num_qds() - 1;
+  if (!stop_qd_.has_value()) {
+    if (point.band_idx != largest || point.qd_idx == 0 ||
+        cost_us <= model.PointAt(largest, point.qd_idx - 1) *
+                       (1.0 - kEarlyStopThreshold)) {
+      return;
+    }
+    stop_qd_ = point.qd_idx;
+    order_.resize(next_);
+    if (point.qd_idx < deepest) order_.push_back(Point{largest, deepest});
+  } else if (point.band_idx == largest && point.qd_idx == deepest &&
+             cost_us < model.PointAt(largest, *stop_qd_) *
+                           (1.0 - kEarlyStopThreshold)) {
+    // The anchor hit: the other bands' anchors, largest to smallest.
+    anchored_ = true;
+    for (size_t bi = largest; bi-- > 0;) {
+      order_.push_back(Point{bi, deepest});
+    }
+  }
+  if (next_ == order_.size()) points_filled_ = Fill(model);
+}
+
+int CalibrationSchedule::Fill(QdttModel& model) const {
+  const std::vector<int>& qds = model.qd_grid();
+  const size_t deepest = qds.size() - 1;
   int filled = 0;
   for (size_t bi = 0; bi < model.num_bands(); ++bi) {
-    const double base = model.PointAt(bi, 0);
-    PIOQO_CHECK(base >= 0.0);
-    for (size_t qi = 1; qi < model.num_qds(); ++qi) {
-      if (!model.IsSet(bi, qi)) {
-        model.SetPoint(bi, qi, base * kEarlyStopDefaultFactor);
-        ++filled;
+    PIOQO_CHECK(model.IsSet(bi, 0));
+    size_t last = 0;  // the band's last measured depth below the anchor
+    for (size_t qi = 1; qi < qds.size(); ++qi) {
+      if (model.IsSet(bi, qi)) {
+        last = qi;
+        continue;
       }
+      double cost = model.PointAt(bi, 0) * kEarlyStopDefaultFactor;
+      if (anchored_) {
+        const double t = std::log(static_cast<double>(qds[qi]) / qds[last]) /
+                         std::log(static_cast<double>(qds[deepest]) /
+                                  qds[last]);
+        cost = std::exp((1.0 - t) * std::log(model.PointAt(bi, last)) +
+                        t * std::log(model.PointAt(bi, deepest)));
+      }
+      model.SetPoint(bi, qi, cost);
+      ++filled;
     }
   }
   return filled;
@@ -145,6 +207,17 @@ Calibrator::Calibrator(sim::Simulator& sim, io::Device& device,
   }
 }
 
+uint64_t Calibrator::PagesPerPoint(uint64_t band_pages) const {
+  const uint64_t file_pages = device_.capacity_bytes() / kPageSize;
+  const uint64_t band = std::min(std::max<uint64_t>(band_pages, 1), file_pages);
+  const uint64_t m = options_.max_pages_per_point;
+  if (band > m) return m;
+  // Whole band-sized blocks, as many as fit under M (the paper's intent:
+  // "the total number of page reads for any calibration point would be at
+  // most equal to M").
+  return band * std::max<uint64_t>(1, std::min(m / band, file_pages / band));
+}
+
 std::vector<uint64_t> Calibrator::BuildSequence(uint64_t band_pages,
                                                 uint64_t seed) const {
   Pcg32 rng(seed);
@@ -155,11 +228,8 @@ std::vector<uint64_t> Calibrator::BuildSequence(uint64_t band_pages,
   std::vector<uint64_t> sequence;
   if (band <= m) {
     // Consecutive band-sized blocks, each fully read in random order, one
-    // block at a time. The number of blocks is capped so total reads <= M
-    // (the paper's intent: "the total number of page reads for any
-    // calibration point would be at most equal to M").
-    const uint64_t blocks =
-        std::max<uint64_t>(1, std::min(m / band, file_pages / band));
+    // block at a time.
+    const uint64_t blocks = PagesPerPoint(band_pages) / band;
     const uint64_t max_start_block = file_pages / band - blocks;
     const uint64_t start_block =
         max_start_block > 0 ? rng.UniformBelow(max_start_block + 1) : 0;
@@ -249,34 +319,23 @@ CalibrationResult Calibrator::Calibrate() {
   QdttModel model(options_.band_grid, options_.qd_grid);
   CalibrationResult result{model, 0.0, 0, 0, 0, 0};
   const uint64_t errors_before = probe_io_errors_;
-  const size_t nb = options_.band_grid.size();
-  const size_t nq = options_.qd_grid.size();
   const sim::SimTime start = sim_.Now();
   uint64_t seed = options_.seed;
-  bool stopped = false;
-
-  // Queue depths ascending; bands from largest to smallest within each
-  // (Sec. 4.6: "for each queue depth the calibration is done from the
-  // largest to the smallest band size").
-  for (size_t qi = 0; qi < nq && !stopped; ++qi) {
-    for (size_t b = nb; b-- > 0;) {
-      const size_t bi = b;  // iterate nb-1 .. 0
-      RunningStat stat = MeasurePointStats(
-          options_.band_grid[bi], options_.qd_grid[qi], options_.method,
-          options_.repetitions, seed);
-      seed += 104729;
-      result.model.SetPoint(bi, qi, stat.mean());
-      ++result.points_measured;
-      result.pages_read += static_cast<uint64_t>(options_.repetitions) *
-                           options_.max_pages_per_point;
-      if (options_.early_stop && EarlyStopReached(result.model, bi, qi)) {
-        stopped = true;
-        break;
-      }
-    }
+  CalibrationSchedule schedule = CalibrationSchedule::FullGrid(
+      model.num_bands(), model.num_qds(), options_.early_stop);
+  while (const std::optional<CalibrationSchedule::Point> point =
+             schedule.Next()) {
+    const uint64_t band = options_.band_grid[point->band_idx];
+    RunningStat stat =
+        MeasurePointStats(band, options_.qd_grid[point->qd_idx],
+                          options_.method, options_.repetitions, seed);
+    seed += 104729;
+    schedule.Record(result.model, stat.mean());
+    ++result.points_measured;
+    result.pages_read +=
+        static_cast<uint64_t>(options_.repetitions) * PagesPerPoint(band);
   }
-  // Points the early stop skipped get their defaults (a no-op otherwise).
-  result.points_defaulted = FillEarlyStopDefaults(result.model);
+  result.points_defaulted = schedule.points_filled();
 
   result.calibration_time_us = sim_.Now() - start;
   result.io_errors = probe_io_errors_ - errors_before;

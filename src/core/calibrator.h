@@ -2,6 +2,7 @@
 #define PIOQO_CORE_CALIBRATOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -31,26 +32,76 @@ enum class CalibrationMethod {
 
 std::string_view CalibrationMethodName(CalibrationMethod method);
 
-/// Early-stop control mechanism of Sec. 4.6, shared by Calibrator and
-/// IdleCalibrator. T: continue to the next queue depth only if the largest
-/// band improved by at least this fraction ("we found experimentally that
-/// 20 is a reasonable value for T").
+/// Early-stop control mechanism of Sec. 4.6. T: continue to the next queue
+/// depth only if the largest band improved by at least this fraction ("we
+/// found experimentally that 20 is a reasonable value for T").
 inline constexpr double kEarlyStopThreshold = 0.20;
-/// After stopping, unmeasured points get the band's queue-depth-1 cost
+/// After a final stop, unmeasured points get the band's queue-depth-1 cost
 /// times this ("a default value slightly larger than the measured costs for
 /// queue depth one").
 inline constexpr double kEarlyStopDefaultFactor = 1.05;
 
-/// The early-stop test, run after grid point (band_idx, qd_idx) of `model`
-/// was measured: true when it is the largest band at a queue depth past the
-/// first and that band's cost improved on the previous depth's by less than
-/// kEarlyStopThreshold.
-bool EarlyStopReached(const QdttModel& model, size_t band_idx, size_t qd_idx);
+/// The order and stop rule of one grid calibration, shared by Calibrator and
+/// IdleCalibrator: measure Next(), hand its cost to Record(), repeat until
+/// Next() is empty.
+///
+/// FullGrid walks Sec. 4.6's order: queue depths ascending, bands largest to
+/// smallest within each depth. With early stop, the T test runs after the
+/// largest band at every depth past the first. When it fires at depth k, the
+/// paper stops; this schedule first measures a far anchor, the largest band
+/// at the grid's deepest depth, because a device can gain nothing from one
+/// doubling and much past a knee (the HDD reorders commands only with three
+/// or more queued). If the anchor costs less than (1 - T) x the band's
+/// depth-k cost, every other band is measured at the deepest depth too, and
+/// each band's skipped depths are filled by power-law interpolation (log cost
+/// linear in log qd) between its last measured depth and its anchor.
+/// Otherwise, or when the test fires at the deepest depth, the stop is final
+/// and every skipped point gets the paper's default.
+///
+/// Rows walks whole rows in the given band order with no stop rule: drift
+/// defense's refresh measures exactly the rows it asks for.
+class CalibrationSchedule {
+ public:
+  struct Point {
+    size_t band_idx;
+    size_t qd_idx;
+  };
 
-/// The default fill after an early stop: every unset point gets its band's
-/// queue-depth-1 cost times kEarlyStopDefaultFactor. Returns the number of
-/// points filled.
-int FillEarlyStopDefaults(QdttModel& model);
+  static CalibrationSchedule FullGrid(size_t num_bands, size_t num_qds,
+                                      bool early_stop);
+  /// Every queue depth, ascending, of each band in `band_idxs`, in order.
+  static CalibrationSchedule Rows(const std::vector<size_t>& band_idxs,
+                                  size_t num_qds);
+
+  /// The point to measure next; empty once the schedule is done.
+  std::optional<Point> Next() const;
+
+  /// Stores the cost measured at Next() in `model` and advances, applying
+  /// the stop rule. When the rule ends the schedule, fills every point of
+  /// `model` still unset.
+  void Record(QdttModel& model, double cost_us);
+
+  /// True once the T test fired and the schedule has ended.
+  bool stopped() const {
+    return stop_qd_.has_value() && next_ == order_.size();
+  }
+  /// Points the fill set without measuring them.
+  int points_filled() const { return points_filled_; }
+
+ private:
+  /// Sets every unset point of `model`: by power law towards the band's
+  /// anchor when the anchor hit, else to the paper's default. Returns the
+  /// number set.
+  int Fill(QdttModel& model) const;
+
+  std::vector<Point> order_;
+  size_t next_ = 0;
+  bool early_stop_ = false;
+  /// The depth at which the T test fired.
+  std::optional<size_t> stop_qd_;
+  bool anchored_ = false;
+  int points_filled_ = 0;
+};
 
 struct CalibratorOptions {
   /// Band sizes (pages) to calibrate; empty -> QdttModel::DefaultBandGrid
@@ -65,8 +116,8 @@ struct CalibratorOptions {
   /// 50; 1 is enough for the optimizer).
   int repetitions = 1;
   CalibrationMethod method = CalibrationMethod::kActiveWaiting;
-  /// Early-stop control mechanism of Sec. 4.6 (kEarlyStopThreshold,
-  /// kEarlyStopDefaultFactor).
+  /// Early-stop control mechanism of Sec. 4.6 with its far anchor
+  /// (CalibrationSchedule); false measures the full grid.
   bool early_stop = true;
   uint64_t seed = 2014;
 };
@@ -76,7 +127,9 @@ struct CalibrationResult {
   QdttModel model;
   double calibration_time_us = 0.0;  // simulated time spent reading
   int points_measured = 0;
+  /// Points set without being measured (filled after an early stop).
   int points_defaulted = 0;
+  /// Pages the measured points read, every repetition counted.
   uint64_t pages_read = 0;
   /// Probe reads that completed with an error (e.g. under fault injection).
   /// Failed probes still consumed device time, so the model remains a
@@ -131,6 +184,9 @@ class Calibrator {
   /// band > M a single randomly-placed band-sized block is sampled with M
   /// distinct random pages.
   std::vector<uint64_t> BuildSequence(uint64_t band_pages, uint64_t seed) const;
+
+  /// Length of BuildSequence(band_pages, any seed).
+  uint64_t PagesPerPoint(uint64_t band_pages) const;
 
   /// Starts the `method` driver coroutines reading `pages` at queue depth
   /// `qd`: `qd` multi-thread workers sharing the cursor `next`, or one

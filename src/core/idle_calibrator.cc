@@ -15,17 +15,10 @@ IdleCalibrator::IdleCalibrator(sim::Simulator& sim, io::Device& device,
       options_(options),
       calibrator_(sim, device, options.calibration),
       model_(calibrator_.options().band_grid, calibrator_.options().qd_grid),
-      seed_(calibrator_.options().seed) {
-  // Same order as the offline calibrator: queue depths ascending, bands
-  // largest to smallest within each depth (Sec. 4.6).
-  const size_t nb = model_.num_bands();
-  const size_t nq = model_.num_qds();
-  for (size_t qi = 0; qi < nq; ++qi) {
-    for (size_t b = nb; b-- > 0;) {
-      pending_.push_back(GridPoint{b, qi});
-    }
-  }
-}
+      schedule_(CalibrationSchedule::FullGrid(
+          model_.num_bands(), model_.num_qds(),
+          calibrator_.options().early_stop)),
+      seed_(calibrator_.options().seed) {}
 
 bool IdleCalibrator::complete() const { return model_.complete(); }
 
@@ -59,16 +52,9 @@ Status IdleCalibrator::StartPartial(const std::vector<uint64_t>& band_pages) {
     }
     band_idxs.push_back(static_cast<size_t>(it - grid.begin()));
   }
-  // Queue depths ascending within each band, bands in the caller's priority
-  // order — the most drifted band's full row refreshes first.
-  pending_.clear();
-  for (size_t b : band_idxs) {
-    for (size_t qi = 0; qi < model_.num_qds(); ++qi) {
-      pending_.push_back(GridPoint{b, qi});
-    }
-  }
-  next_point_ = 0;
-  partial_run_ = true;
+  // Bands in the caller's priority order: the most drifted band's full row
+  // refreshes first.
+  schedule_ = CalibrationSchedule::Rows(band_idxs, model_.num_qds());
   stop_requested_ = false;
   started_ = true;
   loop_running_ = true;
@@ -97,14 +83,15 @@ sim::Task IdleCalibrator::Loop() {
   // When the device has been continuously busy since `busy_since`, a probe
   // gate lets the loop measure under load instead of starving.
   double busy_since = sim_.Now();
-  while (!stop_requested_ && next_point_ < pending_.size()) {
+  while (!stop_requested_) {
+    const std::optional<CalibrationSchedule::Point> point = schedule_.Next();
+    if (!point) break;
+    const int point_qd = opts.qd_grid[point->qd_idx];
     bool busy_probe = false;
     if (!DeviceIdle()) {
-      const GridPoint next = pending_[next_point_];
-      const int next_qd = opts.qd_grid[next.qd_idx];
       if (options_.probe_gate != nullptr &&
           sim_.Now() - busy_since >= options_.busy_escalation_us &&
-          options_.probe_gate->TryAcquire(next_qd)) {
+          options_.probe_gate->TryAcquire(point_qd)) {
         busy_probe = true;
       } else {
         co_await sim::Delay(sim_, options_.poll_interval_us);
@@ -113,11 +100,9 @@ sim::Task IdleCalibrator::Loop() {
     } else {
       busy_since = sim_.Now();
     }
-    const GridPoint point = pending_[next_point_++];
-    const int point_qd = opts.qd_grid[point.qd_idx];
     double cost = 0.0;
     sim::Latch done(sim_, 1);
-    calibrator_.MeasurePointAsync(opts.band_grid[point.band_idx], point_qd,
+    calibrator_.MeasurePointAsync(opts.band_grid[point->band_idx], point_qd,
                                   opts.method, seed_, &cost, done).Detach();
     seed_ += 104729;
     co_await done.Wait();
@@ -127,25 +112,18 @@ sim::Task IdleCalibrator::Loop() {
       // A busy probe shares the device with foreground traffic, so its
       // sample is noisy-high; it still beats planning on a drifted grid.
     }
-    model_.SetPoint(point.band_idx, point.qd_idx, cost);
+    schedule_.Record(model_, cost);
     ++points_measured_;
-    if (on_point_) {
-      on_point_(opts.band_grid[point.band_idx], point_qd, cost);
-    }
+    if (on_point_) on_point_(opts.band_grid[point->band_idx], point_qd, cost);
 
-    // The offline calibrator's early stop and default fill. Partial
-    // refreshes measure exactly what was asked for.
-    if (!partial_run_ && opts.early_stop &&
-        EarlyStopReached(model_, point.band_idx, point.qd_idx)) {
-      points_defaulted_ += FillEarlyStopDefaults(model_);
-      next_point_ = pending_.size();
-      break;
-    }
+    // The stop rule ends the run at once.
+    if (schedule_.stopped()) break;
     // Yield between points so foreground I/O can resume promptly. Busy
     // probes pace themselves with the (longer) busy interval.
     co_await sim::Delay(sim_, busy_probe ? options_.busy_probe_interval_us
                                          : options_.poll_interval_us);
   }
+  points_defaulted_ += schedule_.points_filled();
   loop_running_ = false;
   if (on_complete_) on_complete_();
 }

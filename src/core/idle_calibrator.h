@@ -43,10 +43,10 @@ struct IdleCalibratorOptions {
 ///
 /// Start() launches a simulated background task that watches the device.
 /// Whenever the device has been idle for `idle_threshold_us`, it measures
-/// the next pending grid point (queue depths ascending, bands largest to
-/// smallest, with the same early-stop rule as the offline calibrator) and
-/// then yields again, so foreground query I/O always interleaves between
-/// points. When the grid is complete the finished model is available.
+/// the next point of the offline calibrator's CalibrationSchedule (same
+/// order, stop rule, anchors and seeds) and then yields again, so foreground
+/// query I/O always interleaves between points. When the grid is complete
+/// the finished model is available.
 ///
 /// StartPartial() is the drift-defense entry point: re-measure only the
 /// drifted bands (all queue depths, depths ascending, bands in the given
@@ -90,8 +90,7 @@ class IdleCalibrator {
       std::function<void(uint64_t, int, double)> on_point) {
     on_point_ = std::move(on_point);
   }
-  /// Called once when a run's pending points are exhausted (or the run was
-  /// stopped / early-stopped).
+  /// Called once when a run's schedule is done (or the run was stopped).
   void set_on_complete(std::function<void()> on_complete) {
     on_complete_ = std::move(on_complete);
   }
@@ -103,11 +102,6 @@ class IdleCalibrator {
   std::optional<QdttModel> FinishedModel() const;
 
  private:
-  struct GridPoint {
-    size_t band_idx;
-    size_t qd_idx;
-  };
-
   sim::Task Loop();
   /// True when the device has been quiet for the idle threshold.
   bool DeviceIdle() const;
@@ -117,16 +111,13 @@ class IdleCalibrator {
   IdleCalibratorOptions options_;
   Calibrator calibrator_;
   QdttModel model_;
-  std::vector<GridPoint> pending_;  // in calibration order, front = next
-  size_t next_point_ = 0;
+  /// The full grid until the first StartPartial, then that run's rows.
+  CalibrationSchedule schedule_;
   int points_measured_ = 0;
   int points_defaulted_ = 0;
   int points_measured_busy_ = 0;
   bool started_ = false;
   bool loop_running_ = false;
-  /// Partial refreshes skip the early-stop rule: they measure exactly the
-  /// requested points.
-  bool partial_run_ = false;
   bool stop_requested_ = false;
   uint64_t seed_;
   std::function<void(uint64_t, int, double)> on_point_;

@@ -1,6 +1,6 @@
 #include "storage/data_generator.h"
 
-#include <algorithm>
+#include <array>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -9,6 +9,29 @@
 #include "common/rng.h"
 
 namespace pioqo::storage {
+namespace {
+
+/// Sorts index entries by key, stably: an LSD radix sort, one byte of the
+/// key per pass. BuildDataset appends entries in row-id order, so the
+/// key-stable order is BulkBuild's (key, rid) order.
+void SortByKey(std::vector<BPlusTree::Entry>& entries) {
+  // Flipping the sign bit orders int32 keys as unsigned ones.
+  auto digit = [](int32_t key, int shift) {
+    return ((static_cast<uint32_t>(key) ^ 0x80000000u) >> shift) & 0xffu;
+  };
+  std::vector<BPlusTree::Entry> buffer(entries.size());
+  for (int shift = 0; shift < 32; shift += 8) {
+    std::array<size_t, 257> next{};
+    for (const BPlusTree::Entry& e : entries) ++next[digit(e.key, shift) + 1];
+    for (size_t d = 1; d < next.size(); ++d) next[d] += next[d - 1];
+    for (const BPlusTree::Entry& e : entries) {
+      buffer[next[digit(e.key, shift)]++] = e;
+    }
+    entries.swap(buffer);
+  }
+}
+
+}  // namespace
 
 StatusOr<Dataset> BuildDataset(DiskImage& disk, const DatasetConfig& config) {
   if (config.c2_domain <= 0) {
@@ -36,7 +59,7 @@ StatusOr<Dataset> BuildDataset(DiskImage& disk, const DatasetConfig& config) {
     entries.push_back(BPlusTree::Entry{c2, rid});
   }
 
-  std::sort(entries.begin(), entries.end());
+  SortByKey(entries);
   const uint16_t fill = config.index_leaf_fill == 0 ? BPlusTree::kLeafCapacity
                                                     : config.index_leaf_fill;
   PIOQO_ASSIGN_OR_RETURN(

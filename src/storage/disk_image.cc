@@ -1,7 +1,5 @@
 #include "storage/disk_image.h"
 
-#include <cstring>
-
 #include "common/logging.h"
 
 namespace pioqo::storage {
@@ -16,10 +14,9 @@ PageId DiskImage::AllocatePages(uint32_t count) {
   const uint64_t extents_needed =
       (new_total + kPagesPerExtent - 1) / kPagesPerExtent;
   while (extents_.size() < extents_needed) {
-    auto extent = std::make_unique<char[]>(
-        static_cast<size_t>(kPagesPerExtent) * kPageSize);
-    std::memset(extent.get(), 0, static_cast<size_t>(kPagesPerExtent) * kPageSize);
-    extents_.push_back(std::move(extent));
+    // make_unique value-initializes: the extent comes back zeroed.
+    extents_.push_back(std::make_unique<char[]>(
+        static_cast<size_t>(kPagesPerExtent) * kPageSize));
   }
   num_pages_ = static_cast<uint32_t>(new_total);
   return first;

@@ -1,7 +1,10 @@
 #include "core/calibrator.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "calibration_test_util.h"
 #include "io/device_factory.h"
 #include "io/hdd_device.h"
 #include "io/raid_device.h"
@@ -60,19 +63,66 @@ TEST(CalibratorTest, SsdBandSizeMattersButMildly) {
   EXPECT_LT(m.PointAt(3, 0) / m.PointAt(1, 0), 16.0);
 }
 
-TEST(CalibratorTest, HddEarlyStopSkipsDeepQueues) {
+TEST(CalibratorTest, HddEarlyStopAnchorsAtTheDeepestQueue) {
   sim::Simulator sim;
   io::HddDevice hdd(sim, io::HddGeometry::Commodity7200());
   Calibrator cal(sim, hdd, FastOptions());
   auto result = cal.Calibrate();
-  EXPECT_TRUE(result.model.complete());
-  // The single-spindle drive gains < 20% per queue-depth doubling at the
-  // largest band, so calibration stops early and defaults the rest
-  // (Sec. 4.6).
-  EXPECT_GT(result.points_defaulted, 0);
-  EXPECT_LT(result.points_measured, 4 * 6);
-  // Defaults are "slightly larger" than the qd-1 cost.
-  EXPECT_GT(result.model.PointAt(0, 5), result.model.PointAt(0, 0));
+  const QdttModel& m = result.model;
+  ASSERT_TRUE(m.complete());
+  // Without NCQ's reordering (three or more queued) qd 2 gains nothing, so
+  // the T test fires there; the qd-32 anchor gains far more than T, so the
+  // whole qd-32 column is measured and the rest filled (Sec. 4.6 + anchor).
+  EXPECT_EQ(result.points_measured, 9);
+  EXPECT_EQ(result.points_defaulted, 4 * 6 - 9);
+  EXPECT_LT(m.PointAt(3, 5), m.PointAt(3, 1) * (1.0 - kEarlyStopThreshold));
+
+  QdttModel replay(m.band_grid(), m.qd_grid());
+  testing::PointSet expected = {{3, 1}};
+  for (size_t b = 0; b < 4; ++b) {
+    expected.emplace(b, 0);
+    expected.emplace(b, 5);
+  }
+  EXPECT_EQ(testing::MeasuredPoints(m, &replay), expected);
+  // Each filled point lies between its band's last measured cost and its
+  // anchor.
+  for (size_t b = 0; b < 4; ++b) {
+    const size_t last = b == 3 ? 1 : 0;
+    const double lo = std::min(m.PointAt(b, last), m.PointAt(b, 5));
+    const double hi = std::max(m.PointAt(b, last), m.PointAt(b, 5));
+    for (size_t q = last + 1; q < 5; ++q) {
+      EXPECT_EQ(replay.PointAt(b, q), m.PointAt(b, q)) << b << "," << q;
+      EXPECT_GE(m.PointAt(b, q), lo * (1.0 - 1e-12)) << b << "," << q;
+      EXPECT_LE(m.PointAt(b, q), hi * (1.0 + 1e-12)) << b << "," << q;
+    }
+  }
+}
+
+TEST(CalibratorTest, HddWithoutNcqStopsAtTheFirstDoubling) {
+  // Sec. 4.6's weak-device path: without command reordering the anchor
+  // misses too, and every skipped point gets the qd-1 default.
+  sim::Simulator sim;
+  io::HddGeometry geometry = io::HddGeometry::Commodity7200();
+  geometry.ncq_depth = 1;
+  io::HddDevice hdd(sim, geometry);
+  Calibrator cal(sim, hdd, FastOptions());
+  auto result = cal.Calibrate();
+  const QdttModel& m = result.model;
+  ASSERT_TRUE(m.complete());
+  EXPECT_EQ(result.points_measured, 6);
+  EXPECT_EQ(result.points_defaulted, 4 * 6 - 6);
+
+  QdttModel replay(m.band_grid(), m.qd_grid());
+  testing::PointSet measured = testing::MeasuredPoints(m, &replay);
+  EXPECT_EQ(measured, (testing::PointSet{
+                          {0, 0}, {1, 0}, {2, 0}, {3, 0}, {3, 1}, {3, 5}}));
+  for (size_t b = 0; b < 4; ++b) {
+    for (size_t q = 1; q < 6; ++q) {
+      if (measured.count({b, q}) > 0) continue;
+      EXPECT_EQ(m.PointAt(b, q), m.PointAt(b, 0) * kEarlyStopDefaultFactor)
+          << b << "," << q;
+    }
+  }
 }
 
 TEST(CalibratorTest, HddCalibrationFasterThanWithoutEarlyStop) {
@@ -173,6 +223,22 @@ TEST(CalibratorTest, RepetitionsReduceToStats) {
   EXPECT_EQ(stat.count(), 5);
   EXPECT_GT(stat.mean(), 0.0);
   EXPECT_GE(stat.max(), stat.min());
+}
+
+TEST(CalibratorTest, PagesReadCountsTheSequencesRead) {
+  // Band 512 reads whole 512-page blocks: six of them, 3072 pages, under
+  // M = 3200.
+  sim::Simulator sim;
+  io::SsdDevice ssd(sim, io::SsdGeometry::ConsumerPcie());
+  CalibratorOptions opts;
+  opts.band_grid = {1, 512};
+  opts.qd_grid = {1, 2};
+  opts.repetitions = 2;
+  opts.early_stop = false;
+  Calibrator cal(sim, ssd, opts);
+  auto result = cal.Calibrate();
+  EXPECT_EQ(result.pages_read, ssd.stats().reads());
+  EXPECT_EQ(result.pages_read, 2u * 2u * (3200u + 3072u));
 }
 
 TEST(CalibratorTest, SequenceRespectsPageBudget) {

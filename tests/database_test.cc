@@ -127,6 +127,40 @@ TEST(DatabaseTest, QdttChoiceBeatsDttChoiceOnSsd) {
   EXPECT_EQ(old_opt->optimization.chosen.dop, 1);
 }
 
+TEST(DatabaseTest, HddNeedleQueryPrefetches) {
+  // The HDD gains nothing from queue depth 1 to 2 but reorders deeper
+  // queues (NCQ), so a calibration that sees qd 32 lets the optimizer pick
+  // a prefetching plan for a needle query on the E33 table, where a model
+  // that only saw qd 1-2 picks the serial index scan.
+  const ExperimentConfig config{"E33", "T33", 33, io::DeviceKind::kHdd7200,
+                                8192};
+  DatabaseOptions options;
+  options.device = config.device;
+  Database db(options);
+  ASSERT_TRUE(db.CreateTable(config.DatasetConfigFor()).ok());
+  db.Calibrate();
+  const exec::RangePredicate pred{
+      0, storage::C2UpperBoundForSelectivity(
+             config.DatasetConfigFor().c2_domain, 0.00005)};
+  opt::OptimizerOptions planner;
+  planner.prefetch_depths = {0, 8};
+  // Calibration leaves the head far from the table. A first scan brings it
+  // back, so both timed runs below start from the same place.
+  ASSERT_TRUE(db.ExecuteScan("T33", pred, core::AccessMethod::kIs, 1, 0,
+                             /*flush_pool=*/true)
+                  .ok());
+  auto planned = db.ExecuteQuery("T33", pred, /*queue_depth_aware=*/true,
+                                 /*flush_pool=*/true, planner);
+  auto is = db.ExecuteScan("T33", pred, core::AccessMethod::kIs, 1, 0,
+                           /*flush_pool=*/true);
+  ASSERT_TRUE(planned.ok());
+  ASSERT_TRUE(is.ok());
+  EXPECT_EQ(planned->scan.rows_matched, is->rows_matched);
+  EXPECT_GT(planned->optimization.chosen.prefetch_depth, 0)
+      << planned->optimization.chosen.ToString();
+  EXPECT_LE(planned->scan.runtime_us, 0.6 * is->runtime_us);
+}
+
 TEST(DatabaseTest, HealthMonitorBaselineComesFromCalibratedModel) {
   // Enabling the monitor on a calibrated database without an explicit
   // baseline derives it from the model: whole-device band, queue depth 1.

@@ -1,11 +1,14 @@
 #include "core/idle_calibrator.h"
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "calibration_test_util.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "io/device_factory.h"
@@ -218,26 +221,49 @@ TEST(IdleCalibratorTest, StartPartialRefreshesRequestedBandsOnly) {
   EXPECT_TRUE(calibrator.complete());
 }
 
-TEST(IdleCalibratorTest, MatchesOfflineCalibrationResults) {
-  // The background calibration, run to completion on an idle device, must
-  // produce the same kind of model the offline calibrator does (same grid,
-  // same magnitudes).
+class IdleMatchesOfflineTest
+    : public ::testing::TestWithParam<io::DeviceKind> {};
+
+TEST_P(IdleMatchesOfflineTest, MatchesOfflineCalibrationResults) {
+  // The background calibration, run to completion on an idle device, steps
+  // through the offline calibrator's schedule: it measures the same points
+  // (on the HDD: the qd-1 column, the stopping point and the qd-32 anchors)
+  // and gets the same kind of model (same grid, same magnitudes).
   sim::Simulator sim1;
-  auto ssd1 = io::MakeDevice(sim1, io::DeviceKind::kSsdConsumer);
+  auto device1 = io::MakeDevice(sim1, GetParam());
   auto options = FastOptions();
-  IdleCalibrator background(sim1, *ssd1, options);
+  IdleCalibrator background(sim1, *device1, options);
+  testing::PointSet background_points;
+  const auto& bands = options.calibration.band_grid;
+  const auto& qds = options.calibration.qd_grid;
+  background.set_on_point([&](uint64_t band, int qd, double) {
+    background_points.emplace(
+        std::find(bands.begin(), bands.end(), band) - bands.begin(),
+        std::find(qds.begin(), qds.end(), qd) - qds.begin());
+  });
   background.Start();
   sim1.Run();
 
   sim::Simulator sim2;
-  auto ssd2 = io::MakeDevice(sim2, io::DeviceKind::kSsdConsumer);
-  Calibrator offline(sim2, *ssd2, options.calibration);
+  auto device2 = io::MakeDevice(sim2, GetParam());
+  Calibrator offline(sim2, *device2, options.calibration);
   auto offline_result = offline.Calibrate();
 
   ASSERT_TRUE(background.complete());
   const auto& bg = background.model();
   const auto& off = offline_result.model;
   ASSERT_EQ(bg.band_grid(), off.band_grid());
+  EXPECT_EQ(background.points_measured(), offline_result.points_measured);
+  EXPECT_EQ(background.points_defaulted(), offline_result.points_defaulted);
+  QdttModel replay(off.band_grid(), off.qd_grid());
+  const testing::PointSet offline_points =
+      testing::MeasuredPoints(off, &replay);
+  EXPECT_EQ(background_points, offline_points);
+  EXPECT_EQ(offline_points.size(),
+            static_cast<size_t>(offline_result.points_measured));
+  if (GetParam() == io::DeviceKind::kHdd7200) {
+    EXPECT_EQ(offline_points.size(), 3u + 1u + 3u);
+  }
   for (size_t b = 0; b < bg.num_bands(); ++b) {
     for (size_t q = 0; q < bg.num_qds(); ++q) {
       EXPECT_NEAR(bg.PointAt(b, q), off.PointAt(b, q),
@@ -246,6 +272,13 @@ TEST(IdleCalibratorTest, MatchesOfflineCalibrationResults) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Devices, IdleMatchesOfflineTest,
+                         ::testing::Values(io::DeviceKind::kSsdConsumer,
+                                           io::DeviceKind::kHdd7200),
+                         [](const auto& info) {
+                           return std::string(io::DeviceKindName(info.param));
+                         });
 
 }  // namespace
 }  // namespace pioqo::core

@@ -12,11 +12,13 @@
 // The scan/join/calibration golden values below were recorded from the
 // pre-optimization engine (commit 1579194) on x86-64; the sorted-scan,
 // prefetching-PIS and concurrent-mix values from commit f488daf, before the
-// scan operators were folded onto one driver. Every arithmetic operation on
-// the simulated timeline is IEEE-correctly-rounded (+, -, *, /, sqrt) or
-// glibc-stable (log2 in the sort-cost burst), so the values are stable
-// across build types and recent x86-64 toolchains. If a *deliberate*
-// timing-model change invalidates them, regenerate with:
+// scan operators were folded onto one driver. The HDD calibration value was
+// re-recorded when the early stop gained its far anchor (the HDD now also
+// measures its queue-depth-32 column; SSD and RAID never stop early). Every
+// arithmetic operation on the simulated timeline is IEEE-correctly-rounded
+// (+, -, *, /, sqrt) or glibc-stable (log2 in the sort-cost burst), so the
+// values are stable across build types and recent x86-64 toolchains. If a
+// *deliberate* timing-model change invalidates them, regenerate with:
 //
 //   PIOQO_PRINT_TRACE_GOLDENS=1 ./build/tests/trace_golden_test
 //
@@ -190,7 +192,7 @@ const Golden kGoldens[] = {
     {"join", io::DeviceKind::kSsdConsumer, JoinScenario, 0x2a1c39c03fc4cc7cULL},
     {"join", io::DeviceKind::kRaid8, JoinScenario, 0xdc343f198b7b1922ULL},
     {"calibration", io::DeviceKind::kHdd7200, CalibrationScenario,
-     0x514122da8f6674b0ULL},
+     0xd3653d35cff5412cULL},
     {"calibration", io::DeviceKind::kSsdConsumer, CalibrationScenario,
      0x36c266d188564212ULL},
     {"calibration", io::DeviceKind::kRaid8, CalibrationScenario,
