@@ -20,50 +20,6 @@ double ScaleFromEnv(double def) {
   return v;
 }
 
-void ApplyFaultEnv(db::DatabaseOptions& options) {
-  const char* env = std::getenv("PIOQO_FAULT_SEED");
-  if (env == nullptr) return;
-  io::FaultConfig faults;
-  faults.seed = static_cast<uint64_t>(std::atoll(env));
-  faults.read_error_prob = 0.01;
-  faults.error_latency_us = 150.0;
-  faults.spike_prob = 0.02;
-  faults.spike_us = 2000.0;
-  faults.stuck_prob = 0.005;
-  options.faults = faults;
-  options.pool_options.retry.max_attempts = 4;
-  options.pool_options.retry.timeout_us = 300'000.0;
-  options.pool_options.retry.backoff_base_us = 500.0;
-  PIOQO_LOG_INFO << "fault injection armed (seed " << faults.seed << ")";
-}
-
-std::string FaultSummary(db::Database& db) {
-  const io::DeviceStats& dev = db.device().stats();
-  const storage::BufferPoolStats& pool = db.pool().stats();
-  // The injector's lifetime total survives the per-scan device stats Reset.
-  const uint64_t injected = db.fault_injector() != nullptr
-                                ? db.fault_injector()->total_injected()
-                                : dev.errors_injected();
-  if (injected == 0 && dev.degraded_clamps() == 0 &&
-      dev.cancelled_requests() == 0 && pool.retries == 0 &&
-      pool.timeouts == 0 && pool.failed_loads == 0 && pool.fetch_errors == 0) {
-    return "";
-  }
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "faults: injected=%llu degraded_clamps=%llu cancelled=%llu "
-                "retries=%llu timeouts=%llu failed_loads=%llu "
-                "fetch_errors=%llu",
-                static_cast<unsigned long long>(injected),
-                static_cast<unsigned long long>(dev.degraded_clamps()),
-                static_cast<unsigned long long>(dev.cancelled_requests()),
-                static_cast<unsigned long long>(pool.retries),
-                static_cast<unsigned long long>(pool.timeouts),
-                static_cast<unsigned long long>(pool.failed_loads),
-                static_cast<unsigned long long>(pool.fetch_errors));
-  return buf;
-}
-
 exec::RangePredicate ExperimentRig::PredicateFor(double selectivity) const {
   auto cfg = config.DatasetConfigFor();
   return exec::RangePredicate{
@@ -71,9 +27,8 @@ exec::RangePredicate ExperimentRig::PredicateFor(double selectivity) const {
 }
 
 ExperimentRig MakeRig(const db::ExperimentConfig& config, bool calibrate) {
-  db::DatabaseOptions options = config.DatabaseOptionsFor();
-  ApplyFaultEnv(options);
-  ExperimentRig rig{config, std::make_unique<db::Database>(std::move(options))};
+  ExperimentRig rig{config, std::make_unique<db::Database>(
+                                config.DatabaseOptionsFor())};
   PIOQO_CHECK_OK(rig.database->CreateTable(config.DatasetConfigFor()));
   if (calibrate) rig.database->Calibrate();
   return rig;
@@ -85,13 +40,8 @@ std::vector<Fig4Point> RunFig4Sweep(ExperimentRig& rig,
   for (double sel : selectivities) {
     auto pred = rig.PredicateFor(sel);
     auto run = [&](core::AccessMethod method, int dop) {
-      // Under PIOQO_FAULT_SEED a scan can (rarely) exhaust its retries; give
-      // the measurement a couple of fresh runs before treating it as fatal.
-      StatusOr<exec::ScanResult> result = Status::Internal("not run");
-      for (int attempt = 0; attempt < 3 && !result.ok(); ++attempt) {
-        result = rig.database->ExecuteScan(rig.table_name(), pred, method, dop,
-                                           0, /*flush_pool=*/true);
-      }
+      auto result = rig.database->ExecuteScan(rig.table_name(), pred, method,
+                                              dop, 0, /*flush_pool=*/true);
       PIOQO_CHECK(result.ok()) << result.status().ToString();
       return result->runtime_us;
     };

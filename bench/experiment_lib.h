@@ -20,23 +20,6 @@ namespace pioqo::bench {
 /// paper-shape conclusions hold from ~0.25 upward.
 double ScaleFromEnv(double def = 0.5);
 
-/// When the PIOQO_FAULT_SEED environment variable is set, arms `options`
-/// with a mild seeded chaos schedule (transient read errors, latency
-/// spikes, occasional stuck requests) plus a retry policy sized to absorb
-/// it, so any figure/table benchmark can be rerun under fault injection.
-/// Unset (the default) leaves `options` untouched — fault-free benchmark
-/// runs stay bit-identical to pre-fault-layer behavior.
-void ApplyFaultEnv(db::DatabaseOptions& options);
-
-/// Fault and recovery accounting for a finished experiment, formatted as
-/// one summary line: injected faults and degraded-mode DOP clamps from the
-/// device stats (these cover the last measurement interval — scan drivers
-/// reset device stats at scan start) plus the pool's cumulative retry,
-/// timeout, and failed-load counters. Returns an empty string when every
-/// counter is zero, so fault-free experiment output is byte-identical to
-/// builds without the fault layer.
-std::string FaultSummary(db::Database& db);
-
 /// Builds a ready-to-query database for one of the paper's Table 1
 /// configurations: device, table, index, and a calibrated QDTT model.
 struct ExperimentRig {

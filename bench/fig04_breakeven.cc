@@ -48,8 +48,6 @@ int main() {
         [](const auto& p) { return p.pfts32_us; });
     std::printf("break-even: IS/FTS %.4f%%  PIS32/PFTS32 %.4f%%\n", np * 100.0,
                 pp * 100.0);
-    const std::string faults = bench::FaultSummary(*rig.database);
-    if (!faults.empty()) std::printf("%s\n", faults.c_str());
   }
   return 0;
 }

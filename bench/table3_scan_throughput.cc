@@ -33,8 +33,6 @@ int main() {
     std::printf("%-12s %16.1f %16.1f %7.2fx\n", config.id.c_str(),
                 pfts->io_throughput_mbps, fts->io_throughput_mbps,
                 pfts->io_throughput_mbps / fts->io_throughput_mbps);
-    const std::string faults = bench::FaultSummary(*rig.database);
-    if (!faults.empty()) std::printf("  %s\n", faults.c_str());
   }
   return 0;
 }

@@ -35,8 +35,9 @@ struct CostConstants {
   /// under-estimates CPU ("the estimated I/O cost is much more than the
   /// estimated CPU cost"), which is why its DTT optimizer never preferred a
   /// parallel plan even for scans that execute CPU-bound (Sec. 4.3). We
-  /// reproduce that calibrated discrepancy; set to 1.0 for an honest CPU
-  /// model (see bench/ablation_forced_parallel).
+  /// reproduce that calibrated discrepancy; 1.0 would be an honest CPU
+  /// model. No caller sets another value yet: ROADMAP item 1 makes 1.0 the
+  /// engine's value and moves the paper's 0.1 into bench/experiment_lib.
   double cpu_estimate_scale = 0.1;
 
   /// Logical cores of the simulated host (the paper's quad-core Xeon with

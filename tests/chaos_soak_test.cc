@@ -4,39 +4,42 @@
 //   1. Every query either completes with exactly the fault-free answer or
 //      fails with a clean Status (kIoError / kResourceExhausted) — never a
 //      crash, a wrong answer, or a hung coroutine.
-//   2. The simulator is quiescent after every query (all events drained,
-//      no armed deadlines left behind).
+//   2. The database is drained after every query (ExpectDrained: no
+//      pinned frame, pending event or outstanding device request).
 //   3. The same fault seed reproduces the same trace hash bit-for-bit.
 //   4. Zero faults (an all-zero schedule or no injector) is bit-identical
 //      to a build without the injector — the A/B guarantee.
 
 #include <cstdint>
+#include <iterator>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "db/database.h"
-#include "sim/sim_checks.h"
+#include "soak_test_util.h"
 
 namespace pioqo {
 namespace {
 
 using db::Database;
 using db::DatabaseOptions;
+using db::testing::ExpectDrained;
+using db::testing::PredFor;
+using db::testing::ScriptQuery;
+using db::testing::ScriptTable;
 
-struct QuerySpec {
-  core::AccessMethod method;
-  int dop;
-  int prefetch_depth;
-  double selectivity;
-};
-
-const QuerySpec kQueries[] = {
-    {core::AccessMethod::kPfts, 4, 0, 0.20},
-    {core::AccessMethod::kPis, 4, 4, 0.01},
-    {core::AccessMethod::kSortedIs, 2, 4, 0.05},
-    {core::AccessMethod::kFts, 1, 0, 0.50},
-};
+/// The shared four-plan script plus the two widest plans: 32 index
+/// workers with 8-page prefetch, and 32 table-scan workers.
+std::vector<ScriptQuery> ChaosScript() {
+  std::vector<ScriptQuery> script(std::begin(db::testing::kScript),
+                                  std::end(db::testing::kScript));
+  script.push_back({core::AccessMethod::kPis, 32, 8, 0.05});
+  script.push_back({core::AccessMethod::kPfts, 32, 0, 0.50});
+  return script;
+}
 
 struct QueryOutcome {
   bool ok = false;
@@ -50,44 +53,24 @@ struct SoakRun {
   uint64_t trace_hash = 0;
 };
 
-storage::DatasetConfig TableConfig() {
-  storage::DatasetConfig config;
-  config.name = "T";
-  config.num_rows = 8000;
-  return config;
-}
-
-exec::RangePredicate PredFor(const Database& db, double selectivity) {
-  const int32_t domain = TableConfig().c2_domain;
-  (void)db;
-  return exec::RangePredicate{
-      0, storage::C2UpperBoundForSelectivity(domain, selectivity)};
-}
-
 /// Builds a database on `kind` with the given fault schedule (none when
-/// `faults` is empty) and runs the query script. Every query must resolve —
-/// OK or error — with the pool clean and the simulator drained afterwards.
+/// `faults` is empty) and runs the chaos script. Every query must resolve —
+/// OK or error — with the database drained afterwards.
 /// A schedule arms the pool's retry policy unless `retries` is false.
 SoakRun RunSoak(io::DeviceKind kind, std::optional<io::FaultConfig> faults,
                 bool retries = true) {
   DatabaseOptions options;
   options.device = kind;
   options.faults = faults;
-  if (faults.has_value() && retries) {
-    // Recovery policy sized for the injected faults: a few attempts, and a
-    // deadline comfortably above any legitimate service time so only stuck
-    // requests trip it.
-    options.pool_options.retry.max_attempts = 4;
-    options.pool_options.retry.timeout_us = 300'000.0;
-    options.pool_options.retry.backoff_base_us = 500.0;
-  }
+  if (faults.has_value() && retries) db::testing::ArmRetries(options);
   Database db(options);
-  PIOQO_CHECK(db.CreateTable(TableConfig()).ok());
+  PIOQO_CHECK(db.CreateTable(ScriptTable()).ok());
 
   SoakRun run;
-  for (const QuerySpec& q : kQueries) {
-    auto result = db.ExecuteScan("T", PredFor(db, q.selectivity), q.method,
-                                 q.dop, q.prefetch_depth, /*flush_pool=*/true);
+  for (const ScriptQuery& q : ChaosScript()) {
+    auto result =
+        db.ExecuteScan("T", PredFor(ScriptTable(), q.selectivity), q.method,
+                       q.dop, q.prefetch_depth, /*flush_pool=*/true);
     QueryOutcome outcome;
     outcome.ok = result.ok();
     if (result.ok()) {
@@ -105,8 +88,7 @@ SoakRun RunSoak(io::DeviceKind kind, std::optional<io::FaultConfig> faults,
                   outcome.code == StatusCode::kResourceExhausted)
           << StatusCodeName(outcome.code);
     }
-    EXPECT_EQ(db.simulator().num_pending(), 0u);
-    sim::checks::ExpectQuiescent("chaos soak query");
+    ExpectDrained(db, "chaos soak query");
   }
   run.trace_hash = db.simulator().trace_hash();
   return run;
@@ -185,12 +167,7 @@ TEST_P(ChaosSoakTest, ZeroFaultInjectorIsBitIdenticalToNoInjector) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDevices, ChaosSoakTest,
-                         ::testing::Values(io::DeviceKind::kHdd7200,
-                                           io::DeviceKind::kSsdConsumer,
-                                           io::DeviceKind::kRaid8),
-                         [](const auto& info) {
-                           return std::string(io::DeviceKindName(info.param));
-                         });
+                         db::testing::Devices(), db::testing::DeviceName);
 
 TEST(ChaosSoakStuckTest, StuckHeavyScheduleStillTerminates) {
   // A pathologically sticky device: 30% of requests swallow their
@@ -200,16 +177,15 @@ TEST(ChaosSoakStuckTest, StuckHeavyScheduleStillTerminates) {
   faults.seed = 77;
   faults.stuck_prob = 0.3;
   const SoakRun run = RunSoak(io::DeviceKind::kSsdConsumer, faults);
-  EXPECT_EQ(run.outcomes.size(), 4u);  // resolved, one way or the other
+  EXPECT_EQ(run.outcomes.size(), ChaosScript().size());  // all resolved
 }
 
 TEST(GracefulDegradationTest, DegradedDeviceClampsScanParallelism) {
   // Learn the healthy per-read latency EWMA of this exact workload, then
   // re-run it on a device degraded 8x and verify the health monitor throttles
   // the scan's parallel degree while the query still returns the right rows.
-  storage::DatasetConfig config = TableConfig();
-  const exec::RangePredicate pred{
-      0, storage::C2UpperBoundForSelectivity(config.c2_domain, 0.2)};
+  const storage::DatasetConfig config = ScriptTable();
+  const exec::RangePredicate pred = PredFor(config, 0.2);
 
   double healthy_ewma = 0.0;
   uint64_t healthy_rows = 0;

@@ -1,6 +1,5 @@
 #include <cmath>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,7 +7,7 @@
 #include "common/logging.h"
 #include "db/database.h"
 #include "io/device_factory.h"
-#include "sim/sim_checks.h"
+#include "soak_test_util.h"
 
 namespace pioqo::db {
 namespace {
@@ -224,17 +223,11 @@ TEST_P(MixedWorkloadTest, OverlappingForcedAndPlannedScansAreExact) {
     EXPECT_EQ(q.rows_matched, exact) << "query " << i;
   }
 
-  EXPECT_TRUE(db.pool().Clear().ok()) << db.pool().Clear().ToString();
-  sim::checks::ExpectQuiescent("mixed workload");
+  testing::ExpectDrained(db, "mixed workload");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDevices, MixedWorkloadTest,
-                         ::testing::Values(io::DeviceKind::kHdd7200,
-                                           io::DeviceKind::kSsdConsumer,
-                                           io::DeviceKind::kRaid8),
-                         [](const auto& info) {
-                           return std::string(io::DeviceKindName(info.param));
-                         });
+                         testing::Devices(), testing::DeviceName);
 
 }  // namespace
 }  // namespace pioqo::db

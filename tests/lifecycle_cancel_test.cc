@@ -7,7 +7,8 @@
 //      finish line.
 //   2. Nothing leaks: no pinned frames (pool Clear() succeeds), no in-flight
 //      reads, no suspended workers (PIOQO_SIM_CHECKS quiescent), and the
-//      simulator's event queue is fully drained.
+//      simulator's event queue is fully drained; workload runs also end
+//      with no device request outstanding and empty admission ledgers.
 //   3. The same seed reproduces the same trace hash bit-for-bit.
 
 #include <cstdint>
@@ -21,39 +22,28 @@
 #include "db/database.h"
 #include "exec/join_operators.h"
 #include "sim/sim_checks.h"
+#include "soak_test_util.h"
 
 namespace pioqo {
 namespace {
 
 using db::Database;
 using db::DatabaseOptions;
+using db::testing::ExpectDrained;
+using db::testing::PredFor;
+using db::testing::ScriptQuery;
+using db::testing::ScriptTable;
 
-storage::DatasetConfig TableConfig() {
-  storage::DatasetConfig config;
-  config.name = "T";
-  config.num_rows = 8000;
-  return config;
-}
-
+/// The shared four-plan script as workload requests, arrivals serialized
+/// so each cancel instant targets a known query.
 std::vector<Database::QueryRequest> QueryMix() {
-  const int32_t domain = TableConfig().c2_domain;
-  auto pred = [domain](double sel) {
-    return exec::RangePredicate{
-        0, storage::C2UpperBoundForSelectivity(domain, sel)};
-  };
   std::vector<Database::QueryRequest> requests;
-  Database::QueryRequest pfts;
-  pfts.scan = {"T", pred(0.20), core::AccessMethod::kPfts, 4, 0};
-  Database::QueryRequest pis;
-  pis.scan = {"T", pred(0.01), core::AccessMethod::kPis, 4, 4};
-  Database::QueryRequest sorted;
-  sorted.scan = {"T", pred(0.05), core::AccessMethod::kSortedIs, 2, 4};
-  Database::QueryRequest fts;
-  fts.scan = {"T", pred(0.50), core::AccessMethod::kFts, 1, 0};
-  requests = {pfts, pis, sorted, fts};
-  // Serialize arrivals so each cancel instant targets a known query.
-  for (size_t i = 0; i < requests.size(); ++i) {
-    requests[i].arrival_us = static_cast<double>(i) * 2'000'000.0;
+  for (const ScriptQuery& q : db::testing::kScript) {
+    Database::QueryRequest req;
+    req.scan = {"T", PredFor(ScriptTable(), q.selectivity), q.method, q.dop,
+                q.prefetch_depth};
+    req.arrival_us = static_cast<double>(requests.size()) * 2'000'000.0;
+    requests.push_back(req);
   }
   return requests;
 }
@@ -68,16 +58,15 @@ LifecycleRun RunMix(io::DeviceKind kind,
   DatabaseOptions options;
   options.device = kind;
   Database db(options);
-  PIOQO_CHECK(db.CreateTable(TableConfig()).ok());
+  PIOQO_CHECK(db.CreateTable(ScriptTable()).ok());
   db.EnableAdmissionControl({});
   auto report = db.RunWorkload(requests, /*flush_pool=*/true);
   PIOQO_CHECK_OK(report.status());
 
-  // The leak checks: every pin returned, every read completed, every
-  // worker/waiter retired, every simulator event consumed.
-  EXPECT_TRUE(db.pool().Clear().ok()) << db.pool().Clear().ToString();
-  EXPECT_EQ(db.simulator().num_pending(), 0u);
-  sim::checks::ExpectQuiescent("lifecycle cancel run");
+  // The leak checks: every pin returned, every read completed or
+  // reclaimed, every worker/waiter retired, every simulator event consumed,
+  // every admission grant released.
+  ExpectDrained(db, "lifecycle cancel run");
 
   LifecycleRun run;
   run.report = std::move(report).value();
@@ -142,12 +131,7 @@ TEST_P(LifecycleCancelTest, SameSeedReproducesSameTraceHash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDevices, LifecycleCancelTest,
-                         ::testing::Values(io::DeviceKind::kHdd7200,
-                                           io::DeviceKind::kSsdConsumer,
-                                           io::DeviceKind::kRaid8),
-                         [](const auto& info) {
-                           return std::string(io::DeviceKindName(info.param));
-                         });
+                         db::testing::Devices(), db::testing::DeviceName);
 
 // --- Join cancellation ----------------------------------------------------
 
@@ -251,12 +235,7 @@ TEST_P(JoinCancelTest, SameSeedReproducesSameTraceHash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDevices, JoinCancelTest,
-                         ::testing::Values(io::DeviceKind::kHdd7200,
-                                           io::DeviceKind::kSsdConsumer,
-                                           io::DeviceKind::kRaid8),
-                         [](const auto& info) {
-                           return std::string(io::DeviceKindName(info.param));
-                         });
+                         db::testing::Devices(), db::testing::DeviceName);
 
 }  // namespace
 }  // namespace pioqo

@@ -1,19 +1,21 @@
 // Overload soak: a seeded open-loop arrival process at ~2x the device's
-// sustainable load, replayed through admission control. The acceptance
-// criteria for the lifecycle layer:
+// sustainable load, replayed through admission control on HDD, SSD and
+// RAID. The acceptance criteria for the lifecycle layer:
 //
 //   1. Every query reaches a terminal state (completed / shed / timed out /
-//      cancelled) — the counts add up and nothing is simply lost.
-//   2. Nothing leaks: pool Clear() succeeds, the simulator drains, and the
-//      PIOQO_SIM_CHECKS registry is quiescent.
-//   3. The same seed reproduces the same trace hash bit-for-bit.
-//   4. The A/B: with the admission caps unlimited, concurrency is
+//      cancelled) — the counts add up and nothing is simply lost. The mix
+//      carries deadlines and injected cancels, and one run per device adds
+//      a chaos schedule of read errors, latency spikes and stuck requests.
+//   2. Nothing leaks: the database ends drained (ExpectDrained).
+//   3. The same seeds (arrivals and chaos schedule) reproduce the same
+//      trace hash bit-for-bit.
+//   4. The A/B (SSD): with the admission caps unlimited, concurrency is
 //      unbounded (peak running far above the cap) and the completion tail
 //      is measurably worse.
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +23,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "db/database.h"
-#include "sim/sim_checks.h"
+#include "soak_test_util.h"
 
 namespace pioqo {
 namespace {
@@ -29,45 +31,53 @@ namespace {
 using db::AdmissionOptions;
 using db::Database;
 using db::DatabaseOptions;
+using db::testing::ExpectDrained;
+using db::testing::Gaps;
+using db::testing::OpenLoopArrivals;
+using db::testing::Percentile;
+using db::testing::PredFor;
+using db::testing::SoakTable;
 
-storage::DatasetConfig TableConfig() {
-  storage::DatasetConfig config;
-  config.name = "T";
-  // 4096 data pages against a 1024-frame pool: the table cannot be cached,
-  // so the soak stays I/O bound — with the whole table in memory there is
-  // no device contention to shed.
-  config.num_rows = 33 * 4096;
-  return config;
+std::unique_ptr<Database> MakeDb(io::DeviceKind kind,
+                                 std::optional<io::FaultConfig> faults) {
+  DatabaseOptions options;
+  options.device = kind;
+  options.pool_pages = 1024;
+  options.faults = faults;
+  if (faults.has_value()) db::testing::ArmRetries(options);
+  auto db = std::make_unique<Database>(std::move(options));
+  PIOQO_CHECK(db->CreateTable(SoakTable()).ok());
+  return db;
 }
 
-std::unique_ptr<Database> MakeDb() {
-  DatabaseOptions options;
-  options.device = io::DeviceKind::kSsdConsumer;
-  options.pool_pages = 1024;
-  auto db = std::make_unique<Database>(std::move(options));
-  PIOQO_CHECK(db->CreateTable(TableConfig()).ok());
-  return db;
+/// A mild chaos schedule: 1% transient read errors, 2% latency spikes of
+/// 2 ms, 0.5% stuck requests.
+io::FaultConfig ChaosSchedule(uint64_t seed) {
+  io::FaultConfig faults;
+  faults.seed = seed;
+  faults.read_error_prob = 0.01;
+  faults.error_latency_us = 150.0;
+  faults.spike_prob = 0.02;
+  faults.spike_us = 2000.0;
+  faults.stuck_prob = 0.005;
+  return faults;
 }
 
 /// The four query shapes of the mix, cycled through in request order.
 Database::ConcurrentScanSpec MixQuery(size_t i) {
-  const int32_t domain = TableConfig().c2_domain;
-  auto pred = [domain](double sel) {
-    return exec::RangePredicate{
-        0, storage::C2UpperBoundForSelectivity(domain, sel)};
-  };
+  const storage::DatasetConfig table = SoakTable();
   switch (i % 4) {
-    case 0: return {"T", pred(0.01), core::AccessMethod::kPis, 4, 4};
-    case 1: return {"T", pred(0.20), core::AccessMethod::kPfts, 4, 0};
-    case 2: return {"T", pred(0.02), core::AccessMethod::kPis, 2, 2};
-    default: return {"T", pred(0.30), core::AccessMethod::kFts, 1, 0};
+    case 0: return {"T", PredFor(table, 0.01), core::AccessMethod::kPis, 4, 4};
+    case 1: return {"T", PredFor(table, 0.20), core::AccessMethod::kPfts, 4, 0};
+    case 2: return {"T", PredFor(table, 0.02), core::AccessMethod::kPis, 2, 2};
+    default: return {"T", PredFor(table, 0.30), core::AccessMethod::kFts, 1, 0};
   }
 }
 
-/// Mean fault-free service time of the mix, measured on a throwaway
-/// database with the queries run back to back.
-double MeanServiceUs() {
-  auto db = MakeDb();
+/// Mean fault-free service time of the mix on `kind`, measured on a
+/// throwaway database with the queries run back to back.
+double MeanServiceUs(io::DeviceKind kind) {
+  auto db = MakeDb(kind, std::nullopt);
   double total = 0.0;
   for (size_t i = 0; i < 4; ++i) {
     auto spec = MixQuery(i);
@@ -79,24 +89,27 @@ double MeanServiceUs() {
   return total / 4.0;
 }
 
-/// A seeded open-loop arrival process at `load` times the sustainable rate
-/// (sustainable ~= one query per mean service time).
+/// A Poisson arrival process at `load` times the sustainable rate
+/// (sustainable ~= one query per mean service time). With `lifecycle`,
+/// every 4th query carries a deadline and every 11th is cancelled at a
+/// seeded instant within one mean service time of its arrival, so the
+/// timed-out and cancelled paths are part of the soak.
 std::vector<Database::QueryRequest> MakeWorkload(size_t n, double mean_us,
                                                  double load, uint64_t seed,
-                                                 bool with_deadlines) {
-  Pcg32 rng(seed);
-  std::vector<Database::QueryRequest> requests;
-  double t = 0.0;
+                                                 bool lifecycle) {
+  const std::vector<double> arrivals =
+      OpenLoopArrivals(n, 0.0, mean_us / load, Gaps::kPoisson, seed);
+  Pcg32 cancel_rng(seed, /*stream=*/11);
+  std::vector<Database::QueryRequest> requests(n);
   for (size_t i = 0; i < n; ++i) {
-    Database::QueryRequest req;
+    Database::QueryRequest& req = requests[i];
     req.scan = MixQuery(i);
-    req.arrival_us = t;
-    // Every 4th query carries a deadline, so the timed-out path is part of
-    // the soak as well.
-    if (with_deadlines && i % 4 == 2) req.timeout_us = 3.0 * mean_us;
-    requests.push_back(req);
-    const double inter = -std::log(1.0 - rng.NextDouble()) * (mean_us / load);
-    t += inter;
+    req.arrival_us = arrivals[i];
+    if (!lifecycle) continue;
+    if (i % 4 == 2) req.timeout_us = 3.0 * mean_us;
+    if (i % 11 == 10) {
+      req.cancel_at_us = arrivals[i] + cancel_rng.NextDouble() * mean_us;
+    }
   }
   return requests;
 }
@@ -106,26 +119,19 @@ struct SoakRun {
   uint64_t trace_hash = 0;
 };
 
-SoakRun RunSoak(const std::vector<Database::QueryRequest>& requests,
-                AdmissionOptions admission) {
-  auto db = MakeDb();
+SoakRun RunSoak(io::DeviceKind kind,
+                const std::vector<Database::QueryRequest>& requests,
+                AdmissionOptions admission,
+                std::optional<io::FaultConfig> faults = std::nullopt) {
+  auto db = MakeDb(kind, faults);
   db->EnableAdmissionControl(admission);
   auto report = db->RunWorkload(requests, /*flush_pool=*/true);
   PIOQO_CHECK_OK(report.status());
-  EXPECT_TRUE(db->pool().Clear().ok());
-  EXPECT_EQ(db->simulator().num_pending(), 0u);
-  sim::checks::ExpectQuiescent("overload soak");
+  ExpectDrained(*db, "overload soak");
   SoakRun run;
   run.report = std::move(report).value();
   run.trace_hash = db->simulator().trace_hash();
   return run;
-}
-
-double Percentile(std::vector<double> values, double p) {
-  PIOQO_CHECK(!values.empty());
-  std::sort(values.begin(), values.end());
-  const size_t idx = static_cast<size_t>(p * (values.size() - 1));
-  return values[idx];
 }
 
 std::vector<double> CompletedLatencies(const Database::WorkloadReport& report) {
@@ -149,18 +155,11 @@ AdmissionOptions SoakAdmission(double mean_us) {
   return admission;
 }
 
-class OverloadSoakTest : public ::testing::Test {
- protected:
-  static constexpr size_t kQueries = 40;
-  static constexpr double kLoad = 2.0;  // 2x sustainable arrival rate
-};
+constexpr size_t kQueries = 40;
+constexpr double kLoad = 2.0;  // 2x sustainable arrival rate
 
-TEST_F(OverloadSoakTest, EveryQueryReachesATerminalStateWithNoLeaks) {
-  const double mean_us = MeanServiceUs();
-  const auto requests = MakeWorkload(kQueries, mean_us, kLoad, /*seed=*/42,
-                                     /*with_deadlines=*/true);
-  const SoakRun run = RunSoak(requests, SoakAdmission(mean_us));
-  const auto& r = run.report;
+/// Terminal-state accounting of one overloaded run with the lifecycle mix.
+void ExpectEveryQueryTerminal(const Database::WorkloadReport& r) {
   EXPECT_EQ(r.completed + r.shed + r.timed_out + r.cancelled + r.failed,
             kQueries);
   EXPECT_EQ(r.failed, 0u);
@@ -169,6 +168,7 @@ TEST_F(OverloadSoakTest, EveryQueryReachesATerminalStateWithNoLeaks) {
   EXPECT_EQ(r.admission.peak_running, 6);
   EXPECT_GT(r.admission.peak_queued, 0u);
   EXPECT_GT(r.completed, 0u);
+  EXPECT_GT(r.cancelled, 0u);
   for (const auto& q : r.queries) {
     if (q.terminal == Database::QueryTerminal::kShed) {
       EXPECT_TRUE(q.status.code() == StatusCode::kResourceExhausted)
@@ -178,12 +178,25 @@ TEST_F(OverloadSoakTest, EveryQueryReachesATerminalStateWithNoLeaks) {
   }
 }
 
-TEST_F(OverloadSoakTest, SameSeedReproducesSameTraceHash) {
-  const double mean_us = MeanServiceUs();
+class OverloadSoakTest : public ::testing::TestWithParam<io::DeviceKind> {};
+
+TEST_P(OverloadSoakTest, EveryQueryReachesATerminalStateWithNoLeaks) {
+  const double mean_us = MeanServiceUs(GetParam());
+  const auto requests = MakeWorkload(kQueries, mean_us, kLoad, /*seed=*/42,
+                                     /*lifecycle=*/true);
+  ExpectEveryQueryTerminal(
+      RunSoak(GetParam(), requests, SoakAdmission(mean_us)).report);
+}
+
+TEST_P(OverloadSoakTest, ChaosRunTerminatesAndSameSeedReplaysBitIdentically) {
+  const double mean_us = MeanServiceUs(GetParam());
   const auto requests = MakeWorkload(kQueries, mean_us, kLoad, /*seed=*/7,
-                                     /*with_deadlines=*/true);
-  const SoakRun a = RunSoak(requests, SoakAdmission(mean_us));
-  const SoakRun b = RunSoak(requests, SoakAdmission(mean_us));
+                                     /*lifecycle=*/true);
+  const SoakRun a = RunSoak(GetParam(), requests, SoakAdmission(mean_us),
+                            ChaosSchedule(/*seed=*/7));
+  const SoakRun b = RunSoak(GetParam(), requests, SoakAdmission(mean_us),
+                            ChaosSchedule(/*seed=*/7));
+  ExpectEveryQueryTerminal(a.report);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   ASSERT_EQ(a.report.queries.size(), b.report.queries.size());
   for (size_t i = 0; i < a.report.queries.size(); ++i) {
@@ -192,21 +205,27 @@ TEST_F(OverloadSoakTest, SameSeedReproducesSameTraceHash) {
   }
 }
 
-TEST_F(OverloadSoakTest, DisablingAdmissionUnboundsConcurrencyAndTail) {
-  const double mean_us = MeanServiceUs();
-  // Deadline-free workload at a harder overload: deadlines would shed load
+INSTANTIATE_TEST_SUITE_P(AllDevices, OverloadSoakTest,
+                         db::testing::Devices(), db::testing::DeviceName);
+
+// SSD only: on the HDD a cap buys no tail (measured at 2x load with caps of
+// 4 queries / 16 DOP: p90 7821 ms with admission, 7683 ms without).
+TEST(OverloadSoakAbTest, DisablingAdmissionUnboundsConcurrencyAndTail) {
+  const io::DeviceKind kind = io::DeviceKind::kSsdConsumer;
+  const double mean_us = MeanServiceUs(kind);
+  // Lifecycle-free workload at a harder overload: deadlines would shed load
   // in the uncontrolled run too, muddying the A/B, and concurrent queries
   // overlap CPU with I/O, so the serial service rate understates capacity.
   const auto requests = MakeWorkload(kQueries, mean_us, 2.0 * kLoad,
-                                     /*seed=*/42, /*with_deadlines=*/false);
+                                     /*seed=*/42, /*lifecycle=*/false);
   AdmissionOptions on = SoakAdmission(mean_us);
   on.max_queue_wait_us = 2.0 * mean_us;  // bound the controlled run's waits
-  const SoakRun with = RunSoak(requests, on);
+  const SoakRun with = RunSoak(kind, requests, on);
 
   AdmissionOptions off = on;  // no gate: unlimited caps
   off.max_concurrent_queries = std::numeric_limits<int>::max();
   off.max_total_dop = std::numeric_limits<int>::max();
-  const SoakRun without = RunSoak(requests, off);
+  const SoakRun without = RunSoak(kind, requests, off);
 
   // Unbounded queueing: with no gate, far more queries pile onto the device
   // at once than the controller would ever run.
