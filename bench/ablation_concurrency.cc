@@ -12,7 +12,9 @@
 // optimizer pick a smaller — and under contention actually faster —
 // parallel degree per stream.
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "common/logging.h"
@@ -24,6 +26,11 @@ int main() {
   auto config = db::PaperExperimentConfig("E33-SSD", scale);
   auto rig = bench::MakeRig(config, /*calibrate=*/true);
   auto cfg = config.DatasetConfigFor();
+  db::Database& db = *rig.database;
+  // Unlimited caps: every stream is admitted on arrival at its own DOP.
+  db.EnableAdmissionControl(
+      {.max_concurrent_queries = std::numeric_limits<int>::max(),
+       .max_total_dop = std::numeric_limits<int>::max()});
 
   const double sel = 0.02;
   const int32_t span =
@@ -42,19 +49,24 @@ int main() {
               "per-stream slow", "mix avg qd");
   double alone_ms = 0.0;
   for (int n : {1, 2, 4, 8}) {
-    std::vector<db::Database::ConcurrentScanSpec> specs;
+    std::vector<db::Database::QueryRequest> requests(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
-      specs.push_back({cfg.name, pred_for_stream(i),
-                       core::AccessMethod::kPis, 32, 0});
+      auto& req = requests[static_cast<size_t>(i)];
+      req.scan = {cfg.name, pred_for_stream(i), core::AccessMethod::kPis, 32,
+                  0};
+      req.arrival_us = db.simulator().Now();
     }
-    auto results = rig.database->ExecuteConcurrentScans(specs, true);
-    PIOQO_CHECK(results.ok());
+    db.device().stats().Reset();
+    auto report = db.RunWorkload(requests, /*flush_pool=*/true);
+    PIOQO_CHECK(report.ok() && report->completed == requests.size());
     double slowest = 0.0;
-    for (const auto& r : *results) slowest = std::max(slowest, r.runtime_us);
+    for (const auto& q : report->queries) {
+      slowest = std::max(slowest, q.latency_us);
+    }
     if (n == 1) alone_ms = slowest;
     std::printf("%8d %16s %15.2fx %14.1f\n", n,
                 bench::Ms(slowest).c_str(), slowest / alone_ms,
-                (*results)[0].avg_queue_depth);
+                db.device().stats().AverageQueueDepth(db.simulator().Now()));
   }
 
   std::printf("\nOptimizer queue-depth budgeting (selectivity %.1f%%):\n",
@@ -63,12 +75,10 @@ int main() {
   for (int streams : {1, 2, 4, 8, 16}) {
     opt::OptimizerOptions options;
     options.concurrent_streams = streams;
-    auto table = rig.database->GetTable(cfg.name);
+    auto table = db.GetTable(cfg.name);
     PIOQO_CHECK(table.ok());
-    opt::Optimizer optimizer(rig.database->qdtt(), core::CostConstants{},
-                             options);
-    auto choice = optimizer.ChooseAccessPath(
-        rig.database->ProfileFor(**table), sel);
+    opt::Optimizer optimizer(db.qdtt(), core::CostConstants{}, options);
+    auto choice = optimizer.ChooseAccessPath(db.ProfileFor(**table), sel);
     std::printf("%8d %16s\n", streams, choice.chosen.ToString().c_str());
   }
   return 0;

@@ -113,10 +113,6 @@ void DriftDetector::NoteBandRecalibrated(uint64_t band_pages) {
   for (size_t q = 0; q < qds_.size(); ++q) cells_[Index(b, q)] = Cell{};
 }
 
-void DriftDetector::NoteRecalibrated() {
-  cells_.assign(cells_.size(), Cell{});
-}
-
 double DriftDetector::CellRatio(size_t band_idx, size_t qd_idx) const {
   PIOQO_CHECK(band_idx < bands_.size() && qd_idx < qds_.size());
   const Cell& cell = cells_[Index(band_idx, qd_idx)];

@@ -77,8 +77,6 @@ class DriftDetector {
   /// and reference (the cells re-learn their reference against the
   /// refreshed model, so confidence recovers as its predictions hold up).
   void NoteBandRecalibrated(uint64_t band_pages);
-  /// Full-grid refresh: forget everything.
-  void NoteRecalibrated();
 
   /// Worst trusted drift shift (>= 1, symmetric in direction); 1.0 before
   /// any cell is trusted.

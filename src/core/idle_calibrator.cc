@@ -18,7 +18,10 @@ IdleCalibrator::IdleCalibrator(sim::Simulator& sim, io::Device& device,
       schedule_(CalibrationSchedule::FullGrid(
           model_.num_bands(), model_.num_qds(),
           calibrator_.options().early_stop)),
-      seed_(calibrator_.options().seed) {}
+      seed_(calibrator_.options().seed) {
+  PIOQO_CHECK(options.calibration.repetitions == 1)
+      << "IdleCalibrator measures each point once; repetitions must be 1";
+}
 
 bool IdleCalibrator::complete() const { return model_.complete(); }
 

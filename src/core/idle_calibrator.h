@@ -16,6 +16,9 @@
 namespace pioqo::core {
 
 struct IdleCalibratorOptions {
+  /// `repetitions` must stay 1 (checked at construction): the loop measures
+  /// each point once, so a larger value would not reproduce the offline
+  /// calibrator's averaged model.
   CalibratorOptions calibration;
   /// How often the background task re-checks for device idleness.
   double poll_interval_us = 20'000.0;

@@ -90,6 +90,12 @@ StatusOr<const storage::Dataset*> Database::GetTable(
 }
 
 core::CalibrationResult Database::Calibrate() {
+  // Drift defense plans from and merges into *qdtt_, and its detector's
+  // references were learned against it; cells restart only per refreshed
+  // band (DriftDetector::NoteBandRecalibrated), never for a new model.
+  PIOQO_CHECK(drift_defense_ == nullptr)
+      << "Calibrate() after EnableDriftDefense(): calibrate first, then "
+         "enable the drift defense";
   core::Calibrator calibrator(sim_, *device_, options_.calibration);
   core::CalibrationResult result = calibrator.Calibrate();
   qdtt_ = result.model;
@@ -101,6 +107,9 @@ core::CalibrationResult Database::Calibrate() {
 }
 
 void Database::InstallModel(core::QdttModel model) {
+  PIOQO_CHECK(drift_defense_ == nullptr)  // as in Calibrate()
+      << "InstallModel() after EnableDriftDefense(): install the model "
+         "first, then enable the drift defense";
   PIOQO_CHECK(model.complete());
   qdtt_ = std::move(model);
   plan_cache_.InvalidateAll();  // as in Calibrate()
@@ -141,20 +150,17 @@ StatusOr<exec::ScanResult> Database::ExecuteScan(const std::string& table,
                                                  exec::RangePredicate pred,
                                                  core::AccessMethod method,
                                                  int dop, int prefetch_depth,
-                                                 bool flush_pool,
-                                                 io::QueryContext* query) {
+                                                 bool flush_pool) {
   PIOQO_ASSIGN_OR_RETURN(
       exec::ScanSpec spec,
       ResolveScanSpec({table, pred, method, dop, prefetch_depth}));
-  return RunSpec(spec, flush_pool, query);
+  return RunSpec(spec, flush_pool);
 }
 
 StatusOr<exec::ScanResult> Database::RunSpec(const exec::ScanSpec& spec,
-                                             bool flush_pool,
-                                             io::QueryContext* query) {
+                                             bool flush_pool) {
   if (flush_pool) PIOQO_RETURN_IF_ERROR(pool_.Clear());
-  exec::ExecContext ctx{sim_,          cpu_, pool_, options_.constants,
-                        health_.get(), query};
+  exec::ExecContext ctx{sim_, cpu_, pool_, options_.constants, health_.get()};
   exec::ScanResult result = exec::RunScan(ctx, spec);
   // A scan that failed mid-flight still tore down cleanly (all coroutines
   // retired, no pages pinned); surface its error as the query's Status.
@@ -193,38 +199,15 @@ StatusOr<exec::ScanSpec> Database::ResolveScanSpec(
   return es;
 }
 
-StatusOr<std::vector<exec::ScanResult>> Database::ExecuteConcurrentScans(
-    const std::vector<ConcurrentScanSpec>& specs, bool flush_pool) {
-  std::vector<exec::ScanSpec> exec_specs;
-  exec_specs.reserve(specs.size());
-  for (const auto& spec : specs) {
-    PIOQO_ASSIGN_OR_RETURN(exec::ScanSpec es, ResolveScanSpec(spec));
-    exec_specs.push_back(es);
-  }
-  if (flush_pool) PIOQO_RETURN_IF_ERROR(pool_.Clear());
-  exec::ExecContext ctx{sim_, cpu_, pool_, options_.constants, health_.get()};
-  std::vector<exec::ScanResult> results =
-      exec::RunConcurrentScans(ctx, exec_specs);
-  // Concurrent streams can fail independently, but a caller that unwraps
-  // the StatusOr must not mistake a half-failed mix for success: surface
-  // the first stream error as the call's status.
-  for (const exec::ScanResult& r : results) {
-    if (!r.ok()) return r.status;
-  }
-  return results;
-}
-
 StatusOr<Database::QueryOutcome> Database::ExecuteQuery(
     const std::string& table, exec::RangePredicate pred,
-    bool queue_depth_aware, bool flush_pool, opt::OptimizerOptions options,
-    io::QueryContext* query) {
+    bool queue_depth_aware, bool flush_pool, opt::OptimizerOptions options) {
   options.queue_depth_aware = queue_depth_aware;
   PIOQO_ASSIGN_OR_RETURN(PlannedQuery planned,
                          Plan({table, pred}, options, /*confidence=*/1.0));
   QueryOutcome outcome;
   outcome.optimization = std::move(planned.optimization);
-  PIOQO_ASSIGN_OR_RETURN(outcome.scan,
-                         RunSpec(planned.spec, flush_pool, query));
+  PIOQO_ASSIGN_OR_RETURN(outcome.scan, RunSpec(planned.spec, flush_pool));
   return outcome;
 }
 
@@ -397,6 +380,7 @@ sim::Task QueryLifecycle(Database& db, AdmissionController& ctrl,
       exec_us = sim.Now() - exec_start;
       final_status = scan->aggregate().status;
       out.rows_matched = scan->aggregate().rows_matched;
+      out.max_c1 = scan->aggregate().max_c1;
       ctrl.Release(grant);
     }
   }

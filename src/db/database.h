@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "core/calibrator.h"
@@ -65,30 +66,31 @@ class Database {
   StatusOr<const storage::Dataset*> GetTable(const std::string& name) const;
 
   /// Runs the QDTT calibration against this database's device and installs
-  /// the model for the optimizer. Must be called before ExecuteQuery.
+  /// the model for the optimizer. Must be called before ExecuteQuery and
+  /// before EnableDriftDefense (it aborts after it).
   core::CalibrationResult Calibrate();
 
-  /// Installs an externally calibrated/deserialized model instead.
+  /// Installs an externally calibrated/deserialized model instead. The same
+  /// ordering rule as Calibrate() applies.
   void InstallModel(core::QdttModel model);
   bool calibrated() const { return qdtt_.has_value(); }
   const core::QdttModel& qdtt() const;
 
   /// Executes query Q with a forced plan. If `flush_pool`, the buffer pool
   /// is emptied first (the paper flushes it "to factor out the impact of
-  /// pages which are already in memory"). With a `query`, the scan observes
-  /// its deadline and cancellation token.
+  /// pages which are already in memory").
   StatusOr<exec::ScanResult> ExecuteScan(const std::string& table,
                                          exec::RangePredicate pred,
                                          core::AccessMethod method, int dop,
-                                         int prefetch_depth, bool flush_pool,
-                                         io::QueryContext* query = nullptr);
+                                         int prefetch_depth, bool flush_pool);
 
   struct QueryOutcome {
     opt::OptimizationResult optimization;
     exec::ScanResult scan;
   };
 
-  /// One member of a concurrent workload (forced plan).
+  /// The forced plan of one QueryRequest: table, predicate, access method,
+  /// DOP and prefetch depth.
   struct ConcurrentScanSpec {
     std::string table;
     exec::RangePredicate pred;
@@ -97,14 +99,6 @@ class Database {
     int prefetch_depth = 0;
   };
 
-  /// Runs all scans concurrently on the shared device/CPU/pool — the
-  /// paper's future-work scenario. Results are in spec order; each carries
-  /// its own completion time and the mix-wide device measurements. If any
-  /// stream failed, the *first* (in spec order) non-OK scan status is
-  /// returned instead of the results.
-  StatusOr<std::vector<exec::ScanResult>> ExecuteConcurrentScans(
-      const std::vector<ConcurrentScanSpec>& specs, bool flush_pool);
-
   /// Plans Q with the optimizer (QDTT if `queue_depth_aware`, the legacy
   /// DTT costing otherwise) at full model confidence, then flushes the pool
   /// if asked and executes the winning plan. The plan is costed against the
@@ -112,8 +106,7 @@ class Database {
   StatusOr<QueryOutcome> ExecuteQuery(const std::string& table,
                                       exec::RangePredicate pred,
                                       bool queue_depth_aware, bool flush_pool,
-                                      opt::OptimizerOptions options = {},
-                                      io::QueryContext* query = nullptr);
+                                      opt::OptimizerOptions options = {});
 
   // --- Query lifecycle (admission, deadlines, cancellation) ---------------
 
@@ -157,6 +150,8 @@ class Database {
     double latency_us = 0.0;  // arrival → terminal state
     int granted_dop = 0;      // 0 when never admitted
     uint64_t rows_matched = 0;
+    /// Q's answer, MAX(C1); meaningful only if rows_matched > 0.
+    int32_t max_c1 = 0;
     /// Plan the optimizer chose (use_optimizer queries only).
     core::AccessMethod planned_method = core::AccessMethod::kFts;
     int planned_dop = 0;  // 0 when the request forced its plan
@@ -182,6 +177,10 @@ class Database {
   /// device/CPU/pool, each query flowing through admission control, its
   /// deadline, and any injected cancellation, and runs the simulation until
   /// every query reaches a terminal state. Requires EnableAdmissionControl.
+  /// The one way to run queries concurrently: with both admission caps at
+  /// std::numeric_limits<int>::max() and every arrival at simulator().Now(),
+  /// the requests start together at their requested DOP (the paper's
+  /// future-work scenario of concurrent requests).
   StatusOr<WorkloadReport> RunWorkload(const std::vector<QueryRequest>& requests,
                                        bool flush_pool);
 
@@ -266,7 +265,7 @@ class Database {
                               double confidence);
   /// Flushes the pool if asked, then runs `spec` as one query.
   StatusOr<exec::ScanResult> RunSpec(const exec::ScanSpec& spec,
-                                     bool flush_pool, io::QueryContext* query);
+                                     bool flush_pool);
 
   DatabaseOptions options_;
   sim::Simulator sim_;

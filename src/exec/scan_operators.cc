@@ -547,12 +547,6 @@ int ClampPrefetch(const ExecContext& ctx, int dop, int prefetch_depth) {
   return std::min(prefetch_depth, max_prefetch);
 }
 
-sim::Task WatchCompletion(sim::Simulator& sim, sim::Latch& latch,
-                          double* finish_time) {
-  co_await latch.Wait();
-  *finish_time = sim.Now();
-}
-
 }  // namespace
 
 std::string ScanResult::ToString() const {
@@ -588,38 +582,6 @@ ScanResult RunScan(ExecContext& ctx, const ScanSpec& spec) {
   ctx.sim.Run();
   PIOQO_CHECK(scan->done().done());
   return measurement.Finish(scan->aggregate());
-}
-
-std::vector<ScanResult> RunConcurrentScans(ExecContext& ctx,
-                                           const std::vector<ScanSpec>& specs) {
-  Measurement measurement(ctx);
-  const double start = ctx.sim.Now();
-  std::vector<std::unique_ptr<RunningScan>> jobs;
-  std::vector<double> finish_times(specs.size(), -1.0);
-  jobs.reserve(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    jobs.push_back(StartScan(ctx, specs[i]));
-    WatchCompletion(ctx.sim, jobs.back()->done(), &finish_times[i]).Detach();
-  }
-  ctx.sim.Run();
-
-  // The mix-wide measurement (device queue depth, throughput) applies to
-  // every stream; per-stream runtime is each scan's own completion.
-  ScanResult mix = measurement.Finish(Aggregate{});
-  std::vector<ScanResult> results;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    PIOQO_CHECK(jobs[i]->done().done());
-    PIOQO_CHECK(finish_times[i] >= 0.0);
-    ScanResult r = mix;
-    const Aggregate& agg = jobs[i]->aggregate();
-    r.status = agg.status;
-    r.max_c1 = agg.max_c1;
-    r.rows_matched = agg.rows_matched;
-    r.rows_examined = agg.rows_examined;
-    r.runtime_us = finish_times[i] - start;
-    results.push_back(r);
-  }
-  return results;
 }
 
 }  // namespace pioqo::exec

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/status.h"
 #include "core/cost_constants.h"
@@ -35,10 +34,10 @@ struct ExecContext {
   /// requested (and mid-scan, their effective) degree of parallelism while
   /// the device looks unhealthy. Null disables graceful degradation.
   io::DeviceHealthMonitor* health = nullptr;
-  /// Optional query lifecycle: when set, every page fetch observes the
-  /// query's cancellation token and counts its pins, and workers poll
-  /// `CheckAlive()` at page/leaf/group granularity. Null runs the scan
-  /// unconditionally.
+  /// Optional query lifecycle (the database's workload runner sets it):
+  /// when set, every page fetch observes the query's cancellation token and
+  /// counts its pins, and workers poll `CheckAlive()` at page/leaf/group
+  /// granularity. Null runs the scan unconditionally.
   io::QueryContext* query = nullptr;
 };
 
@@ -106,8 +105,8 @@ struct ScanSpec {
 
 /// A scan whose coroutines have been spawned but whose completion the
 /// caller observes itself (by `co_await done().Wait()` or by running the
-/// simulator to quiescence). RunScan, RunConcurrentScans, and the
-/// database's admission-controlled workload runner all build on it.
+/// simulator to quiescence). RunScan and the database's workload runner
+/// both build on it.
 class RunningScan {
  public:
   virtual ~RunningScan() = default;
@@ -126,19 +125,6 @@ std::unique_ptr<RunningScan> StartScan(ExecContext& ctx, const ScanSpec& spec);
 /// Executes `spec` alone and returns when the simulation has drained:
 /// StartScan, run to quiescence, measure.
 ScanResult RunScan(ExecContext& ctx, const ScanSpec& spec);
-
-// ---------------------------------------------------------------------------
-// Concurrent execution (the paper's future work: "consideration of
-// concurrent requests")
-// ---------------------------------------------------------------------------
-
-/// Starts every scan at the same simulated instant on the shared device /
-/// CPU / buffer pool and runs the simulation until all complete. Each
-/// result's `runtime_us` is that scan's own completion time; device-level
-/// measurements (queue depth, throughput) are for the whole mix and are
-/// repeated in every result.
-std::vector<ScanResult> RunConcurrentScans(ExecContext& ctx,
-                                           const std::vector<ScanSpec>& specs);
 
 }  // namespace pioqo::exec
 

@@ -7,21 +7,8 @@
 
 namespace pioqo::io {
 
-uint64_t Device::Submit(const IoRequest& req, CompletionFn done,
-                        QueryContext* query) {
+uint64_t Device::Submit(const IoRequest& req, CompletionFn done) {
   const uint64_t id = next_request_id_++;
-  if (query != nullptr) {
-    Status alive = query->CheckAlive();
-    if (!alive.ok()) {
-      // A dead query's request never enters the device queue; complete it
-      // asynchronously with the cancellation reason instead.
-      sim_.ScheduleAfter(0.0, [done = std::move(done),
-                               alive = std::move(alive)] {
-        done(IoResult{alive, 0.0});
-      });
-      return id;
-    }
-  }
   const bool is_read = req.kind == IoRequest::Kind::kRead;
   const sim::SimTime submit_time = sim_.Now();
   if (trace_sink_ != nullptr) {

@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "io/device_stats.h"
 #include "io/io_request.h"
-#include "io/query_context.h"
 #include "sim/inline_function.h"
 #include "sim/sim_checks.h"
 #include "sim/simulator.h"
@@ -53,12 +52,7 @@ class Device {
 
   /// Submits `req`; `done` fires once at completion time with the result.
   /// Returns the request id usable with `Cancel`.
-  ///
-  /// When `query` is given and already cancelled, the request never enters
-  /// the device queue (no stats, no trace): `done` fires asynchronously
-  /// with the cancellation status instead.
-  uint64_t Submit(const IoRequest& req, CompletionFn done,
-                  QueryContext* query = nullptr);
+  uint64_t Submit(const IoRequest& req, CompletionFn done);
 
   /// Attempts to reclaim request `id` before it is serviced. Returns true
   /// if the request was dropped: its completion is guaranteed never to fire,

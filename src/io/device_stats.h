@@ -80,9 +80,8 @@ class DeviceStats {
   /// SSD commands admitted while a throttle phase was active.
   uint64_t throttled_commands() const { return throttled_commands_; }
 
-  /// Time of first submit / last completion in the interval.
+  /// Time of first submit in the interval.
   sim::SimTime first_activity() const { return first_activity_; }
-  sim::SimTime last_completion() const { return last_completion_; }
 
   /// Average outstanding requests over [first submit, now].
   double AverageQueueDepth(sim::SimTime now) const;

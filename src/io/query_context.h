@@ -9,10 +9,10 @@
 
 namespace pioqo::io {
 
-/// Per-query lifecycle state, threaded from `Database::ExecuteQuery` down
-/// through the operators, the buffer pool, and `Device::Submit`: a deadline,
-/// a cooperative cancellation token, and a count of the frames the query
-/// holds pinned.
+/// Per-query lifecycle state, created by `Database::RunWorkload`'s query
+/// lifecycle and threaded through `exec::ExecContext::query` to the
+/// operators and the buffer pool: a deadline, a cooperative cancellation
+/// token, and a count of the frames the query holds pinned.
 ///
 /// The context lives in the query's lifecycle coroutine frame and must
 /// outlive every operator/pool interaction of that query. It is a *token*,
@@ -55,7 +55,6 @@ class QueryContext {
   void Cancel(Status reason);
 
   bool cancelled() const { return !state_.ok(); }
-  const Status& cancel_status() const { return state_; }
 
   /// The cooperative poll point: OK while the query may continue, else the
   /// cancellation reason (`kCancelled` or `kDeadlineExceeded`). Also lazily

@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,11 +29,26 @@ class ConcurrencyTest : public ::testing::Test {
     cfg.c2_domain = 1 << 24;
     cfg.index_leaf_fill = 64;
     PIOQO_CHECK_OK(db_->CreateTable(cfg));
+    // Unlimited caps: every query is admitted on arrival at its own DOP.
+    db_->EnableAdmissionControl(
+        {.max_concurrent_queries = std::numeric_limits<int>::max(),
+         .max_total_dop = std::numeric_limits<int>::max()});
   }
 
   exec::RangePredicate Pred(double sel) const {
     return exec::RangePredicate{
         0, storage::C2UpperBoundForSelectivity(1 << 24, sel)};
+  }
+
+  /// Runs `scans` through RunWorkload on a flushed pool, all arriving now.
+  StatusOr<Database::WorkloadReport> RunMix(
+      const std::vector<Database::ConcurrentScanSpec>& scans) {
+    std::vector<Database::QueryRequest> requests(scans.size());
+    for (size_t i = 0; i < scans.size(); ++i) {
+      requests[i].scan = scans[i];
+      requests[i].arrival_us = db_->simulator().Now();
+    }
+    return db_->RunWorkload(requests, /*flush_pool=*/true);
   }
 
   std::unique_ptr<Database> db_;
@@ -42,17 +59,17 @@ TEST_F(ConcurrencyTest, ResultsMatchSerialExecution) {
                                  0, true);
   ASSERT_TRUE(serial.ok());
 
-  std::vector<Database::ConcurrentScanSpec> specs(3);
-  specs[0] = {"t", Pred(0.02), core::AccessMethod::kPis, 4, 0};
-  specs[1] = {"t", Pred(0.02), core::AccessMethod::kFts, 2, 0};
-  specs[2] = {"t", Pred(0.02), core::AccessMethod::kSortedIs, 2, 4};
-  auto results = db_->ExecuteConcurrentScans(specs, true);
-  ASSERT_TRUE(results.ok());
-  ASSERT_EQ(results->size(), 3u);
-  for (const auto& r : *results) {
-    EXPECT_EQ(r.rows_matched, serial->rows_matched);
-    EXPECT_EQ(r.max_c1, serial->max_c1);
-    EXPECT_GT(r.runtime_us, 0.0);
+  auto report = RunMix({{"t", Pred(0.02), core::AccessMethod::kPis, 4, 0},
+                        {"t", Pred(0.02), core::AccessMethod::kFts, 2, 0},
+                        {"t", Pred(0.02), core::AccessMethod::kSortedIs, 2, 4}});
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->queries.size(), 3u);
+  for (const auto& q : report->queries) {
+    EXPECT_EQ(q.terminal, Database::QueryTerminal::kCompleted)
+        << q.status.ToString();
+    EXPECT_EQ(q.rows_matched, serial->rows_matched);
+    EXPECT_EQ(q.max_c1, serial->max_c1);
+    EXPECT_GT(q.latency_us, 0.0);
   }
 }
 
@@ -71,37 +88,36 @@ TEST_F(ConcurrencyTest, ConcurrentStreamsShareTheDevice) {
       db_->ExecuteScan("t", first, core::AccessMethod::kPis, 32, 0, true);
   ASSERT_TRUE(alone.ok());
 
-  std::vector<Database::ConcurrentScanSpec> specs(2);
-  specs[0] = {"t", first, core::AccessMethod::kPis, 32, 0};
-  specs[1] = {"t", second, core::AccessMethod::kPis, 32, 0};
-  auto results = db_->ExecuteConcurrentScans(specs, true);
-  ASSERT_TRUE(results.ok());
-  double slowest = std::max((*results)[0].runtime_us, (*results)[1].runtime_us);
+  const uint64_t reads_before = db_->device().stats().reads();
+  auto report = RunMix({{"t", first, core::AccessMethod::kPis, 32, 0},
+                        {"t", second, core::AccessMethod::kPis, 32, 0}});
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->completed, 2u);
+  const double slowest = std::max(report->queries[0].latency_us,
+                                  report->queries[1].latency_us);
   EXPECT_GT(slowest, alone->runtime_us * 1.05);          // interference
   EXPECT_LT(slowest, alone->runtime_us * 2.0);           // but real overlap
   // The mix performed both streams' device work in the shared interval.
-  EXPECT_GT((*results)[0].device_reads, alone->device_reads * 3 / 2);
+  const uint64_t mix_reads = db_->device().stats().reads() - reads_before;
+  EXPECT_GT(mix_reads, alone->device_reads * 3 / 2);
 }
 
 TEST_F(ConcurrencyTest, RejectsBadSpecs) {
-  std::vector<Database::ConcurrentScanSpec> specs(1);
-  specs[0] = {"missing", Pred(0.1), core::AccessMethod::kFts, 1, 0};
-  EXPECT_FALSE(db_->ExecuteConcurrentScans(specs, true).ok());
-  specs[0] = {"t", Pred(0.1), core::AccessMethod::kFts, 999, 0};
-  EXPECT_FALSE(db_->ExecuteConcurrentScans(specs, true).ok());
+  EXPECT_FALSE(
+      RunMix({{"missing", Pred(0.1), core::AccessMethod::kFts, 1, 0}}).ok());
+  EXPECT_FALSE(RunMix({{"t", Pred(0.1), core::AccessMethod::kFts, 999, 0}}).ok());
   // A negative prefetch depth is a bad plan, not a process abort.
   for (auto method : {core::AccessMethod::kFts, core::AccessMethod::kPis,
                       core::AccessMethod::kSortedIs}) {
-    specs[0] = {"t", Pred(0.1), method, 4, -1};
-    auto results = db_->ExecuteConcurrentScans(specs, true);
-    EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(RunMix({{"t", Pred(0.1), method, 4, -1}}).status().code(),
+              StatusCode::kInvalidArgument);
   }
 }
 
 TEST_F(ConcurrencyTest, EmptyWorkload) {
-  auto results = db_->ExecuteConcurrentScans({}, true);
-  ASSERT_TRUE(results.ok());
-  EXPECT_TRUE(results->empty());
+  auto report = RunMix({});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->queries.empty());
 }
 
 TEST_F(ConcurrencyTest, OptimizerDividesQueueBudgetAcrossStreams) {

@@ -1,5 +1,7 @@
 #include "db/database.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "db/experiment_config.h"
@@ -231,6 +233,30 @@ TEST(DatabaseDeathTest, EnableDriftDefenseTwiceDies) {
         db.EnableDriftDefense();
       },
       "drift defense already enabled");
+}
+
+TEST(DatabaseDeathTest, CalibrateAfterDriftDefenseDies) {
+  // The defense plans from and merges into the live model, and its
+  // detector's per-cell references were learned against that model.
+  EXPECT_DEATH(
+      {
+        Database db(SmallSsd());
+        db.Calibrate();
+        db.EnableDriftDefense();
+        db.Calibrate();
+      },
+      "Calibrate\\(\\) after EnableDriftDefense");
+}
+
+TEST(DatabaseDeathTest, InstallModelAfterDriftDefenseDies) {
+  EXPECT_DEATH(
+      {
+        Database db(SmallSsd());
+        core::QdttModel model = db.Calibrate().model;
+        db.EnableDriftDefense();
+        db.InstallModel(std::move(model));
+      },
+      "InstallModel\\(\\) after EnableDriftDefense");
 }
 
 TEST(ExperimentConfigTest, TableOneHasSixConfigs) {

@@ -142,15 +142,7 @@ TEST(DriftDetectorTest, RecalibrationClearsHistoryAndRestoresConfidence) {
   // formerly drifted ratio, if it persists, is the new healthy baseline.
   Feed(detector, 10, 4096.0, 8.0, 100.0, 1000.0);
   EXPECT_EQ(detector.confidence(), 1.0);
-
-  // Full reset works the same across all bands.
-  Feed(detector, 5, 1.0, 1.0, 100.0, 100.0);
-  Feed(detector, 10, 1.0, 1.0, 100.0, 1000.0);
-  ASSERT_TRUE(detector.drifted());
-  detector.NoteRecalibrated();
-  EXPECT_EQ(detector.confidence(), 1.0);
-  EXPECT_EQ(detector.CellSamples(0, 0), 0u);
-  EXPECT_EQ(detector.samples(), 40u) << "sample total is cumulative";
+  EXPECT_EQ(detector.samples(), 25u) << "sample total is cumulative";
 }
 
 TEST(DriftDetectorTest, IgnoresNonPositiveCosts) {

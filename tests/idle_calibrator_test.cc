@@ -221,6 +221,20 @@ TEST(IdleCalibratorTest, StartPartialRefreshesRequestedBandsOnly) {
   EXPECT_TRUE(calibrator.complete());
 }
 
+TEST(IdleCalibratorDeathTest, RejectsRepetitions) {
+  // The loop measures each point once; averaging repetitions is the
+  // offline calibrator's, so a larger value would silently be ignored.
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
+        IdleCalibratorOptions options = FastOptions();
+        options.calibration.repetitions = 2;
+        IdleCalibrator calibrator(sim, *ssd, options);
+      },
+      "repetitions must be 1");
+}
+
 class IdleMatchesOfflineTest
     : public ::testing::TestWithParam<io::DeviceKind> {};
 

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -107,18 +108,27 @@ uint64_t PisPrefetchScenario(io::DeviceKind kind) {
   return ForcedScan(kind, core::AccessMethod::kPis, 8, 8);
 }
 
-/// Three streams — PIS, FTS and sorted IS — started at one instant on the
-/// shared device, CPU and pool (sized so 20 workers' pins and prefetches
-/// fit).
+/// Three streams — PIS, FTS and sorted IS — arriving at one instant through
+/// RunWorkload under unlimited admission caps, on the shared device, CPU and
+/// pool (sized so 20 workers' pins and prefetches fit).
 uint64_t ConcurrentScenario(io::DeviceKind kind) {
   auto db = ScanDatabase(kind, 2048);
+  db->EnableAdmissionControl(
+      {.max_concurrent_queries = std::numeric_limits<int>::max(),
+       .max_total_dop = std::numeric_limits<int>::max()});
   const std::vector<db::Database::ConcurrentScanSpec> specs = {
       {"t", ScanPredicate(), core::AccessMethod::kPis, 8, 8},
       {"t", ScanPredicate(), core::AccessMethod::kFts, 1, 0},
       {"t", ScanPredicate(), core::AccessMethod::kSortedIs, 4, 8},
   };
-  auto results = db->ExecuteConcurrentScans(specs, /*flush_pool=*/true);
-  EXPECT_TRUE(results.ok()) << results.status().ToString();
+  std::vector<db::Database::QueryRequest> requests(specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    requests[i].scan = specs[i];
+    requests[i].arrival_us = db->simulator().Now();
+  }
+  auto report = db->RunWorkload(requests, /*flush_pool=*/true);
+  EXPECT_TRUE(report.ok() && report->completed == specs.size())
+      << report.status().ToString();
   return db->simulator().trace_hash();
 }
 
