@@ -1,5 +1,7 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -51,6 +53,10 @@ BufferPool::Frame& BufferPool::AllocFrame(PageId pid) {
 
 void BufferPool::ReleaseFrame(Frame& f) {
   const uint32_t slot = SlotOf(f);
+  // A loading frame's bit was never set, and may lie past the bitmap.
+  if (f.state == FrameState::kReady) {
+    resident_[f.pid / 64] &= ~(uint64_t{1} << (f.pid % 64));
+  }
   page_table_.Erase(f.pid);
   --num_frames_;
   f.pid = kInvalidPageId;
@@ -225,22 +231,22 @@ bool BufferPool::IsResident(PageId pid) const {
 }
 
 uint32_t BufferPool::ResidentInRange(PageId first, uint32_t count) const {
-  // Probe the range when it is small; otherwise one contiguous sweep of the
-  // slab beats `count` hash probes.
-  uint32_t resident = 0;
-  if (capacity_ < count) {
-    for (const Frame& f : slab_) {
-      if (f.pid != kInvalidPageId && f.pid >= first && f.pid < first + count &&
-          f.state == FrameState::kReady) {
-        ++resident;
-      }
-    }
-  } else {
-    for (uint32_t i = 0; i < count; ++i) {
-      if (IsResident(first + i)) ++resident;
-    }
+  // Pages past the bitmap's end have never landed, so none is resident.
+  const uint64_t end = std::min<uint64_t>(uint64_t{first} + count,
+                                          uint64_t{resident_.size()} * 64);
+  if (first >= end) return 0;
+  const uint64_t head = first / 64;
+  const uint64_t tail = (end - 1) / 64;
+  const uint64_t head_mask = ~uint64_t{0} << (first % 64);
+  const uint64_t tail_mask = ~uint64_t{0} >> (63 - (end - 1) % 64);
+  if (head == tail) {
+    return std::popcount(resident_[head] & head_mask & tail_mask);
   }
-  return resident;
+  uint32_t resident = std::popcount(resident_[head] & head_mask);
+  for (uint64_t w = head + 1; w < tail; ++w) {
+    resident += std::popcount(resident_[w]);
+  }
+  return resident + std::popcount(resident_[tail] & tail_mask);
 }
 
 Status BufferPool::Clear() {
@@ -263,6 +269,7 @@ Status BufferPool::Clear() {
   free_head_ = 0;
   num_frames_ = 0;
   lru_head_ = lru_tail_ = kNoSlot;
+  std::fill(resident_.begin(), resident_.end(), 0);
   return Status::OK();
 }
 
@@ -392,11 +399,16 @@ void BufferPool::OnReadComplete(uint64_t read_id, int attempt,
   const PageId first = r->first;
   const uint32_t count = r->count;
   inflight_.Erase(read_id);
+  if (uint64_t{first} + count > uint64_t{resident_.size()} * 64) {
+    resident_.resize((disk_.num_pages() + 63) / 64);
+  }
   for (uint32_t i = 0; i < count; ++i) {
-    Frame* f = FindFrame(first + i);
+    const PageId pid = first + i;
+    Frame* f = FindFrame(pid);
     PIOQO_CHECK(f != nullptr && f->state == FrameState::kLoading);
     f->state = FrameState::kReady;
-    f->data = disk_.PageData(first + i);
+    f->data = disk_.PageData(pid);
+    resident_[pid / 64] |= uint64_t{1} << (pid % 64);
     if (f->pin_count == 0) AddToLru(*f);  // waiters already hold pins
     // Detach the waiters before resuming any: a resumed coroutine may fetch
     // this page again, parking a fresh waiter on the (now empty) frame

@@ -78,7 +78,8 @@ struct BufferPoolOptions {
 /// (no per-node allocation, `Mix64`-scrambled linear probing), the LRU is a
 /// doubly-linked list threaded through the slab by slot index, and fetch
 /// waiters park in each loading frame's intrusive `sim::WaitQueue`. The
-/// steady-state fetch path therefore performs zero heap allocations. All of
+/// steady-state fetch path therefore performs zero heap allocations. A
+/// residency bitmap, one bit per disk page, answers ResidentInRange. All of
 /// this is host-side bookkeeping: device request order, eviction victims,
 /// and waiter resume order are bit-identical to the node-based
 /// implementation (enforced by buffer_pool_stress_test's recorded goldens).
@@ -163,6 +164,8 @@ class BufferPool {
   /// Number of resident pages within [first, first + count) — the cached
   /// statistic the paper's optimizer consults ("SQL Anywhere maintains
   /// statistics on how many table and index pages are currently cached").
+  /// A masked popcount over the residency bitmap: one word per 64 pages of
+  /// the range (128 for an 8192-page table), independent of pool size.
   uint32_t ResidentInRange(PageId first, uint32_t count) const;
 
   /// Drops every unpinned resident frame (simulates flushing the cache
@@ -200,8 +203,9 @@ class BufferPool {
     /// Free-list link; valid only while the slot is unused.
     uint32_t next_free = kNoSlot;
   };
-  // One frame per 64-byte cache line: a 72-byte frame measurably slowed
-  // ResidentInRange's sweep of the slab, which every planned query runs.
+  // One frame per 64-byte cache line, so a hit or an eviction touches one
+  // line. A 72-byte frame measured within noise (DESIGN.md §13); the
+  // assert keeps growing the frame a measured decision.
   static_assert(sizeof(Frame) == 64);
 
   /// One outstanding device read (possibly spanning several pages), tracked
@@ -232,8 +236,8 @@ class BufferPool {
   /// Takes a slot off the free list and binds it to `pid` in the page
   /// table. Requires a free slot (EnsureCapacity guarantees one).
   Frame& AllocFrame(PageId pid);
-  /// Unbinds the frame from the page table and returns its slot to the
-  /// free list.
+  /// Unbinds the frame from the page table, clears its residency bit and
+  /// returns its slot to the free list.
   void ReleaseFrame(Frame& f);
 
   /// Makes room for one more frame, evicting the LRU unpinned page if at
@@ -286,6 +290,10 @@ class BufferPool {
   /// Intrusive LRU through the slab; head = most recent, tail = victim.
   uint32_t lru_head_ = kNoSlot;
   uint32_t lru_tail_ = kNoSlot;
+  /// Residency bitmap: bit `pid` is set exactly while `pid` has a kReady
+  /// frame. Grown to the disk's page count when a read lands past its end,
+  /// so ResidentInRange counts without touching the page table or slab.
+  std::vector<uint64_t> resident_;
   BufferPoolStats stats_;
 };
 

@@ -14,13 +14,21 @@
 //   6. Saturation: under a 10x throttle the jittered arrivals outlast their
 //      spacing and pile up; every query still completes, and the replay
 //      stays bit-identical.
+//   7. Every defense at once: the health monitor, admission with a
+//      queue-wait bound, the chaos schedule with retries, deadlines and
+//      injected cancels join the drift defense under the 6x throttle. Every
+//      query ends in a terminal state other than failed, every completed
+//      query returns the exact row count, a recalibration completes, and
+//      the replay stays bit-identical.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "db/database.h"
 #include "io/ssd_device.h"
 #include "soak_test_util.h"
@@ -28,10 +36,12 @@
 namespace pioqo {
 namespace {
 
+using db::AdmissionOptions;
 using db::Database;
 using db::DatabaseOptions;
 using db::DriftDefense;
 using db::DriftDefenseOptions;
+using db::testing::ChaosSchedule;
 using db::testing::ExpectDrained;
 using db::testing::Gaps;
 using db::testing::OpenLoopArrivals;
@@ -42,7 +52,7 @@ using db::testing::SoakTable;
 /// The throttle arms halfway between this query's arrival and the next.
 constexpr size_t kFaultAfterQuery = 10;
 
-std::unique_ptr<Database> MakeDb() {
+std::unique_ptr<Database> MakeDb(std::optional<io::FaultConfig> faults) {
   DatabaseOptions options;
   options.device = io::DeviceKind::kSsdConsumer;
   // Under a harsh throttle the open-loop arrivals outlast their spacing
@@ -53,6 +63,8 @@ std::unique_ptr<Database> MakeDb() {
   options.pool_pages = 1024;
   // A lighter calibration keeps the soak fast; the grid is unchanged.
   options.calibration.max_pages_per_point = 512;
+  options.faults = faults;
+  if (faults.has_value()) db::testing::ArmRetries(options);
   auto db = std::make_unique<Database>(std::move(options));
   PIOQO_CHECK(db->CreateTable(SoakTable()).ok());
   db->Calibrate();
@@ -80,6 +92,10 @@ struct DriftScenario {
   size_t queries = 60;
   Gaps gaps = Gaps::kFixed;
   uint64_t seed = 0;
+  /// Every other defense on too: the health monitor, admission with a
+  /// queue-wait bound, the chaos schedule with retries, a deadline on
+  /// every 4th query and an injected cancel on every 11th.
+  bool every_defense = false;
 };
 
 struct SoakOutcome {
@@ -90,14 +106,36 @@ struct SoakOutcome {
   double lookup_before = 0.0;
   double lookup_after = 0.0;
   uint64_t trace_hash = 0;
+  /// Each request's exact answer size, counted through the index.
+  std::vector<uint64_t> exact_rows;
 };
 
 /// Calibrates, arms a permanent thermal-throttle regime starting shortly
 /// after query kFaultAfterQuery, and replays the optimizer-planned
 /// workload.
 SoakOutcome RunDriftSoak(const DriftScenario& scenario) {
-  auto db = MakeDb();
-  db->EnableAdmissionControl();
+  auto db = MakeDb(scenario.every_defense
+                       ? std::optional(ChaosSchedule(/*seed=*/7))
+                       : std::nullopt);
+
+  // One throwaway scan measures the healthy unit of work; arrivals are
+  // spaced far enough apart that even 6x-throttled queries rarely overlap.
+  // The scan bypasses admission and the drift defense, so enabling them
+  // after it changes no event.
+  auto probe = db->ExecuteScan("T", MixQuery(0).scan.pred,
+                               core::AccessMethod::kPfts, /*dop=*/8,
+                               /*prefetch_depth=*/0, /*flush_pool=*/true);
+  PIOQO_CHECK_OK(probe.status());
+  const double unit_us = probe->runtime_us;
+  const double start_us = db->simulator().Now() + 10'000.0;
+  const double spacing_us = 8.0 * unit_us;
+
+  AdmissionOptions admission;
+  if (scenario.every_defense) {
+    db->EnableHealthMonitor();  // before admission, which then clamps by it
+    admission.max_queue_wait_us = 5.0 * unit_us;
+  }
+  db->EnableAdmissionControl(admission);
   if (scenario.defense_on) {
     DriftDefenseOptions options;
     options.detector.drift_ratio = 2.0;  // headroom over concurrency noise
@@ -108,16 +146,6 @@ SoakOutcome RunDriftSoak(const DriftScenario& scenario) {
     options.calibrator.busy_probe_interval_us = 20'000.0;
     db->EnableDriftDefense(options);
   }
-
-  // One throwaway scan measures the healthy unit of work; arrivals are
-  // spaced far enough apart that even 6x-throttled queries rarely overlap.
-  auto probe = db->ExecuteScan("T", MixQuery(0).scan.pred,
-                               core::AccessMethod::kPfts, /*dop=*/8,
-                               /*prefetch_depth=*/0, /*flush_pool=*/true);
-  PIOQO_CHECK_OK(probe.status());
-  const double unit_us = probe->runtime_us;
-  const double start_us = db->simulator().Now() + 10'000.0;
-  const double spacing_us = 8.0 * unit_us;
 
   auto* ssd = dynamic_cast<io::SsdDevice*>(&db->raw_device());
   PIOQO_CHECK(ssd != nullptr);
@@ -132,14 +160,24 @@ SoakOutcome RunDriftSoak(const DriftScenario& scenario) {
   const std::vector<double> arrivals =
       OpenLoopArrivals(scenario.queries, start_us, spacing_us, scenario.gaps,
                        scenario.seed);
+  Pcg32 cancel_rng(scenario.seed, /*stream=*/11);
+  const storage::Dataset* table = *db->GetTable("T");
+  SoakOutcome out;
   std::vector<Database::QueryRequest> requests;
   for (size_t i = 0; i < scenario.queries; ++i) {
     Database::QueryRequest req = MixQuery(i);
     req.arrival_us = arrivals[i];
+    if (scenario.every_defense) {
+      if (i % 4 == 2) req.timeout_us = 2.0 * unit_us;
+      if (i % 11 == 10) {
+        req.cancel_at_us = arrivals[i] + cancel_rng.NextDouble() * unit_us;
+      }
+    }
     requests.push_back(req);
+    out.exact_rows.push_back(table->index_c2.CountRange(
+        db->disk(), req.scan.pred.low, req.scan.pred.high));
   }
 
-  SoakOutcome out;
   out.lookup_before = db->qdtt().Lookup(4096.0, 8.0);
   auto report = db->RunWorkload(requests, /*flush_pool=*/true);
   PIOQO_CHECK_OK(report.status());
@@ -246,6 +284,26 @@ TEST(DriftDefenseSoakTest, SaturatingThrottleCompletesEveryQueryAndReplays) {
     const SoakOutcome b = RunDriftSoak(scenario);
     EXPECT_EQ(a.trace_hash, b.trace_hash) << "defense " << defense_on;
   }
+}
+
+TEST(DriftDefenseSoakTest, EveryDefenseAtOnceAnswersExactlyAndReplays) {
+  const DriftScenario all{.every_defense = true};
+  const SoakOutcome a = RunDriftSoak(all);
+  const Database::WorkloadReport& r = a.report;
+  ASSERT_EQ(r.queries.size(), all.queries);
+  EXPECT_EQ(r.completed + r.shed + r.timed_out + r.cancelled, all.queries);
+  for (size_t i = 0; i < r.queries.size(); ++i) {
+    const Database::QueryReport& q = r.queries[i];
+    EXPECT_NE(q.terminal, Database::QueryTerminal::kFailed)
+        << "query " << i << ": " << q.status.ToString();
+    if (q.terminal == Database::QueryTerminal::kCompleted) {
+      EXPECT_EQ(q.rows_matched, a.exact_rows[i]) << "query " << i;
+    }
+  }
+  EXPECT_GE(a.defense.recalibrations_completed, 1u);
+
+  const SoakOutcome b = RunDriftSoak(all);
+  EXPECT_EQ(a.trace_hash, b.trace_hash);
 }
 
 }  // namespace

@@ -277,6 +277,7 @@ TEST_F(PoolRetryTest, PermanentErrorExhaustsAttemptsAndFailsAllWaiters) {
   EXPECT_EQ(pool.stats().fetch_errors, 4u);
   // The loading frame was dropped: nothing resident, nothing pinned.
   EXPECT_FALSE(pool.IsResident(5));
+  EXPECT_EQ(pool.ResidentInRange(5, 1), 0u);
   EXPECT_EQ(pool.resident_pages(), 0u);
   EXPECT_TRUE(pool.Clear().ok());
   sim::checks::ExpectQuiescent("permanent failure");
@@ -385,6 +386,7 @@ TEST_F(PoolRetryTest, LateCompletionOfTimedOutAttemptIsDiscarded) {
   EXPECT_EQ(pool.stats().timeouts, 3u);
   EXPECT_EQ(pool.stats().failed_loads, 1u);
   EXPECT_FALSE(pool.IsResident(1));
+  EXPECT_EQ(pool.ResidentInRange(1, 1), 0u);
   EXPECT_TRUE(pool.Clear().ok());
   sim::checks::ExpectQuiescent("stale completions");
 }

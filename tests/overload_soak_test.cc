@@ -31,6 +31,7 @@ namespace {
 using db::AdmissionOptions;
 using db::Database;
 using db::DatabaseOptions;
+using db::testing::ChaosSchedule;
 using db::testing::ExpectDrained;
 using db::testing::Gaps;
 using db::testing::OpenLoopArrivals;
@@ -48,19 +49,6 @@ std::unique_ptr<Database> MakeDb(io::DeviceKind kind,
   auto db = std::make_unique<Database>(std::move(options));
   PIOQO_CHECK(db->CreateTable(SoakTable()).ok());
   return db;
-}
-
-/// A mild chaos schedule: 1% transient read errors, 2% latency spikes of
-/// 2 ms, 0.5% stuck requests.
-io::FaultConfig ChaosSchedule(uint64_t seed) {
-  io::FaultConfig faults;
-  faults.seed = seed;
-  faults.read_error_prob = 0.01;
-  faults.error_latency_us = 150.0;
-  faults.spike_prob = 0.02;
-  faults.spike_us = 2000.0;
-  faults.stuck_prob = 0.005;
-  return faults;
 }
 
 /// The four query shapes of the mix, cycled through in request order.

@@ -1,10 +1,12 @@
 // Model-based buffer pool testing: a worker performs a long random sequence
 // of fetch / unpin / prefetch / block-prefetch operations while a shadow
 // model tracks what must hold (pins balanced, returned bytes correct,
-// capacity bound respected, pinned pages never evicted).
+// capacity bound respected, pinned pages never evicted, ResidentInRange
+// equal to one IsResident probe per page).
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,6 +50,27 @@ TEST_P(BufferPoolPropertyTest, RandomOperationSequence) {
     disk.PageData(p)[kPageHeaderSize] = static_cast<char>(p % 251);
   }
   BufferPool pool(disk, c.capacity);
+
+  // ResidentInRange against its reference over a random range whose ends
+  // fall inside 64-page words, and over the whole disk and past its end.
+  Pcg32 range_rng(c.seed, /*stream=*/64);
+  auto expect_counts_match = [&] {
+    auto probed = [&](PageId first, PageId end) {
+      uint32_t resident = 0;
+      for (PageId p = first; p < end; ++p) resident += pool.IsResident(p);
+      return resident;
+    };
+    const uint64_t span = c.num_pages + 70;
+    PageId first = static_cast<PageId>(range_rng.UniformBelow(span));
+    PageId end = static_cast<PageId>(range_rng.UniformBelow(span));
+    if (first > end) std::swap(first, end);
+    if (first % 64 == 0) ++first;
+    if (end % 64 == 0) ++end;
+    EXPECT_EQ(pool.ResidentInRange(first, end - first), probed(first, end))
+        << "[" << first << ", " << end << ")";
+    EXPECT_EQ(pool.ResidentInRange(0, c.num_pages + 70),
+              probed(0, c.num_pages + 70));
+  };
 
   bool finished = false;
   auto driver = [&]() -> sim::Task {
@@ -97,6 +120,7 @@ TEST_P(BufferPoolPropertyTest, RandomOperationSequence) {
         }
       }
       EXPECT_LE(pool.resident_pages(), c.capacity);
+      expect_counts_match();
     }
     while (device->stats().outstanding() > 0) {  // drain before release
       co_await sim::Delay(sim, 1000.0);
@@ -112,8 +136,10 @@ TEST_P(BufferPoolPropertyTest, RandomOperationSequence) {
   ASSERT_TRUE(finished);
 
   // After draining, every frame is unpinned and Clear must succeed.
+  expect_counts_match();
   EXPECT_TRUE(pool.Clear().ok());
   EXPECT_EQ(pool.resident_pages(), 0u);
+  expect_counts_match();
   // Accounting sanity.
   const auto& stats = pool.stats();
   EXPECT_EQ(stats.fetches, stats.hits + stats.misses);

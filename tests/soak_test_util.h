@@ -2,9 +2,9 @@
 #define PIOQO_TESTS_SOAK_TEST_UTIL_H_
 
 // What the soak tests share: the query script and the soak table, the
-// devices and the retry policy they run with, the open-loop arrival
-// process, the percentile they judge tails by, and the one drained-state
-// check every run must pass.
+// devices, the chaos schedule and the retry policy they run with, the
+// open-loop arrival process, the percentile they judge tails by, and the
+// one drained-state check every run must pass.
 
 #include <algorithm>
 #include <cmath>
@@ -79,6 +79,19 @@ inline void ArmRetries(DatabaseOptions& options) {
   options.pool_options.retry.backoff_base_us = 500.0;
 }
 
+/// A mild chaos schedule: 1% transient read errors, 2% latency spikes of
+/// 2 ms, 0.5% stuck requests.
+inline io::FaultConfig ChaosSchedule(uint64_t seed) {
+  io::FaultConfig faults;
+  faults.seed = seed;
+  faults.read_error_prob = 0.01;
+  faults.error_latency_us = 150.0;
+  faults.spike_prob = 0.02;
+  faults.spike_us = 2000.0;
+  faults.stuck_prob = 0.005;
+  return faults;
+}
+
 /// The C2 range [0, x] matching `selectivity` of `table`'s rows.
 inline exec::RangePredicate PredFor(const storage::DatasetConfig& table,
                                     double selectivity) {
@@ -133,10 +146,17 @@ inline std::vector<double> OpenLoopArrivals(size_t n, double start_us,
 /// The state every soak run must end in: no pinned or loading frame (the
 /// pool clears), no pending simulator event, no request outstanding on the
 /// device (nor, under fault injection, on the device it wraps), empty
-/// admission ledgers, and a quiescent PIOQO_SIM_CHECKS registry.
+/// admission ledgers, and a quiescent PIOQO_SIM_CHECKS registry. The
+/// pool's residency count agrees with its frames before the clear (a
+/// drained pool holds no loading frame) and reads 0 after it.
 inline void ExpectDrained(Database& db, const char* where) {
-  const Status cleared = db.pool().Clear();
+  storage::BufferPool& pool = db.pool();
+  const uint32_t disk_pages = pool.disk().num_pages();
+  EXPECT_EQ(pool.ResidentInRange(0, disk_pages), pool.resident_pages())
+      << where;
+  const Status cleared = pool.Clear();
   EXPECT_TRUE(cleared.ok()) << where << ": " << cleared.ToString();
+  EXPECT_EQ(pool.ResidentInRange(0, disk_pages), 0u) << where;
   EXPECT_EQ(db.simulator().num_pending(), 0u) << where;
   EXPECT_EQ(db.device().stats().outstanding(), 0) << where;
   EXPECT_EQ(db.raw_device().stats().outstanding(), 0) << where;
