@@ -104,9 +104,7 @@ class FlatIntMap {
     return true;
   }
 
-  /// Drops every entry; keeps the current capacity (STL-style name so the
-  /// ERR001 status-discard heuristic, which keys on Status-returning
-  /// `Clear()` methods, does not fire on container clears).
+  /// Drops every entry; keeps the current capacity.
   void clear() {
     for (Slot& s : slots_) {
       if (s.key != kEmptyKey) {

@@ -34,8 +34,10 @@ std::string_view StatusCodeName(StatusCode code);
 /// a code plus message otherwise. Use the factory functions
 /// (`Status::InvalidArgument(...)` etc.) to construct errors.
 ///
-/// [[nodiscard]]: a dropped Status is a silently-ignored failure path; the
-/// ERR001 lint rule is the diff-visible twin of this compiler warning.
+/// [[nodiscard]]: a dropped Status is a silently-ignored failure path, and
+/// every build compiles with -Werror=unused-result, so it does not compile.
+/// The compiler cannot see a Status discarded by a bare `co_await
+/// device.Read(...);`; the lint suite's ERR001 rule flags that shape.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

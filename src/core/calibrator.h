@@ -172,10 +172,6 @@ class Calibrator {
 
   const CalibratorOptions& options() const { return options_; }
 
-  /// Total probe reads that failed across every measurement made through
-  /// this calibrator (all methods, sync and async).
-  uint64_t probe_io_errors() const { return probe_io_errors_; }
-
  private:
   /// Builds the page-read sequence for one point per the paper's block
   /// rules: for band <= M the file is divided into consecutive band-sized

@@ -9,6 +9,17 @@
 
 namespace pioqo::core {
 
+namespace {
+
+/// Index leaves an index scan reads: the qualifying leaf chain, read
+/// nearly sequentially, plus the leaf where the range starts.
+double LeavesTouched(const TableProfile& t, double selectivity) {
+  return std::min<double>(
+      t.index_leaves, selectivity * static_cast<double>(t.index_leaves) + 1.0);
+}
+
+}  // namespace
+
 std::string_view AccessMethodName(AccessMethod method) {
   switch (method) {
     case AccessMethod::kFts:
@@ -47,15 +58,25 @@ CostModel::CostModel(const QdttModel& model, CostConstants constants,
   PIOQO_CHECK(concurrent_streams >= 1);
 }
 
-double CostModel::EffectiveQueueDepth(double raw_depth) const {
-  if (!queue_depth_aware_) return 1.0;
+double CostModel::PricePageRead(PlanCandidate& plan, double band_pages,
+                                int dop, int prefetch_depth) const {
+  PIOQO_CHECK(dop >= 1);
+  PIOQO_CHECK(prefetch_depth >= 0);
+  plan.dop = dop;
+  plan.prefetch_depth = prefetch_depth;
+  plan.band_pages = band_pages;
   // Under concurrency, this plan only gets a share of the device queue.
-  return std::max(1.0, raw_depth / static_cast<double>(concurrent_streams_));
+  const double raw_depth =
+      static_cast<double>(dop) * std::max(1, prefetch_depth);
+  plan.queue_depth =
+      queue_depth_aware_
+          ? std::max(1.0, raw_depth / static_cast<double>(concurrent_streams_))
+          : 1.0;
+  return qdtt_.Lookup(plan.band_pages, plan.queue_depth);
 }
 
 PlanCandidate CostModel::CostFullTableScan(const TableProfile& t,
                                            int dop) const {
-  PIOQO_CHECK(dop >= 1);
   const auto& c = constants_;
   const double pages = static_cast<double>(t.table_pages);
   const double cold_pages = pages * (1.0 - t.cached_fraction);
@@ -63,9 +84,11 @@ PlanCandidate CostModel::CostFullTableScan(const TableProfile& t,
   // I/O: sequential pattern == band size 1. A parallel scan keeps roughly
   // `dop` block reads outstanding (workers + prefetcher), which is the
   // queue depth handed to the model.
-  const double per_page_io =
-      qdtt_.Lookup(/*band_pages=*/1.0, EffectiveQueueDepth(dop));
-  const double io_us = cold_pages * per_page_io;
+  PlanCandidate plan;
+  plan.method = dop == 1 ? AccessMethod::kFts : AccessMethod::kPfts;
+  const double io_us =
+      cold_pages * PricePageRead(plan, /*band_pages=*/1.0, dop,
+                                 /*prefetch_depth=*/0);
 
   // CPU: every page is cracked and every row evaluated; parallel workers
   // divide the work across cores but serialize on the per-page latch.
@@ -78,9 +101,6 @@ PlanCandidate CostModel::CostFullTableScan(const TableProfile& t,
   const double cpu_us =
       std::max(parallel_cpu, serialized_floor) * c.cpu_estimate_scale;
 
-  PlanCandidate plan;
-  plan.method = dop == 1 ? AccessMethod::kFts : AccessMethod::kPfts;
-  plan.dop = dop;
   plan.io_us = io_us;
   plan.cpu_us = cpu_us;
   // Scan CPU work overlaps prefetched I/O; the slower resource dominates.
@@ -100,29 +120,22 @@ double CostModel::EstimatedIndexFetches(const TableProfile& t,
 PlanCandidate CostModel::CostIndexScan(const TableProfile& t,
                                        double selectivity, int dop,
                                        int prefetch_depth) const {
-  PIOQO_CHECK(dop >= 1);
-  PIOQO_CHECK(prefetch_depth >= 0);
   const auto& c = constants_;
   const double k =
       std::max(0.0, selectivity * static_cast<double>(t.rows));
 
-  // Index I/O: two root-to-leaf descents plus the qualifying leaf chain,
-  // read nearly sequentially.
-  const double leaves_touched =
-      std::min<double>(t.index_leaves,
-                       selectivity * static_cast<double>(t.index_leaves) + 1.0);
+  // Index I/O: two root-to-leaf descents plus the qualifying leaf chain.
   const double index_io =
-      (2.0 * t.index_height + leaves_touched) * qdtt_.Lookup(1.0, 1.0);
+      (2.0 * t.index_height + LeavesTouched(t, selectivity)) *
+      qdtt_.Lookup(1.0, 1.0);
 
-  // Table I/O: `fetches` random reads within the table's band; the plan
-  // generates queue depth dop x (1 + per-worker prefetch).
+  // Table I/O: `fetches` random reads within the table's band.
   const double fetches =
       EstimatedIndexFetches(t, selectivity) * (1.0 - t.cached_fraction);
-  const double raw_depth =
-      static_cast<double>(dop) *
-      (prefetch_depth > 0 ? static_cast<double>(prefetch_depth) : 1.0);
-  const double per_page_io = qdtt_.Lookup(
-      static_cast<double>(t.table_pages), EffectiveQueueDepth(raw_depth));
+  PlanCandidate plan;
+  plan.method = dop == 1 ? AccessMethod::kIs : AccessMethod::kPis;
+  const double per_page_io = PricePageRead(
+      plan, static_cast<double>(t.table_pages), dop, prefetch_depth);
   const double io_us = index_io + fetches * per_page_io;
 
   // CPU: per selected row, decode the index entry, run the fetch path for
@@ -132,10 +145,6 @@ PlanCandidate CostModel::CostIndexScan(const TableProfile& t,
   const double cpu_us =
       k * per_row_cpu / std::min(dop, c.logical_cores) * c.cpu_estimate_scale;
 
-  PlanCandidate plan;
-  plan.method = dop == 1 ? AccessMethod::kIs : AccessMethod::kPis;
-  plan.dop = dop;
-  plan.prefetch_depth = prefetch_depth;
   plan.io_us = io_us;
   plan.cpu_us = cpu_us;
   // Uniform combination across all plans: the slower resource dominates,
@@ -152,17 +161,12 @@ PlanCandidate CostModel::CostIndexScan(const TableProfile& t,
 PlanCandidate CostModel::CostSortedIndexScan(const TableProfile& t,
                                              double selectivity, int dop,
                                              int prefetch_depth) const {
-  PIOQO_CHECK(dop >= 1);
-  PIOQO_CHECK(prefetch_depth >= 0);
   const auto& c = constants_;
   const double k = std::max(0.0, selectivity * static_cast<double>(t.rows));
 
   // The coordinator reads the whole qualifying leaf chain (as IS does).
-  const double leaves_touched =
-      std::min<double>(t.index_leaves,
-                       selectivity * static_cast<double>(t.index_leaves) + 1.0);
   const double index_io =
-      (static_cast<double>(t.index_height) + leaves_touched) *
+      (static_cast<double>(t.index_height) + LeavesTouched(t, selectivity)) *
       qdtt_.Lookup(1.0, 1.0);
 
   // Table I/O: the sort guarantees each distinct page is fetched at most
@@ -171,11 +175,10 @@ PlanCandidate CostModel::CostSortedIndexScan(const TableProfile& t,
   const double distinct_pages =
       YaoExpectedPages(t.rows, t.rows_per_page, k_rows) *
       (1.0 - t.cached_fraction);
-  const double raw_depth =
-      static_cast<double>(dop) *
-      (prefetch_depth > 0 ? static_cast<double>(prefetch_depth) : 1.0);
-  const double per_page_io = qdtt_.Lookup(
-      static_cast<double>(t.table_pages), EffectiveQueueDepth(raw_depth));
+  PlanCandidate plan;
+  plan.method = AccessMethod::kSortedIs;
+  const double per_page_io = PricePageRead(
+      plan, static_cast<double>(t.table_pages), dop, prefetch_depth);
   const double io_us = index_io + distinct_pages * per_page_io;
 
   // CPU: entry decode + sort stage (serial in the coordinator) + parallel
@@ -189,15 +192,27 @@ PlanCandidate CostModel::CostSortedIndexScan(const TableProfile& t,
       std::min(dop, c.logical_cores);
   const double cpu_us = (sort_cpu + scan_cpu) * c.cpu_estimate_scale;
 
-  PlanCandidate plan;
-  plan.method = AccessMethod::kSortedIs;
-  plan.dop = dop;
-  plan.prefetch_depth = prefetch_depth;
   plan.io_us = io_us;
   plan.cpu_us = cpu_us;
   plan.total_us = std::max(io_us, cpu_us) +
                   static_cast<double>(dop) * c.worker_startup_us;
   return plan;
+}
+
+PlanCandidate CostModel::Cost(AccessMethod method, const TableProfile& t,
+                              double selectivity, int dop,
+                              int prefetch_depth) const {
+  switch (method) {
+    case AccessMethod::kIs:
+    case AccessMethod::kPis:
+      return CostIndexScan(t, selectivity, dop, prefetch_depth);
+    case AccessMethod::kSortedIs:
+      return CostSortedIndexScan(t, selectivity, dop, prefetch_depth);
+    case AccessMethod::kFts:
+    case AccessMethod::kPfts:
+      break;
+  }
+  return CostFullTableScan(t, dop);
 }
 
 }  // namespace pioqo::core

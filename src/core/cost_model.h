@@ -39,6 +39,11 @@ struct PlanCandidate {
   int dop = 1;
   /// PIS prefetch depth per worker (0 = none).
   int prefetch_depth = 0;
+  /// The QDTT cell the plan's page reads are priced at: the band they span
+  /// (pages) and the effective queue depth the plan keeps in flight. Drift
+  /// defense charges the executed plan's observed runtime to this cell.
+  double band_pages = 1.0;
+  double queue_depth = 1.0;
   double io_us = 0.0;
   double cpu_us = 0.0;
   double total_us = 0.0;
@@ -78,6 +83,12 @@ class CostModel {
   PlanCandidate CostSortedIndexScan(const TableProfile& t, double selectivity,
                                     int dop, int prefetch_depth) const;
 
+  /// Cost of `method` with `dop` workers: the one dispatch from access
+  /// method to the functions above (table scans ignore `selectivity` and
+  /// `prefetch_depth`).
+  PlanCandidate Cost(AccessMethod method, const TableProfile& t,
+                     double selectivity, int dop, int prefetch_depth) const;
+
   bool queue_depth_aware() const { return queue_depth_aware_; }
   const CostConstants& constants() const { return constants_; }
   const QdttModel& model() const { return qdtt_; }
@@ -88,9 +99,13 @@ class CostModel {
   double EstimatedIndexFetches(const TableProfile& t, double selectivity) const;
 
  private:
-  /// Queue depth passed to the model for a plan generating `raw_depth`
-  /// outstanding I/Os: 1 if not queue-depth-aware.
-  double EffectiveQueueDepth(double raw_depth) const;
+  /// The one place a plan's QDTT cell is chosen. `dop` workers each keep
+  /// max(1, `prefetch_depth`) page reads in flight within `band_pages`; the
+  /// model sees that depth divided by the concurrent streams (at least 1),
+  /// or depth 1 when not queue-depth-aware. Records dop, prefetch depth and
+  /// the cell on `plan` and returns the cell's per-page cost (us).
+  double PricePageRead(PlanCandidate& plan, double band_pages, int dop,
+                       int prefetch_depth) const;
 
   const QdttModel& qdtt_;
   CostConstants constants_;

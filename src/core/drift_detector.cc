@@ -8,6 +8,28 @@
 
 namespace pioqo::core {
 
+namespace {
+
+/// Index of the grid point nearest `value` in log space, matching the
+/// grids' exponential spacing; a tie goes to the smaller point.
+template <typename T>
+size_t NearestInLogSpace(const std::vector<T>& grid, double value) {
+  size_t best = 0;
+  double best_dist = std::numeric_limits<double>::infinity();
+  const double target = std::log(std::max(1.0, value));
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const double dist =
+        std::abs(std::log(static_cast<double>(grid[i])) - target);
+    if (dist < best_dist) {
+      best_dist = dist;
+      best = i;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 DriftDetector::DriftDetector(const QdttModel& model,
                              DriftDetectorOptions options)
     : options_(options), bands_(model.band_grid()), qds_(model.qd_grid()) {
@@ -15,40 +37,11 @@ DriftDetector::DriftDetector(const QdttModel& model,
   cells_.assign(bands_.size() * qds_.size(), Cell{});
 }
 
-size_t DriftDetector::NearestBandIdx(double band_pages) const {
-  // Nearest in log space, matching the grid's exponential spacing.
-  size_t best = 0;
-  double best_dist = std::numeric_limits<double>::infinity();
-  const double target = std::log(std::max(1.0, band_pages));
-  for (size_t i = 0; i < bands_.size(); ++i) {
-    const double dist = std::abs(std::log(static_cast<double>(bands_[i])) - target);
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = i;
-    }
-  }
-  return best;
-}
-
-size_t DriftDetector::NearestQdIdx(double queue_depth) const {
-  size_t best = 0;
-  double best_dist = std::numeric_limits<double>::infinity();
-  const double target = std::log(std::max(1.0, queue_depth));
-  for (size_t i = 0; i < qds_.size(); ++i) {
-    const double dist = std::abs(std::log(static_cast<double>(qds_[i])) - target);
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = i;
-    }
-  }
-  return best;
-}
-
 void DriftDetector::Observe(double band_pages, double queue_depth,
                             double predicted_us, double observed_us) {
   if (predicted_us <= 0.0 || observed_us <= 0.0) return;
-  Cell& cell = cells_[Index(NearestBandIdx(band_pages),
-                            NearestQdIdx(queue_depth))];
+  Cell& cell = cells_[Index(NearestInLogSpace(bands_, band_pages),
+                            NearestInLogSpace(qds_, queue_depth))];
   const double log_ratio = std::log(observed_us / predicted_us);
   if (cell.warmup_samples < options_.min_samples) {
     // Warmup: learn the cell's reference error level. Whatever structural
@@ -109,7 +102,8 @@ std::vector<uint64_t> DriftDetector::DriftedBands() const {
 }
 
 void DriftDetector::NoteBandRecalibrated(uint64_t band_pages) {
-  const size_t b = NearestBandIdx(static_cast<double>(band_pages));
+  const size_t b =
+      NearestInLogSpace(bands_, static_cast<double>(band_pages));
   for (size_t q = 0; q < qds_.size(); ++q) cells_[Index(b, q)] = Cell{};
 }
 

@@ -113,8 +113,6 @@ class DriftDetector {
   size_t Index(size_t band_idx, size_t qd_idx) const {
     return band_idx * qds_.size() + qd_idx;
   }
-  size_t NearestBandIdx(double band_pages) const;
-  size_t NearestQdIdx(double queue_depth) const;
 
   DriftDetectorOptions options_;
   std::vector<uint64_t> bands_;

@@ -22,7 +22,6 @@ class EquiWidthHistogram {
 
   int32_t min_value() const { return min_; }
   int32_t max_value() const { return max_; }
-  uint64_t total_count() const { return total_; }
   int num_buckets() const { return static_cast<int>(counts_.size()); }
 
   /// Estimated fraction of values in [lo, hi] (inclusive), assuming uniform

@@ -28,6 +28,11 @@ void Database::EnableHealthMonitor(io::DeviceHealthMonitor::Options options) {
   // Enable-once: the monitor is the device's completion observer, and
   // admission control and scans hold raw pointers to it.
   PIOQO_CHECK(health_ == nullptr) << "health monitor already enabled";
+  // Admission copies the monitor pointer when it is enabled, so a monitor
+  // enabled later would clamp scans but never admission.
+  PIOQO_CHECK(admission_ == nullptr)
+      << "EnableHealthMonitor() after EnableAdmissionControl(): enable the "
+         "health monitor first, then admission control";
   if (options.expected_read_latency_us <= 0.0 && qdtt_.has_value()) {
     // Baseline from the calibrated model: one random page read across the
     // whole device at queue depth 1 — the DTT view, which *is* the expected
@@ -215,6 +220,11 @@ void Database::EnableAdmissionControl(AdmissionOptions options) {
   // Enable-once: drift defense's probe gate holds a raw pointer to the
   // controller.
   PIOQO_CHECK(admission_ == nullptr) << "admission control already enabled";
+  // Drift defense builds its probe gate from the controller when it is
+  // enabled; without one its recalibration gets no busy probes.
+  PIOQO_CHECK(drift_defense_ == nullptr)
+      << "EnableAdmissionControl() after EnableDriftDefense(): enable "
+         "admission control first, then the drift defense";
   if (options.health == nullptr) options.health = health_.get();
   admission_ = std::make_unique<AdmissionController>(sim_, options);
 }
@@ -349,7 +359,7 @@ sim::Task QueryLifecycle(Database& db, AdmissionController& ctrl,
   bool admitted = false;
   Status final_status;
   double exec_us = 0.0;
-  DriftDefense::IoPrediction prediction;
+  std::optional<core::PlanCandidate> executed;
   if (!planned_ok) {
     final_status = std::move(plan_status);
   } else {
@@ -367,12 +377,16 @@ sim::Task QueryLifecycle(Database& db, AdmissionController& ctrl,
                             &query};
       spec.dop = grant.dop;
       if (planned.has_value()) {
-        // Prediction at the *granted* degree: what the live model promises
-        // for the plan as it will actually run.
-        prediction = DriftDefense::PredictPlanIo(
-            out.planned_method, grant.dop, spec.prefetch_depth,
-            planned->profile, planned->selectivity, db.qdtt(),
-            db.options().constants, req.optimizer.concurrent_streams);
+        // The plan as it will actually run, at the *granted* degree, priced
+        // queue-depth-aware however it was chosen (a DTT-fallback plan still
+        // runs the device at its real depth): drift defense must measure
+        // drift of the grid, not conservatism of the fallback costing.
+        executed = core::CostModel(db.qdtt(), db.options().constants,
+                                   /*queue_depth_aware=*/true,
+                                   req.optimizer.concurrent_streams)
+                       .Cost(out.planned_method, planned->profile,
+                             planned->selectivity, grant.dop,
+                             spec.prefetch_depth);
       }
       const double exec_start = sim.Now();
       auto scan = exec::StartScan(ctx, spec);
@@ -384,8 +398,9 @@ sim::Task QueryLifecycle(Database& db, AdmissionController& ctrl,
       ctrl.Release(grant);
     }
   }
-  if (db.drift_defense() != nullptr && final_status.ok() && exec_us > 0.0) {
-    db.drift_defense()->ObserveQuery(prediction, exec_us);
+  if (db.drift_defense() != nullptr && executed.has_value() &&
+      final_status.ok()) {
+    db.drift_defense()->ObserveQuery(*executed, exec_us);
   }
   if (cancel_armed) sim.Cancel(cancel_token);
   out.status = std::move(final_status);

@@ -113,7 +113,10 @@ class Database {
   /// Installs the admission controller for RunWorkload. When
   /// `options.health` is null, the database's health monitor (if enabled)
   /// is wired in, so degraded devices clamp admitted DOP automatically.
-  /// May be called at most once per database.
+  /// May be called at most once per database. Call it after
+  /// EnableHealthMonitor, whose monitor it copies, and before
+  /// EnableDriftDefense, whose probe gate copies it: it aborts once the
+  /// drift defense is enabled.
   void EnableAdmissionControl(AdmissionOptions options = {});
   AdmissionController* admission() { return admission_.get(); }
 
@@ -192,7 +195,8 @@ class Database {
   /// a never-idle device. Workload queries with `use_optimizer` then plan
   /// under the defense's confidence, feed their predicted-vs-observed
   /// runtime back, and trigger guarded recalibration on drift. May be
-  /// called at most once per database.
+  /// called at most once per database. Call it after
+  /// EnableAdmissionControl: that call aborts once the defense is enabled.
   void EnableDriftDefense(DriftDefenseOptions options = {});
   DriftDefense* drift_defense() { return drift_defense_.get(); }
 
@@ -236,7 +240,8 @@ class Database {
   /// i.e. the true single-request completion latency). Otherwise `options`
   /// is taken as given: a monitor enabled uncalibrated without a baseline
   /// only observes, even after a later Calibrate(). May be called at most
-  /// once per database.
+  /// once per database. Call it before EnableAdmissionControl, which
+  /// copies the monitor: it aborts once admission control is enabled.
   void EnableHealthMonitor(io::DeviceHealthMonitor::Options options = {});
   io::DeviceHealthMonitor* health_monitor() { return health_.get(); }
 

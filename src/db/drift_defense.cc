@@ -46,54 +46,11 @@ DriftDefense::DriftDefense(sim::Simulator& sim, io::Device& device,
   calibrator_.set_on_complete([this] { OnRecalibrationComplete(); });
 }
 
-DriftDefense::IoPrediction DriftDefense::PredictPlanIo(
-    core::AccessMethod method, int dop, int prefetch_depth,
-    const core::TableProfile& profile, double selectivity,
-    const core::QdttModel& model, const core::CostConstants& constants,
-    int concurrent_streams) {
-  // Cost the executed plan with the queue-depth-aware model regardless of
-  // how it was *chosen* (a DTT-fallback plan still runs the device at its
-  // real depth): the comparison against wall time must measure drift of the
-  // grid, not conservatism of the fallback costing.
-  core::CostModel cm(model, constants, /*queue_depth_aware=*/true,
-                     concurrent_streams);
-  core::PlanCandidate plan;
-  double band_pages = 1.0;
-  double raw_depth = static_cast<double>(dop);
-  switch (method) {
-    case core::AccessMethod::kFts:
-    case core::AccessMethod::kPfts:
-      plan = cm.CostFullTableScan(profile, dop);
-      break;
-    case core::AccessMethod::kIs:
-    case core::AccessMethod::kPis:
-      plan = cm.CostIndexScan(profile, selectivity, dop, prefetch_depth);
-      band_pages = static_cast<double>(profile.table_pages);
-      raw_depth = static_cast<double>(dop) *
-                  static_cast<double>(std::max(1, prefetch_depth));
-      break;
-    case core::AccessMethod::kSortedIs:
-      plan = cm.CostSortedIndexScan(profile, selectivity, dop, prefetch_depth);
-      band_pages = static_cast<double>(profile.table_pages);
-      raw_depth = static_cast<double>(dop) *
-                  static_cast<double>(std::max(1, prefetch_depth));
-      break;
-  }
-  IoPrediction prediction;
-  prediction.band_pages = band_pages;
-  prediction.queue_depth =
-      std::max(1.0, raw_depth / static_cast<double>(std::max(1, concurrent_streams)));
-  prediction.predicted_us = plan.total_us;
-  prediction.io_dominated = plan.io_us >= plan.cpu_us;
-  return prediction;
-}
-
-void DriftDefense::ObserveQuery(const IoPrediction& prediction,
+void DriftDefense::ObserveQuery(const core::PlanCandidate& executed,
                                 double runtime_us) {
-  if (!prediction.valid() || !prediction.io_dominated) return;
-  if (runtime_us <= 0.0) return;
-  detector_.Observe(prediction.band_pages, prediction.queue_depth,
-                    prediction.predicted_us, runtime_us);
+  if (executed.io_us < executed.cpu_us || runtime_us <= 0.0) return;
+  detector_.Observe(executed.band_pages, executed.queue_depth,
+                    executed.total_us, runtime_us);
   ++stats_.observations;
   MaybeTriggerRecalibration();
 }

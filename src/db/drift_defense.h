@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/cost_constants.h"
 #include "core/cost_model.h"
 #include "core/drift_detector.h"
 #include "core/idle_calibrator.h"
@@ -81,49 +80,21 @@ class DriftDefense {
                core::QdttModel& live_model, AdmissionController* admission,
                DriftDefenseOptions options);
 
-  /// The plan-time I/O prediction for one query. `band_pages`/`queue_depth`
-  /// name the QDTT grid cell the executed plan operates in (for drift
-  /// attribution); `predicted_us` is the model's runtime estimate for the
-  /// executed plan, compared against observed wall time at whole-query
-  /// granularity (robust to prefetching shifting pages between pool hits
-  /// and misses).
-  struct IoPrediction {
-    /// Band size (pages) the plan's fetches fall in.
-    double band_pages = 0.0;
-    /// Effective queue depth the plan runs the device at.
-    double queue_depth = 0.0;
-    /// QDTT-costed runtime estimate of the executed plan.
-    double predicted_us = 0.0;
-    /// True when the plan's estimated I/O time dominated its CPU time —
-    /// only then is wall time a meaningful I/O cost observation.
-    bool io_dominated = false;
-
-    bool valid() const { return predicted_us > 0.0; }
-  };
-
-  /// Computes the drift-relevant prediction for a plan about to execute
-  /// (`dop` is the *granted* degree): the grid cell it operates in and the
-  /// QDTT-costed runtime the live model currently promises for it. Pure.
-  static IoPrediction PredictPlanIo(
-      core::AccessMethod method, int dop, int prefetch_depth,
-      const core::TableProfile& profile, double selectivity,
-      const core::QdttModel& model, const core::CostConstants& constants,
-      int concurrent_streams);
-
-  /// Feeds one finished query: compares its plan-time `prediction` against
-  /// `runtime_us` (admission wait excluded) and, when some cell has drifted
-  /// and no recalibration is in flight, triggers the partial refresh.
-  /// Queries without a valid I/O-dominated prediction are ignored.
-  void ObserveQuery(const IoPrediction& prediction, double runtime_us);
+  /// Feeds one finished query: `executed` is the plan as it ran, costed by
+  /// the live model at its granted degree, and `runtime_us` its observed
+  /// runtime (admission wait excluded). Plans whose estimated I/O time is
+  /// below their CPU time are ignored: only an I/O-dominated plan's runtime
+  /// measures the grid. Every other plan is charged to the QDTT cell it was
+  /// priced at (`band_pages`, `queue_depth`), comparing `total_us` against
+  /// the runtime at whole-query granularity (robust to prefetching shifting
+  /// pages between pool hits and misses). When some cell has drifted and
+  /// no recalibration is in flight, triggers the partial refresh.
+  void ObserveQuery(const core::PlanCandidate& executed, double runtime_us);
 
   double confidence() const { return detector_.confidence(); }
   const core::DriftDetector& detector() const { return detector_; }
   core::IdleCalibrator& calibrator() { return calibrator_; }
   const Stats& stats() const { return stats_; }
-  /// Bands handed to the in-flight recalibration (empty when none).
-  const std::vector<uint64_t>& inflight_bands() const {
-    return inflight_bands_;
-  }
 
  private:
   void MaybeTriggerRecalibration();

@@ -327,12 +327,12 @@ sim::Task IsWorker(IsState& s, int worker_index) {
     // pops it finds the leaf resident or in flight and starts issuing its
     // own RID batch while this leaf's row pages are still draining from the
     // device queue — instead of stalling a full leaf-read round trip between
-    // batches. Prefetch dedups, so a leaf another worker already reached
-    // costs one table probe.
+    // batches. PrefetchBlock dedups, so a leaf another worker already
+    // reached costs one table probe.
     if (s.prefetch_depth > 0 && !s.leaves.closed()) {
       const PageId next_leaf = BPlusTree::LeafNext(leaf.data);
       if (next_leaf != kInvalidPageId && next_leaf <= s.tail_leaf) {
-        s.ctx.pool.Prefetch(next_leaf);
+        s.ctx.pool.PrefetchBlock(next_leaf, 1);
       }
     }
 
@@ -345,7 +345,7 @@ sim::Task IsWorker(IsState& s, int worker_index) {
           std::min(batch.size(), i + 1 + static_cast<size_t>(s.prefetch_depth));
       for (prefetched = std::max(prefetched, i + 1); prefetched < horizon;
            ++prefetched) {
-        s.ctx.pool.Prefetch(batch[prefetched].rid.page);
+        s.ctx.pool.PrefetchBlock(batch[prefetched].rid.page, 1);
       }
 
       co_await s.ctx.cpu.Consume(c.index_entry_cpu_us);
@@ -484,12 +484,12 @@ sim::Task SortedIsWorker(SortedIsState& s, int worker_index) {
       }
     }
     const size_t i = s.next_group++;
-    // Keep upcoming pages in flight; Prefetch dedups pages other workers
-    // already requested.
+    // Keep upcoming pages in flight; PrefetchBlock dedups pages other
+    // workers already requested.
     const size_t horizon = std::min(
         s.groups.size(), i + 1 + static_cast<size_t>(s.prefetch_depth));
     for (size_t p = i + 1; p < horizon; ++p) {
-      s.ctx.pool.Prefetch(s.groups[p].page);
+      s.ctx.pool.PrefetchBlock(s.groups[p].page, 1);
     }
     const auto& group = s.groups[i];
     auto ref = co_await s.ctx.pool.Fetch(group.page, s.ctx.query);

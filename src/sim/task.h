@@ -30,9 +30,9 @@ namespace pioqo::sim {
 /// terminate the process.
 ///
 /// The type is [[nodiscard]] so a spawn reads as a decision, not an
-/// accident: write `Worker(...).Detach();` at fire-and-forget sites. The
-/// lint suite's SUS003 enforces the same idiom for toolchains that compile
-/// with the warning off.
+/// accident: write `Worker(...).Detach();` at fire-and-forget sites. Every
+/// build compiles with -Werror=unused-result, so a dropped Task does not
+/// compile.
 struct [[nodiscard]] Task {
   struct promise_type {
     Task get_return_object() noexcept {
@@ -62,7 +62,7 @@ struct [[nodiscard]] Task {
   /// Explicit fire-and-forget acknowledgement. The coroutine already ran (or
   /// suspended) eagerly when it was called; calling `Detach()` on the
   /// returned token changes nothing at runtime — it exists so the
-  /// [[nodiscard]] above and the SUS003 lint can tell a deliberate spawn
+  /// [[nodiscard]] above can tell a deliberate spawn
   /// (`Worker(...).Detach();`) from a dropped coroutine.
   void Detach() const noexcept {}
 };

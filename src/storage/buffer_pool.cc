@@ -198,13 +198,6 @@ void BufferPool::Unpin(PageId pid, io::QueryContext* query) {
   if (query != nullptr) query->OnUnpin();
 }
 
-void BufferPool::Prefetch(PageId pid) {
-  ++stats_.prefetch_issued;
-  if (page_table_.Contains(pid)) return;  // resident or already in flight
-  Status st = StartRead(pid, 1, /*prefetch=*/true);
-  (void)st;  // prefetch is best-effort; drops are counted in stats
-}
-
 void BufferPool::PrefetchBlock(PageId first, uint32_t count) {
   stats_.prefetch_issued += count;
   // Split the block into maximal runs of absent pages; each run is one

@@ -145,17 +145,14 @@ class BufferPool {
   /// the Fetch carried so its pin counter balances.
   void Unpin(PageId pid, io::QueryContext* query = nullptr);
 
-  /// Starts an asynchronous read of `pid` if it is neither resident nor in
-  /// flight; never blocks the caller. The page lands unpinned. Best-effort:
-  /// dropped (counted in stats) when no frame is available.
-  void Prefetch(PageId pid);
-
   /// Starts one device read covering pages [first, first+count) that are not
   /// yet resident/in-flight, as a single large request (the paper's FTS
   /// "instead of prefetching pages one by one a large block consisting of
   /// several consecutive pages is read at a time"). Pages already resident
   /// or in flight are skipped by splitting the block at them: each run of
-  /// absent pages is one StartRead.
+  /// absent pages is one StartRead. Never blocks the caller; pages land
+  /// unpinned. Best-effort: pages that find no free frame are dropped
+  /// (counted in stats). `count` 1 prefetches one page.
   void PrefetchBlock(PageId first, uint32_t count);
 
   /// True if `pid` can be returned by Fetch without device I/O right now.

@@ -69,7 +69,7 @@ sim::Task StressWorker(sim::Simulator& sim, BufferPool& pool, uint64_t seed,
         pool.Unpin(pid);
       }
     } else if (kind < 8) {
-      pool.Prefetch(static_cast<PageId>(rng.UniformBelow(kTablePages)));
+      pool.PrefetchBlock(static_cast<PageId>(rng.UniformBelow(kTablePages)), 1);
     } else if (kind < 9) {
       const PageId first = static_cast<PageId>(rng.UniformBelow(kTablePages));
       const uint32_t count = std::min<uint32_t>(

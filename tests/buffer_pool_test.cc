@@ -124,7 +124,7 @@ TEST_F(BufferPoolTest, PrefetchMakesLaterFetchAHit) {
   BufferPool pool(disk_, 10);
   bool was_hit = false;
   auto worker = [&]() -> sim::Task {
-    pool.Prefetch(9);
+    pool.PrefetchBlock(9, 1);
     co_await sim::Delay(sim_, 10000.0);  // long enough for the read
     auto ref = co_await pool.Fetch(9);
     was_hit = ref.was_hit;
@@ -139,7 +139,7 @@ TEST_F(BufferPoolTest, PrefetchMakesLaterFetchAHit) {
 TEST_F(BufferPoolTest, FetchDuringPrefetchJoinsInflightRead) {
   BufferPool pool(disk_, 10);
   auto worker = [&]() -> sim::Task {
-    pool.Prefetch(9);
+    pool.PrefetchBlock(9, 1);
     auto ref = co_await pool.Fetch(9);  // read still in flight
     EXPECT_EQ(ref.data[kPageHeaderSize], 9);
     pool.Unpin(9);
@@ -225,7 +225,7 @@ TEST_F(BufferPoolTest, ClearReportsPinnedAndInflightPages) {
   pool.Unpin(1);
 
   // An in-flight load likewise blocks Clear instead of crashing it.
-  pool.Prefetch(7);
+  pool.PrefetchBlock(7, 1);
   Status inflight = pool.Clear();
   EXPECT_EQ(inflight.code(), StatusCode::kFailedPrecondition);
   sim_.Run();

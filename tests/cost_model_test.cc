@@ -1,5 +1,8 @@
 #include "core/cost_model.h"
 
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/calibrator.h"
@@ -159,6 +162,66 @@ TEST(CostModelTest, CachedFractionReducesIo) {
               cm.CostFullTableScan(cold, 1).io_us * 0.5, 1e-6);
   EXPECT_LT(cm.CostIndexScan(warm, 0.01, 1, 0).io_us,
             cm.CostIndexScan(cold, 0.01, 1, 0).io_us);
+}
+
+void ExpectSamePlan(const PlanCandidate& a, const PlanCandidate& b) {
+  EXPECT_EQ(a.method, b.method);
+  EXPECT_EQ(a.dop, b.dop);
+  EXPECT_EQ(a.prefetch_depth, b.prefetch_depth);
+  EXPECT_EQ(a.band_pages, b.band_pages);
+  EXPECT_EQ(a.queue_depth, b.queue_depth);
+  EXPECT_EQ(a.io_us, b.io_us);
+  EXPECT_EQ(a.cpu_us, b.cpu_us);
+  EXPECT_EQ(a.total_us, b.total_us);
+}
+
+TEST(CostModelTest, PlanRecordsThePricedCell) {
+  // The cost model alone picks the QDTT cell a plan's page reads are priced
+  // at; drift defense charges the executed plan to the cell it records.
+  const QdttModel m = SsdLikeModel();
+  const TableProfile t = Typical33();
+  const double table_pages = static_cast<double>(t.table_pages);
+  for (int streams : {1, 4}) {
+    const CostModel cm(m, CostConstants{}, /*queue_depth_aware=*/true,
+                       streams);
+    const CostModel blind(m, CostConstants{}, /*queue_depth_aware=*/false,
+                          streams);
+    for (int dop : {1, 4, 32}) {
+      SCOPED_TRACE("streams " + std::to_string(streams) + " dop " +
+                   std::to_string(dop));
+      const PlanCandidate fts = cm.CostFullTableScan(t, dop);
+      EXPECT_EQ(fts.band_pages, 1.0);
+      EXPECT_EQ(fts.queue_depth,
+                std::max(1.0, static_cast<double>(dop) / streams));
+      // An uncached FTS reads every table page at its cell's cost.
+      EXPECT_EQ(fts.io_us,
+                table_pages * m.Lookup(fts.band_pages, fts.queue_depth));
+      EXPECT_EQ(blind.CostFullTableScan(t, dop).queue_depth, 1.0);
+      for (int prefetch : {0, 8}) {
+        SCOPED_TRACE("prefetch " + std::to_string(prefetch));
+        const double depth = std::max(
+            1.0, static_cast<double>(dop * std::max(1, prefetch)) / streams);
+        const PlanCandidate is = cm.CostIndexScan(t, 0.01, dop, prefetch);
+        const PlanCandidate sis =
+            cm.CostSortedIndexScan(t, 0.01, dop, prefetch);
+        for (const PlanCandidate& plan : {is, sis}) {
+          EXPECT_EQ(plan.band_pages, table_pages);
+          EXPECT_EQ(plan.queue_depth, depth);
+        }
+        EXPECT_EQ(blind.CostIndexScan(t, 0.01, dop, prefetch).queue_depth,
+                  1.0);
+        EXPECT_EQ(
+            blind.CostSortedIndexScan(t, 0.01, dop, prefetch).queue_depth,
+            1.0);
+        // Cost() is the one dispatch from access method to these functions;
+        // table scans ignore the prefetch depth.
+        ExpectSamePlan(cm.Cost(fts.method, t, 0.01, dop, prefetch), fts);
+        ExpectSamePlan(cm.Cost(is.method, t, 0.01, dop, prefetch), is);
+        ExpectSamePlan(
+            cm.Cost(AccessMethod::kSortedIs, t, 0.01, dop, prefetch), sis);
+      }
+    }
+  }
 }
 
 TEST(CostModelTest, PlanToStringIsReadable) {

@@ -1,6 +1,8 @@
 #include "db/database.h"
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -199,6 +201,43 @@ TEST(DatabaseTest, UncalibratedMonitorWithoutBaselineStaysObserveOnly) {
   EXPECT_EQ(db.device().stats().degraded_clamps(), 0u);
 }
 
+TEST(DatabaseTest, DriftObservationIsChargedAtTheGrantedDop) {
+  // A query planned at 8 workers but admitted with 2 runs the device at
+  // depth 2, so drift defense charges its runtime to the qd-2 cell.
+  Database db(SmallSsd());
+  ASSERT_TRUE(db.CreateTable(SmallTable("t", 30000, 33)).ok());
+  db.Calibrate();
+  AdmissionOptions admission;
+  admission.max_total_dop = 2;
+  db.EnableAdmissionControl(admission);
+  db.EnableDriftDefense();
+
+  Database::QueryRequest req;
+  req.scan.table = "t";
+  req.scan.pred = {0, storage::C2UpperBoundForSelectivity(1 << 24, 1.0)};
+  req.use_optimizer = true;
+  req.optimizer.parallel_degrees = {8};
+  req.arrival_us = db.simulator().Now();
+  auto report = db.RunWorkload({req}, /*flush_pool=*/true);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const Database::QueryReport& query = report->queries[0];
+  ASSERT_TRUE(query.status.ok()) << query.status.ToString();
+  ASSERT_EQ(query.planned_method, core::AccessMethod::kPfts);
+  EXPECT_EQ(query.planned_dop, 8);
+  EXPECT_EQ(query.granted_dop, 2);
+
+  // A table scan reads band 1, the grid's first row.
+  const core::DriftDetector& detector = db.drift_defense()->detector();
+  const std::vector<int>& qds = detector.qd_grid();
+  const auto qd_idx = [&](int qd) {
+    return static_cast<size_t>(std::find(qds.begin(), qds.end(), qd) -
+                               qds.begin());
+  };
+  EXPECT_EQ(db.drift_defense()->stats().observations, 1u);
+  EXPECT_EQ(detector.CellSamples(0, qd_idx(2)), 1u);
+  EXPECT_EQ(detector.CellSamples(0, qd_idx(8)), 0u);
+}
+
 TEST(DatabaseDeathTest, EnableHealthMonitorTwiceDies) {
   // The monitor is enable-once: a second one would be left deaf when the
   // first one's destructor uninstalls the device's completion observer.
@@ -233,6 +272,31 @@ TEST(DatabaseDeathTest, EnableDriftDefenseTwiceDies) {
         db.EnableDriftDefense();
       },
       "drift defense already enabled");
+}
+
+TEST(DatabaseDeathTest, EnableHealthMonitorAfterAdmissionDies) {
+  // Admission copies the monitor pointer when it is enabled: a later
+  // monitor would clamp scans but never admission.
+  EXPECT_DEATH(
+      {
+        Database db(SmallSsd());
+        db.EnableAdmissionControl();
+        db.EnableHealthMonitor();
+      },
+      "EnableHealthMonitor\\(\\) after EnableAdmissionControl");
+}
+
+TEST(DatabaseDeathTest, EnableAdmissionControlAfterDriftDefenseDies) {
+  // The defense builds its probe gate from the controller when it is
+  // enabled: a later controller would leave it without busy probes.
+  EXPECT_DEATH(
+      {
+        Database db(SmallSsd());
+        db.Calibrate();
+        db.EnableDriftDefense();
+        db.EnableAdmissionControl();
+      },
+      "EnableAdmissionControl\\(\\) after EnableDriftDefense");
 }
 
 TEST(DatabaseDeathTest, CalibrateAfterDriftDefenseDies) {

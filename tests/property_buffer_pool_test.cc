@@ -109,7 +109,7 @@ TEST_P(BufferPoolPropertyTest, RandomOperationSequence) {
         --total_pins;
         if (--it->second == 0) pins.erase(it);
       } else if (action == 8 && headroom >= 2) {
-        pool.Prefetch(page);
+        pool.PrefetchBlock(page, 1);
         ++inflight_budget_used;
       } else if (headroom >= 3) {
         const uint32_t count = static_cast<uint32_t>(

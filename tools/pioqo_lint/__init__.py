@@ -3,8 +3,7 @@
 Rules (see cli.RULES and the rule modules for details):
   SUS001  guard/latch/semaphore or PageGuard held across co_await
   SUS002  capturing lambda-coroutine spawned as a dying temporary
-  SUS003  sim::Task dropped without .Detach()/store/await
-  ERR001  Status/StatusOr/IoResult discarded at a call site
+  ERR001  awaited Status discarded by a bare `co_await x.Read(...);`
   ARCH001 include-graph layering enforcement
   PERF001 std::function in the simulator / I/O hot paths
   PERF002 node-based containers in the per-page layers

@@ -25,8 +25,7 @@ DEFAULT_ALLOWLIST = Path("tools") / "static_analysis_allowlist.txt"
 RULES = {
     "SUS001": "guard/latch/semaphore or PageGuard held across co_await",
     "SUS002": "capturing lambda-coroutine spawned as a dying temporary",
-    "SUS003": "sim::Task dropped without .Detach()/store/await",
-    "ERR001": "Status/StatusOr/IoResult discarded at a call site",
+    "ERR001": "awaited Status discarded by a bare `co_await x.Read(...);`",
     "ARCH001": "include-graph layering (common ← sim ← io ← storage ← core "
                "← exec ← opt ← db; bench/tests/examples are sinks)",
     "PERF001": "std::function declared in a hot-path layer (src/sim, src/io);"
@@ -58,28 +57,14 @@ FIXTURES_DIR = Path(__file__).resolve().parent / "fixtures"
 def scan(sources, enabled_rules):
     """Runs every enabled checker over `sources`; returns raw violations."""
     violations = []
-    task_index = rules_suspend.build_task_index(sources)
-    status_index, awaitable_index = rules_error.build_status_index(sources)
+    awaitable_index = rules_error.build_awaitable_index(sources)
     for src in sources:
-        # Name lookup is unqualified, so two files may declare same-named
-        # functions with different return types (a test's `sim::Task
-        # RunQuery` vs an example's `StatusOr<> RunQuery`). Calls resolve to
-        # the same-TU declaration first; let a local declaration shadow the
-        # cross-file index so each file is judged by its own signature.
-        local_task = rules_suspend.build_task_index([src])
-        local_status, _ = rules_error.build_status_index([src])
-        local_void = set(rules_error.VOID_FN_DECL.findall(src.code))
-        file_task = task_index - ((local_status | local_void) - local_task)
-        file_status = status_index - ((local_task | local_void) - local_status)
         if "SUS001" in enabled_rules:
             violations.extend(rules_suspend.check_sus001(src))
         if "SUS002" in enabled_rules:
             violations.extend(rules_suspend.check_sus002(src))
-        if "SUS003" in enabled_rules:
-            violations.extend(rules_suspend.check_sus003(src, file_task))
         if "ERR001" in enabled_rules:
-            violations.extend(rules_error.check_err001(src, file_status,
-                                                       awaitable_index))
+            violations.extend(rules_error.check_err001(src, awaitable_index))
         if "ARCH001" in enabled_rules:
             violations.extend(rules_arch.check_arch001(src))
         if "PERF001" in enabled_rules:

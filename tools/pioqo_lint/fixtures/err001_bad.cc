@@ -1,30 +1,14 @@
-// ERR001 bad fixture: Status / awaited-Status results silently dropped.
-
-Status Clear();
-io::IoResult BlockingRead(uint64_t offset);
-
-struct Pool {
-  Status Clear();
-};
+// ERR001 bad fixture: awaited Status results silently dropped. (A plain call
+// that drops a Status does not compile: -Werror=unused-result.)
 
 struct Device {
   IoAwaiter Read(uint64_t offset, uint32_t length);
 };
 
-sim::Task Driver(Pool& pool, io::Device& device) {
-  pool.Clear();  // ERR001: Status discarded
+sim::Task Driver(io::Device& device) {
   co_await device.Read(0, 4096);  // ERR001: awaited Status discarded
 }
 
-void Flush(Pool* pool) {
-  pool->Clear();  // ERR001: Status discarded
-}
-
-struct IdleCalibrator {
-  Status StartPartial(const std::vector<uint64_t>& bands);
-};
-
-void TriggerRecalibration(IdleCalibrator& calibrator) {
-  calibrator.StartPartial({4096});  // ERR001: kInvalidArgument /
-                                    // kFailedPrecondition silently lost
+sim::Task Probe(io::Device* device) {
+  co_await device->Read(8192, 4096);  // ERR001: awaited Status discarded
 }

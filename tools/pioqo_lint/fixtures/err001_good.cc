@@ -1,30 +1,15 @@
-// ERR001 good fixture: every Status-bearing result is consumed.
+// ERR001 good fixture: every awaited Status is consumed.
 
-Status Clear();
-
-struct Pool {
-  Status Clear();
+struct Device {
+  IoAwaiter Read(uint64_t offset, uint32_t length);
 };
 
-sim::Task Driver(Pool& pool, io::Device& device) {
-  Status flushed = pool.Clear();
-  if (!flushed.ok()) Report(flushed);
+sim::Task Driver(io::Device& device) {
   const Status read = co_await device.Read(0, 4096);
   PIOQO_CHECK(read.ok());
 }
 
-Status Flush(Pool* pool) {
-  PIOQO_RETURN_IF_ERROR(pool->Clear());
-  return Status::OK();
-}
-
-struct IdleCalibrator {
-  Status StartPartial(const std::vector<uint64_t>& bands);
-};
-
-void TriggerRecalibration(IdleCalibrator& calibrator) {
-  // A partial refresh can race a just-started run (kFailedPrecondition);
-  // the caller decides to retry on the next drift sample, explicitly.
-  Status started = calibrator.StartPartial({4096});
-  if (!started.ok()) Report(started);
+sim::Task Probe(io::Device* device, sim::Simulator& sim, uint64_t& errors) {
+  if (!(co_await device->Read(8192, 4096)).ok()) ++errors;
+  co_await sim::Delay(sim, 1.0);  // resumes to void: nothing to consume
 }

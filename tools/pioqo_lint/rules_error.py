@@ -1,44 +1,25 @@
-"""ERR001 — discarded Status / StatusOr / IoResult at call sites.
+"""ERR001 — an awaited Status discarded by a bare `co_await`.
 
 The fault-injection layer threads `Status` through every completion path so
 queries fail cleanly instead of silently assuming success; a call site that
-drops a returned Status undoes all of that. Two shapes are flagged:
+drops a returned Status undoes all of that. `[[nodiscard]]` on `Status`,
+`StatusOr`, `IoResult` and `sim::Task`, with `-Werror=unused-result` in every
+build, makes the compiler reject a plain call that drops one. It cannot see
+this shape:
 
-  1. A bare statement call `pool_.Clear();` where the callee is indexed as
-     returning Status/StatusOr/IoResult.
-  2. A bare `co_await device.Read(...);` where the awaited expression's
-     `await_resume` returns Status (methods indexed by their IoAwaiter-style
-     return types).
+    co_await device.Read(...);
 
-The index is name-based and built from the scanned set itself, so the rule
-needs no compiler: every `Status Foo(...)`/`StatusOr<T> Foo(...)`/`IoResult
-Foo(...)` declaration contributes `Foo`. `[[nodiscard]]` on the types is the
-compiler-enforced twin of this rule; the lint exists so the invariant is
-visible in CI diffs even for toolchains with the warning off, and so
-suppressions are centralized in the allowlist instead of scattered
-`(void)` casts.
+The awaiter's `await_resume` returns the Status, and GCC 12 does not warn
+when a `co_await` expression's result is discarded, even when
+`await_resume` is `[[nodiscard]]`. So the rule flags a statement that is
+nothing but `co_await <chain>.Name(...)` where `Name` is declared in the
+scanned set as returning an `IoAwaiter` (whose `await_resume` returns
+Status). The index is name-based, so the rule needs no compiler.
 """
 
 import re
 
 from pioqo_lint.scanner import Violation, iter_statements, match_balanced
-from pioqo_lint.rules_suspend import (BARE_CALL, STMT_SKIP_KEYWORDS,
-                                      _find_bare_call_discards)
-
-# `Status Foo(`, `StatusOr<...> Foo(`, `IoResult Foo(` — declarations or
-# definitions, free functions or members (qualified names contribute the
-# trailing identifier).
-STATUS_FN_DECL = re.compile(
-    r"(?:^|[;{}\s])(?:virtual\s+|static\s+|inline\s+)*"
-    r"(?:pioqo::)?(?:common::|io::)?"
-    r"(?:Status|StatusOr\s*<[^;{}]*?>|IoResult)\s+"
-    r"(?:[A-Za-z_]\w*::)*([A-Za-z_]\w*)\s*\(", re.MULTILINE)
-
-# `void Name(` declarations — used only for local shadowing: a file whose
-# own `Build` returns void must not inherit another file's `Status Build`.
-VOID_FN_DECL = re.compile(
-    r"(?:^|[;{}\s])(?:virtual\s+|static\s+|inline\s+)*void\s+"
-    r"(?:[A-Za-z_]\w*::)*([A-Za-z_]\w*)\s*\(", re.MULTILINE)
 
 # Methods whose awaiter resumes to a Status (e.g. `IoAwaiter Read(...)`).
 AWAITABLE_STATUS_DECL = re.compile(
@@ -50,41 +31,21 @@ AWAIT_CALL = re.compile(
     r"^\s*co_await\s+((?:[A-Za-z_]\w*\s*(?:::|\.|->)\s*)*)"
     r"([A-Za-z_]\w*)\s*\(")
 
-# Status factory names: `Status::OK()` used as a statement is meaningless
-# but also harmless test scaffolding; keep them out of the index.
-_FACTORY_NAMES = {
-    "OK", "InvalidArgument", "NotFound", "OutOfRange", "FailedPrecondition",
-    "IoError", "ResourceExhausted", "Internal", "Unimplemented", "Cancelled",
-    "DeadlineExceeded",
-}
-
 ERR001_MESSAGE = (
-    "discarded {0} result; handle it, propagate it "
+    "discarded awaited Status from '{0}'; handle it, propagate it "
     "(PIOQO_RETURN_IF_ERROR), or allowlist with a justification")
 
 
-def build_status_index(sources):
-    """(status_fn_names, awaitable_status_names) across the scanned set."""
-    status_names = set()
-    awaitable_names = set()
+def build_awaitable_index(sources):
+    """Names of methods returning an IoAwaiter anywhere in the scanned set."""
+    names = set()
     for src in sources:
-        status_names.update(STATUS_FN_DECL.findall(src.code))
-        awaitable_names.update(AWAITABLE_STATUS_DECL.findall(src.code))
-    status_names -= _FACTORY_NAMES
-    status_names.discard("Status")
-    status_names.discard("StatusOr")
-    status_names.discard("IoResult")
-    return status_names, awaitable_names
+        names.update(AWAITABLE_STATUS_DECL.findall(src.code))
+    return names
 
 
-def check_err001(src, status_index, awaitable_index):
+def check_err001(src, awaitable_index):
     violations = []
-    for lineno, name in _find_bare_call_discards(src, status_index):
-        violations.append(Violation(
-            src.rel, lineno, "ERR001",
-            ERR001_MESSAGE.format(f"Status from '{name}'"),
-            src.raw_line(lineno)))
-    # co_await discards: the whole statement is `co_await chain.Read(...);`.
     for start, stmt, term in iter_statements(src.code):
         if term != ";":
             continue
@@ -98,7 +59,6 @@ def check_err001(src, status_index, awaitable_index):
         lead = len(stmt) - len(stmt.lstrip())
         lineno = src.line_at(start + lead)
         violations.append(Violation(
-            src.rel, lineno, "ERR001",
-            ERR001_MESSAGE.format(f"awaited Status from '{m.group(2)}'"),
+            src.rel, lineno, "ERR001", ERR001_MESSAGE.format(m.group(2)),
             src.raw_line(lineno)))
     return violations

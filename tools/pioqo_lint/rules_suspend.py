@@ -18,18 +18,11 @@ SUS002  A capturing lambda-coroutine is spawned as a temporary (immediately
         capture — by reference or by value — dangles at the first resume.
         The safe idiom is a named lambda whose scope outlives the frame
         (`auto worker = [&]() -> sim::Task {...}; worker();`).
-
-SUS003  A `sim::Task` return value is dropped without acknowledgement.
-        Tasks are eager fire-and-forget frames; the blessed spawn idiom is
-        an explicit `Worker(...).Detach();` so a reader (and this checker)
-        can tell a deliberate detach from a forgotten `co_await`/latch hookup
-        or a lazily-refactored task that silently never runs.
 """
 
 import re
 
-from pioqo_lint.scanner import (Violation, function_extents, iter_statements,
-                                match_balanced)
+from pioqo_lint.scanner import Violation, function_extents, match_balanced
 
 GUARD_TYPES = r"(?:lock_guard|unique_lock|scoped_lock|shared_lock|PageGuard)"
 
@@ -64,68 +57,6 @@ SUS002_MESSAGE = (
     "dies at the end of this full expression while the frame lives on, so "
     "every capture dangles at the first resume — name the lambda in a scope "
     "that outlives the frame")
-
-SUS003_MESSAGE = (
-    "returned sim::Task dropped; spawn with an explicit `...(...).Detach();` "
-    "(or store/await it) so a deliberate fire-and-forget is distinguishable "
-    "from a coroutine that silently never gets driven")
-
-# Function-name index: `sim::Task Name(...)` declarations/definitions.
-TASK_FN_DECL = re.compile(
-    r"(?:^|[;{}\s])(?:pioqo::)?(?:sim::)?Task\s+"
-    r"(?:[A-Za-z_]\w*::)*([A-Za-z_]\w*)\s*\(", re.MULTILINE)
-
-# A statement that is nothing but a call: optional `obj.` / `ns::` qualifier
-# chain then `Name(`.
-BARE_CALL = re.compile(
-    r"^\s*((?:[A-Za-z_]\w*\s*(?:::|\.|->)\s*)*)([A-Za-z_]\w*)\s*\(")
-
-STMT_SKIP_KEYWORDS = re.compile(
-    r"^\s*(?:return|co_return|co_await|co_yield|if|else|for|while|switch|"
-    r"case|delete|new|using|typedef|throw|static_assert|goto)\b")
-
-
-def build_task_index(sources):
-    """Names of functions returning sim::Task anywhere in the scanned set."""
-    names = set()
-    for src in sources:
-        names.update(TASK_FN_DECL.findall(src.code))
-    names.discard("Task")
-    return names
-
-
-def _find_bare_call_discards(src, name_index):
-    """Statements of the form `qualifier.Name(args);` with Name in the index
-    and the call result unused. Any trailing use of the result — including
-    the explicit `.Detach()` spawn acknowledgement — clears the site."""
-    found = []
-    for start, stmt, term in iter_statements(src.code):
-        if term != ";":
-            continue
-        if STMT_SKIP_KEYWORDS.match(stmt):
-            continue
-        m = BARE_CALL.match(stmt)
-        if not m or m.group(2) not in name_index:
-            continue
-        open_paren = stmt.index("(", m.end(2))
-        close = match_balanced(stmt, open_paren)
-        if close < 0:
-            continue  # spans a lambda/brace split; unprovable, skip
-        if stmt[close:].strip():
-            continue  # result is used (member call / operator on it)
-        lead = len(stmt) - len(stmt.lstrip())
-        lineno = src.line_at(start + lead)
-        found.append((lineno, m.group(2)))
-    return found
-
-
-def check_sus003(src, task_index):
-    violations = []
-    for lineno, name in _find_bare_call_discards(src, task_index):
-        violations.append(Violation(src.rel, lineno, "SUS003",
-                                    f"{SUS003_MESSAGE} [call to '{name}']",
-                                    src.raw_line(lineno)))
-    return violations
 
 
 def check_sus002(src):
