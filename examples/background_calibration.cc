@@ -13,6 +13,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/idle_calibrator.h"
+#include "core/qdtt_model.h"
 #include "io/device_factory.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
@@ -43,11 +44,16 @@ int main() {
   sim::Simulator sim;
   auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
 
+  // The model the calibrator fills: the device's default grid.
+  core::QdttModel model(
+      core::QdttModel::DefaultBandGrid(ssd->capacity_bytes() /
+                                       storage::kPageSize),
+      core::QdttModel::DefaultQdGrid());
   core::IdleCalibratorOptions options;
   options.calibration.max_pages_per_point = 800;
   options.idle_threshold_us = 40'000.0;   // 40 ms of quiet before measuring
   options.poll_interval_us = 10'000.0;
-  core::IdleCalibrator calibrator(sim, *ssd, options);
+  core::IdleCalibrator calibrator(sim, *ssd, model, options);
   calibrator.Start();
 
   // Busy phase: bursts every ~15 ms keep the device from ever looking idle.
@@ -55,18 +61,18 @@ int main() {
 
   // Periodic progress reports.
   for (int t = 1; t <= 12; ++t) {
-    sim.ScheduleAt(t * 500'000.0, [&calibrator, t] {
+    sim.ScheduleAt(t * 500'000.0, [&calibrator, &model, t] {
       std::printf("t=%4.1fs: %2d points measured, %d defaulted%s\n",
                   t * 0.5, calibrator.points_measured(),
                   calibrator.points_defaulted(),
-                  calibrator.complete() ? "  -- model complete" : "");
+                  model.complete() ? "  -- model complete" : "");
     });
   }
   sim.Run();
 
-  PIOQO_CHECK(calibrator.complete());
+  PIOQO_CHECK(model.complete());
   std::printf("\nfinal model (calibrated entirely in idle gaps):\n%s",
-              calibrator.FinishedModel()->ToString().c_str());
+              model.ToString().c_str());
   std::printf(
       "\nThe busy phase (first ~0.8s) shows no progress; every point was\n"
       "measured after the workload's last burst, without ever stealing\n"

@@ -76,9 +76,9 @@ double DriftDetector::confidence() const {
   return options_.drift_ratio / worst;
 }
 
-std::vector<uint64_t> DriftDetector::DriftedBands() const {
+std::vector<size_t> DriftDetector::DriftedBands() const {
   struct BandDrift {
-    uint64_t band;
+    size_t band_idx;
     double ratio;
   };
   std::vector<BandDrift> drifted;
@@ -89,22 +89,23 @@ std::vector<uint64_t> DriftDetector::DriftedBands() const {
       if (!CellTrusted(cell)) continue;
       worst = std::max(worst, CellShift(cell));
     }
-    if (worst > options_.drift_ratio) drifted.push_back({bands_[b], worst});
+    if (worst > options_.drift_ratio) drifted.push_back({b, worst});
   }
   std::sort(drifted.begin(), drifted.end(),
             [](const BandDrift& a, const BandDrift& b) {
               return a.ratio > b.ratio;
             });
-  std::vector<uint64_t> bands;
-  bands.reserve(drifted.size());
-  for (const BandDrift& d : drifted) bands.push_back(d.band);
-  return bands;
+  std::vector<size_t> band_idxs;
+  band_idxs.reserve(drifted.size());
+  for (const BandDrift& d : drifted) band_idxs.push_back(d.band_idx);
+  return band_idxs;
 }
 
-void DriftDetector::NoteBandRecalibrated(uint64_t band_pages) {
-  const size_t b =
-      NearestInLogSpace(bands_, static_cast<double>(band_pages));
-  for (size_t q = 0; q < qds_.size(); ++q) cells_[Index(b, q)] = Cell{};
+void DriftDetector::NoteBandRecalibrated(size_t band_idx) {
+  PIOQO_CHECK(band_idx < bands_.size());
+  for (size_t q = 0; q < qds_.size(); ++q) {
+    cells_[Index(band_idx, q)] = Cell{};
+  }
 }
 
 double DriftDetector::CellRatio(size_t band_idx, size_t qd_idx) const {

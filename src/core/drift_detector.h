@@ -2,6 +2,7 @@
 #define PIOQO_CORE_DRIFT_DETECTOR_H_
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -68,15 +69,15 @@ class DriftDetector {
   /// True when some trusted cell's error ratio exceeds drift_ratio.
   bool drifted() const { return confidence() < 1.0; }
 
-  /// Band sizes (pages) that have at least one drifted trusted cell, most
-  /// severely drifted first — the priority order for a partial grid
-  /// refresh.
-  std::vector<uint64_t> DriftedBands() const;
+  /// Grid indices of the bands that have at least one drifted trusted
+  /// cell, most severely drifted first — the priority order for a partial
+  /// grid refresh.
+  std::vector<size_t> DriftedBands() const;
 
-  /// A recalibration replaced `band_pages`'s row: forget its error history
+  /// A recalibration replaced grid row `band_idx`: forget its error history
   /// and reference (the cells re-learn their reference against the
   /// refreshed model, so confidence recovers as its predictions hold up).
-  void NoteBandRecalibrated(uint64_t band_pages);
+  void NoteBandRecalibrated(size_t band_idx);
 
   /// Worst trusted drift shift (>= 1, symmetric in direction); 1.0 before
   /// any cell is trusted.

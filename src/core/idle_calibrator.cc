@@ -1,6 +1,8 @@
 #include "core/idle_calibrator.h"
 
-#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "common/logging.h"
 #include "sim/sync.h"
@@ -8,27 +10,36 @@
 
 namespace pioqo::core {
 
+namespace {
+
+/// The loop measures points of `model`'s grid; a grid the options name must
+/// be that grid, and each point is measured once.
+const CalibratorOptions& CheckedOptions(const CalibratorOptions& options,
+                                        const QdttModel& model) {
+  PIOQO_CHECK(options.repetitions == 1)
+      << "IdleCalibrator measures each point once; repetitions must be 1";
+  PIOQO_CHECK((options.band_grid.empty() ||
+               options.band_grid == model.band_grid()) &&
+              (options.qd_grid.empty() || options.qd_grid == model.qd_grid()))
+      << "IdleCalibrator calibration grid must match the model's grid";
+  return options;
+}
+
+}  // namespace
+
 IdleCalibrator::IdleCalibrator(sim::Simulator& sim, io::Device& device,
-                               IdleCalibratorOptions options)
+                               QdttModel& model, IdleCalibratorOptions options,
+                               ProbeGate* probe_gate)
     : sim_(sim),
       device_(device),
+      model_(model),
       options_(options),
-      calibrator_(sim, device, options.calibration),
-      model_(calibrator_.options().band_grid, calibrator_.options().qd_grid),
+      probe_gate_(probe_gate),
+      calibrator_(sim, device, CheckedOptions(options.calibration, model)),
       schedule_(CalibrationSchedule::FullGrid(
-          model_.num_bands(), model_.num_qds(),
+          model.num_bands(), model.num_qds(),
           calibrator_.options().early_stop)),
-      seed_(calibrator_.options().seed) {
-  PIOQO_CHECK(options.calibration.repetitions == 1)
-      << "IdleCalibrator measures each point once; repetitions must be 1";
-}
-
-bool IdleCalibrator::complete() const { return model_.complete(); }
-
-std::optional<QdttModel> IdleCalibrator::FinishedModel() const {
-  if (!complete()) return std::nullopt;
-  return model_;
-}
+      seed_(calibrator_.options().seed) {}
 
 void IdleCalibrator::Start() {
   PIOQO_CHECK(!started_) << "IdleCalibrator started twice";
@@ -37,23 +48,18 @@ void IdleCalibrator::Start() {
   Loop().Detach();
 }
 
-Status IdleCalibrator::StartPartial(const std::vector<uint64_t>& band_pages) {
-  if (band_pages.empty()) {
+Status IdleCalibrator::StartPartial(const std::vector<size_t>& band_idxs) {
+  if (band_idxs.empty()) {
     return Status::InvalidArgument("StartPartial: no bands given");
   }
   if (loop_running_) {
     return Status::FailedPrecondition(
         "StartPartial: a calibration run is already in flight");
   }
-  const auto& grid = calibrator_.options().band_grid;
-  std::vector<size_t> band_idxs;
-  band_idxs.reserve(band_pages.size());
-  for (uint64_t band : band_pages) {
-    const auto it = std::find(grid.begin(), grid.end(), band);
-    if (it == grid.end()) {
-      return Status::InvalidArgument("StartPartial: band is not a grid band");
+  for (size_t band_idx : band_idxs) {
+    if (band_idx >= model_.num_bands()) {
+      return Status::InvalidArgument("StartPartial: band index off the grid");
     }
-    band_idxs.push_back(static_cast<size_t>(it - grid.begin()));
   }
   // Bands in the caller's priority order: the most drifted band's full row
   // refreshes first.
@@ -82,19 +88,20 @@ bool IdleCalibrator::DeviceIdle() const {
 }
 
 sim::Task IdleCalibrator::Loop() {
-  const auto& opts = calibrator_.options();
+  const std::vector<uint64_t>& bands = model_.band_grid();
+  const std::vector<int>& qds = model_.qd_grid();
   // When the device has been continuously busy since `busy_since`, a probe
   // gate lets the loop measure under load instead of starving.
   double busy_since = sim_.Now();
   while (!stop_requested_) {
     const std::optional<CalibrationSchedule::Point> point = schedule_.Next();
     if (!point) break;
-    const int point_qd = opts.qd_grid[point->qd_idx];
+    const int point_qd = qds[point->qd_idx];
     bool busy_probe = false;
     if (!DeviceIdle()) {
-      if (options_.probe_gate != nullptr &&
+      if (probe_gate_ != nullptr &&
           sim_.Now() - busy_since >= options_.busy_escalation_us &&
-          options_.probe_gate->TryAcquire(point_qd)) {
+          probe_gate_->TryAcquire(point_qd)) {
         busy_probe = true;
       } else {
         co_await sim::Delay(sim_, options_.poll_interval_us);
@@ -105,19 +112,19 @@ sim::Task IdleCalibrator::Loop() {
     }
     double cost = 0.0;
     sim::Latch done(sim_, 1);
-    calibrator_.MeasurePointAsync(opts.band_grid[point->band_idx], point_qd,
-                                  opts.method, seed_, &cost, done).Detach();
+    calibrator_.MeasurePointAsync(bands[point->band_idx], point_qd,
+                                  calibrator_.options().method, seed_, &cost,
+                                  done).Detach();
     seed_ += 104729;
     co_await done.Wait();
     if (busy_probe) {
-      options_.probe_gate->Release(point_qd);
+      probe_gate_->Release(point_qd);
       ++points_measured_busy_;
       // A busy probe shares the device with foreground traffic, so its
       // sample is noisy-high; it still beats planning on a drifted grid.
     }
     schedule_.Record(model_, cost);
     ++points_measured_;
-    if (on_point_) on_point_(opts.band_grid[point->band_idx], point_qd, cost);
 
     // The stop rule ends the run at once.
     if (schedule_.stopped()) break;

@@ -1,10 +1,9 @@
 #ifndef PIOQO_CORE_IDLE_CALIBRATOR_H_
 #define PIOQO_CORE_IDLE_CALIBRATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/calibrator.h"
@@ -18,7 +17,9 @@ namespace pioqo::core {
 struct IdleCalibratorOptions {
   /// `repetitions` must stay 1 (checked at construction): the loop measures
   /// each point once, so a larger value would not reproduce the offline
-  /// calibrator's averaged model.
+  /// calibrator's averaged model. The loop calibrates its model's grid, so
+  /// a non-empty `band_grid` or `qd_grid` must equal the model's (also
+  /// checked).
   CalibratorOptions calibration;
   /// How often the background task re-checks for device idleness.
   double poll_interval_us = 20'000.0;
@@ -29,13 +30,10 @@ struct IdleCalibratorOptions {
   /// --- Busy-probe escalation (the never-idle starvation fix) ------------
   /// Under sustained load the device never satisfies the idle threshold, so
   /// a drift-triggered refresh waiting for idleness would starve forever.
-  /// With a probe gate installed, the loop escalates after
-  /// `busy_escalation_us` of continuous busyness: it asks the gate for
-  /// permission to measure the next point *under load* (charged like a
-  /// background job by the admission layer), pacing successive busy probes
-  /// with `busy_probe_interval_us`. Null keeps the legacy idle-only
-  /// behaviour.
-  ProbeGate* probe_gate = nullptr;
+  /// With a probe gate installed (a constructor argument), the loop
+  /// escalates after `busy_escalation_us` of continuous busyness: it asks
+  /// the gate for permission to measure the next point *under load*, pacing
+  /// successive busy probes with `busy_probe_interval_us`.
   double busy_escalation_us = 200'000.0;
   double busy_probe_interval_us = 50'000.0;
 };
@@ -44,35 +42,39 @@ struct IdleCalibratorOptions {
 /// Sec. 4.6 ("investigating the possibility of automatic frequent
 /// calibrations during the idle I/O cycles of the system").
 ///
-/// Start() launches a simulated background task that watches the device.
-/// Whenever the device has been idle for `idle_threshold_us`, it measures
-/// the next point of the offline calibrator's CalibrationSchedule (same
-/// order, stop rule, anchors and seeds) and then yields again, so foreground
-/// query I/O always interleaves between points. When the grid is complete
-/// the finished model is available.
+/// The calibrator measures into a model it does not own, on that model's
+/// grid. Start() launches a simulated background task that watches the
+/// device. Whenever the device has been idle for `idle_threshold_us`, it
+/// measures the next point of the offline calibrator's CalibrationSchedule
+/// (same order, stop rule, anchors and seeds) and then yields again, so
+/// foreground query I/O always interleaves between points. When the grid is
+/// complete, so is the model.
 ///
 /// StartPartial() is the drift-defense entry point: re-measure only the
 /// drifted bands (all queue depths, depths ascending, bands in the given
-/// priority order), reporting each refreshed point through `on_point` and
-/// the run's end through `on_complete` so the caller can merge values into
-/// the live model and restore planner confidence.
+/// priority order) straight into the live model, reporting the run's end
+/// through `on_complete` so the caller can restore planner confidence.
 class IdleCalibrator {
  public:
-  IdleCalibrator(sim::Simulator& sim, io::Device& device,
-                 IdleCalibratorOptions options);
+  /// `model` and `probe_gate` must outlive the calibrator. A null
+  /// `probe_gate` keeps the loop idle-only.
+  IdleCalibrator(sim::Simulator& sim, io::Device& device, QdttModel& model,
+                 IdleCalibratorOptions options,
+                 ProbeGate* probe_gate = nullptr);
   IdleCalibrator(const IdleCalibrator&) = delete;
   IdleCalibrator& operator=(const IdleCalibrator&) = delete;
 
-  /// Launches the full-grid background task. Call at most once.
+  /// Launches the full-grid background task. Call at most once, on a model
+  /// with no points set: after an early stop the schedule fills only unset
+  /// points.
   void Start();
 
-  /// Queues a partial refresh of `band_pages` (each must be a grid band)
-  /// and launches the background task for it. Returns
-  /// `kInvalidArgument` for an empty list or an off-grid band and
-  /// `kFailedPrecondition` while a previous run is still in flight —
-  /// callers poll `loop_running()` and re-trigger later. Each completed
-  /// run may be followed by another StartPartial.
-  [[nodiscard]] Status StartPartial(const std::vector<uint64_t>& band_pages);
+  /// Queues a partial refresh of the grid rows `band_idxs` and launches the
+  /// background task for it. Returns `kInvalidArgument` for an empty list
+  /// or an index off the grid and `kFailedPrecondition` while a previous
+  /// run is still in flight — callers poll `loop_running()` and re-trigger
+  /// later. Each completed run may be followed by another StartPartial.
+  [[nodiscard]] Status StartPartial(const std::vector<size_t>& band_idxs);
 
   /// Requests a stop; takes effect before the next point is measured.
   void Stop() { stop_requested_ = true; }
@@ -80,29 +82,15 @@ class IdleCalibrator {
   bool started() const { return started_; }
   /// True while the background task is between launch and retirement.
   bool loop_running() const { return loop_running_; }
-  /// True once every grid point is measured or defaulted.
-  bool complete() const;
   int points_measured() const { return points_measured_; }
   int points_defaulted() const { return points_defaulted_; }
   /// Points measured under load through the probe gate (vs. idle cycles).
   int points_measured_busy() const { return points_measured_busy_; }
 
-  /// Called after each measured point (band size in pages, queue depth,
-  /// amortized us/page). May be reassigned between runs.
-  void set_on_point(
-      std::function<void(uint64_t, int, double)> on_point) {
-    on_point_ = std::move(on_point);
-  }
   /// Called once when a run's schedule is done (or the run was stopped).
   void set_on_complete(std::function<void()> on_complete) {
     on_complete_ = std::move(on_complete);
   }
-
-  /// The (possibly partial) model. Lookups require complete().
-  const QdttModel& model() const { return model_; }
-
-  /// The finished model, if calibration completed.
-  std::optional<QdttModel> FinishedModel() const;
 
  private:
   sim::Task Loop();
@@ -111,9 +99,10 @@ class IdleCalibrator {
 
   sim::Simulator& sim_;
   io::Device& device_;
+  QdttModel& model_;
   IdleCalibratorOptions options_;
+  ProbeGate* probe_gate_;
   Calibrator calibrator_;
-  QdttModel model_;
   /// The full grid until the first StartPartial, then that run's rows.
   CalibrationSchedule schedule_;
   int points_measured_ = 0;
@@ -123,7 +112,6 @@ class IdleCalibrator {
   bool loop_running_ = false;
   bool stop_requested_ = false;
   uint64_t seed_;
-  std::function<void(uint64_t, int, double)> on_point_;
   std::function<void()> on_complete_;
   // Idle detection state: last observed completion count and when it was
   // first seen unchanged.

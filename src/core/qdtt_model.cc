@@ -133,18 +133,30 @@ StatusOr<QdttModel> QdttModel::Deserialize(const std::string& text) {
     double cost;
   };
   std::vector<Triple> triples;
-  uint64_t band;
-  int qd;
-  double cost;
-  while (in >> band >> qd >> cost) {
-    triples.push_back(Triple{band, qd, cost});
-    if (bands.empty() || bands.back() != band) {
-      if (std::find(bands.begin(), bands.end(), band) == bands.end()) {
-        bands.push_back(band);
-      }
+  const Status not_a_triple = Status::InvalidArgument(
+      "QDTT payload holds a token outside a whole band qd cost triple");
+  int64_t band;
+  while (in >> band) {
+    int qd;
+    double cost;
+    if (!(in >> qd >> cost)) return not_a_triple;
+    if (band < 1 || qd < 1) {
+      return Status::InvalidArgument(
+          "QDTT point with a band or queue depth below 1");
+    }
+    const Triple t{static_cast<uint64_t>(band), qd, cost};
+    if (std::any_of(triples.begin(), triples.end(), [&](const Triple& u) {
+          return u.band == t.band && u.qd == t.qd;
+        })) {
+      return Status::InvalidArgument("repeated QDTT point");
+    }
+    triples.push_back(t);
+    if (std::find(bands.begin(), bands.end(), t.band) == bands.end()) {
+      bands.push_back(t.band);
     }
     if (std::find(qds.begin(), qds.end(), qd) == qds.end()) qds.push_back(qd);
   }
+  if (!in.eof()) return not_a_triple;
   if (triples.empty()) return Status::InvalidArgument("empty QDTT payload");
   std::sort(bands.begin(), bands.end());
   std::sort(qds.begin(), qds.end());
@@ -154,6 +166,7 @@ StatusOr<QdttModel> QdttModel::Deserialize(const std::string& text) {
         std::find(bands.begin(), bands.end(), t.band) - bands.begin());
     const size_t qi = static_cast<size_t>(
         std::find(qds.begin(), qds.end(), t.qd) - qds.begin());
+    // Serialize writes an unset point as -1.
     if (t.cost >= 0) model.SetPoint(bi, qi, t.cost);
   }
   return model;

@@ -46,7 +46,7 @@ class QdttModel {
   /// Monotone counter of grid mutations: incremented by every SetPoint, so
   /// consumers that memoize model-derived results (opt::PlanCache) can tell
   /// whether the grid they planned against is still the grid that is live —
-  /// e.g. after db::DriftDefense merges refreshed calibration points.
+  /// e.g. after db::DriftDefense's recalibration refreshes grid points.
   uint64_t generation() const { return generation_; }
   /// Calibrated value at a grid point; negative if not set.
   double PointAt(size_t band_idx, size_t qd_idx) const;

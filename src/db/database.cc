@@ -95,8 +95,8 @@ StatusOr<const storage::Dataset*> Database::GetTable(
 }
 
 core::CalibrationResult Database::Calibrate() {
-  // Drift defense plans from and merges into *qdtt_, and its detector's
-  // references were learned against it; cells restart only per refreshed
+  // Drift defense plans from *qdtt_, its recalibration measures into it,
+  // and its detector's references were learned against it; cells restart only per refreshed
   // band (DriftDetector::NoteBandRecalibrated), never for a new model.
   PIOQO_CHECK(drift_defense_ == nullptr)
       << "Calibrate() after EnableDriftDefense(): calibrate first, then "

@@ -1,6 +1,7 @@
 #ifndef PIOQO_DB_DRIFT_DEFENSE_H_
 #define PIOQO_DB_DRIFT_DEFENSE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -38,9 +39,8 @@ class AdmissionProbeGate : public core::ProbeGate {
 
 struct DriftDefenseOptions {
   core::DriftDetectorOptions detector;
-  /// Options for the guarded recalibrator. `calibration.band_grid`/`qd_grid`
-  /// MUST match the live model's grids (Database::EnableDriftDefense fills
-  /// them in); `probe_gate` is wired internally.
+  /// Options for the guarded recalibrator, which measures the live model's
+  /// grid: a non-empty `calibration.band_grid` or `qd_grid` must equal it.
   core::IdleCalibratorOptions calibrator;
 };
 
@@ -53,11 +53,16 @@ struct DriftDefenseOptions {
 ///          falls back to DTT costing (see opt::OptimizerOptions)
 ///       -> on any drifted cell, the drifted bands are handed to
 ///          the IdleCalibrator as a bounded-rate background job (idle-cycle
-///          measurement, escalating to admission-gated probes on a
-///          never-idle device)
-///         -> each refreshed point is merged into the live model;
-///            completion clears the refreshed bands' error history, so
-///            confidence recovers as the new predictions hold up.
+///          measurement, escalating on a never-idle device to busy probes)
+///         -> each refreshed point is measured straight into the live
+///            model; completion clears the refreshed bands' error history,
+///            so confidence recovers as the new predictions hold up.
+///
+/// A busy probe is charged to the admission controller's background ledger
+/// (AdmissionProbeGate), which is separate from the foreground DOP budget:
+/// it never shrinks or waits for foreground capacity. A database has one
+/// recalibrator, and its loop releases each charge before the next probe,
+/// so the charge never fails inside the engine.
 ///
 /// Everything is driven by query completions and the calibrator's own
 /// simulated task — no timers of its own, no randomness beyond the
@@ -73,9 +78,10 @@ class DriftDefense {
     uint64_t bands_refreshed = 0;
   };
 
-  /// `live_model` is the model the optimizer plans from; refreshed points
-  /// are merged into it in place. `admission` may be null (no busy-probe
-  /// escalation: recalibration then only runs in idle cycles).
+  /// `live_model` is the model the optimizer plans from; the recalibrator
+  /// measures refreshed points into it in place. `admission` may be null
+  /// (no busy-probe escalation: recalibration then only runs in idle
+  /// cycles).
   DriftDefense(sim::Simulator& sim, io::Device& device,
                core::QdttModel& live_model, AdmissionController* admission,
                DriftDefenseOptions options);
@@ -93,19 +99,18 @@ class DriftDefense {
 
   double confidence() const { return detector_.confidence(); }
   const core::DriftDetector& detector() const { return detector_; }
-  core::IdleCalibrator& calibrator() { return calibrator_; }
+  /// The refresh counters (`recalibrations_completed`, `points_merged`,
+  /// `bands_refreshed`) advance when a run completes.
   const Stats& stats() const { return stats_; }
 
  private:
   void MaybeTriggerRecalibration();
-  void OnPointRefreshed(uint64_t band_pages, int qd, double cost_us);
   void OnRecalibrationComplete();
 
-  core::QdttModel& live_model_;
   std::optional<AdmissionProbeGate> gate_;  // absent when admission == null
   core::DriftDetector detector_;
   core::IdleCalibrator calibrator_;
-  std::vector<uint64_t> inflight_bands_;
+  std::vector<size_t> inflight_bands_;
   Stats stats_;
 };
 

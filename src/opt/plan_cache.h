@@ -13,7 +13,7 @@ struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   /// Entries dropped because the model they were planned against is no
-  /// longer live: its generation advanced (e.g. a DriftDefense point merge)
+  /// longer live: its generation advanced (e.g. a DriftDefense refresh)
   /// or the caller replaced the model object (InvalidateAll).
   uint64_t invalidations = 0;
 };
@@ -34,10 +34,11 @@ struct PlanCacheStats {
 /// prove unchanged is a miss. plan_cache_test.cc pins that invariant.
 ///
 /// Invalidation has one rule: the tags. An entry whose model generation is
-/// stale (core::QdttModel::SetPoint bumps it — DriftDefense merges refreshed
-/// points through exactly that path) is dropped on lookup, and a changed
-/// confidence is a tag miss. The generation only counts mutations of one
-/// model object, so a caller that replaces the object calls InvalidateAll().
+/// stale (core::QdttModel::SetPoint bumps it — DriftDefense's recalibration
+/// measures refreshed points through exactly that path) is dropped on
+/// lookup, and a changed confidence is a tag miss. The generation only
+/// counts mutations of one model object, so a caller that replaces the
+/// object calls InvalidateAll().
 class PlanCache {
  public:
   /// `num_buckets` is rounded up to a power of two.

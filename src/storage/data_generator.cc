@@ -39,7 +39,7 @@ StatusOr<Dataset> BuildDataset(DiskImage& disk, const DatasetConfig& config) {
   }
   PIOQO_ASSIGN_OR_RETURN(
       Table table, Table::Create(disk, config.name, config.num_rows,
-                                 config.rows_per_page, config.num_columns));
+                                 config.rows_per_page));
 
   Pcg32 rng(config.seed);
   std::vector<BPlusTree::Entry> entries;
@@ -54,8 +54,8 @@ StatusOr<Dataset> BuildDataset(DiskImage& disk, const DatasetConfig& config) {
         static_cast<int32_t>(rng.UniformInt(0, config.c2_domain - 1));
     table.SetColumn(page, rid.slot, kColumnC1, c1);
     table.SetColumn(page, rid.slot, kColumnC2, c2);
-    // Remaining columns (if any) are filler; zero-initialized pages already
-    // model the paper's padding columns.
+    // The rest of the row is padding; zero-initialized pages already model
+    // the paper's padding columns.
     entries.push_back(BPlusTree::Entry{c2, rid});
   }
 

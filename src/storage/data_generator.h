@@ -18,7 +18,6 @@ struct DatasetConfig {
   std::string name = "T";
   uint64_t num_rows = 0;
   uint32_t rows_per_page = 33;
-  int num_columns = 2;  // C1 at offset 0, C2 at offset 4
   /// C2 values are uniform in [0, c2_domain); selectivity of
   /// `C2 BETWEEN 0 AND s*c2_domain` is then ~s.
   int32_t c2_domain = 1'000'000'000;

@@ -8,25 +8,22 @@
 namespace pioqo::storage {
 
 StatusOr<Table> Table::Create(DiskImage& disk, std::string name,
-                              uint64_t num_rows, uint32_t rows_per_page,
-                              int num_columns) {
+                              uint64_t num_rows, uint32_t rows_per_page) {
   if (num_rows == 0) return Status::InvalidArgument("table needs rows");
   if (rows_per_page == 0) {
     return Status::InvalidArgument("rows_per_page must be >= 1");
   }
-  if (num_columns < 1) return Status::InvalidArgument("need >= 1 column");
   const uint32_t row_size = kPagePayloadSize / rows_per_page;
-  if (row_size < static_cast<uint32_t>(num_columns) * 4) {
+  if (row_size < 2 * sizeof(int32_t)) {
     return Status::InvalidArgument(
         "rows_per_page " + std::to_string(rows_per_page) +
         " leaves only " + std::to_string(row_size) +
-        " bytes per row; cannot hold " + std::to_string(num_columns) +
-        " int32 columns");
+        " bytes per row; cannot hold the two int32 columns");
   }
 
   Table t;
   t.name_ = std::move(name);
-  t.schema_ = Schema{num_columns, row_size};
+  t.schema_ = Schema{row_size};
   t.num_rows_ = num_rows;
   t.rows_per_page_ = rows_per_page;
   t.num_pages_ = static_cast<uint32_t>(CeilDiv(num_rows, rows_per_page));

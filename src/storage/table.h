@@ -10,12 +10,11 @@
 
 namespace pioqo::storage {
 
-/// Row layout: `num_columns` little-endian int32 columns followed by padding
-/// to `row_size` bytes. The paper's experiment tables (T1/T33/T500) are all
-/// integer columns "plus some additional columns ... used as padding to
-/// adjust the target row size".
+/// Row layout: two little-endian int32 columns, C1 and C2, followed by
+/// padding to `row_size` bytes. The paper's experiment tables (T1/T33/T500)
+/// are all integer columns "plus some additional columns ... used as padding
+/// to adjust the target row size".
 struct Schema {
-  int num_columns = 2;
   uint32_t row_size = 8;
 
   uint32_t ColumnOffset(int col) const { return static_cast<uint32_t>(col) * 4; }
@@ -30,10 +29,9 @@ class Table {
  public:
   /// Creates (allocates and formats) a table of exactly `num_rows` rows with
   /// `rows_per_page` rows in each page. Fails if the row size implied by
-  /// `rows_per_page` cannot hold `schema.num_columns` int32 columns.
+  /// `rows_per_page` cannot hold the two int32 columns.
   static StatusOr<Table> Create(DiskImage& disk, std::string name,
-                                uint64_t num_rows, uint32_t rows_per_page,
-                                int num_columns);
+                                uint64_t num_rows, uint32_t rows_per_page);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }

@@ -238,6 +238,56 @@ TEST(DatabaseTest, DriftObservationIsChargedAtTheGrantedDop) {
   EXPECT_EQ(detector.CellSamples(0, qd_idx(8)), 0u);
 }
 
+TEST(DatabaseTest, DriftDefenseRefreshesOneRowOfAnInstalledGrid) {
+  // The refresh measures the grid the live model is defined on, here an
+  // installed model's own bands rather than the device default: drift in
+  // one band's cells re-measures that row at every queue depth and leaves
+  // the other rows as installed.
+  Database db(SmallSsd());
+  ASSERT_TRUE(db.CreateTable(SmallTable("t", 10000, 33)).ok());
+  core::QdttModel installed({1, 64, 4096}, core::QdttModel::DefaultQdGrid());
+  for (size_t b = 0; b < installed.num_bands(); ++b) {
+    for (size_t q = 0; q < installed.num_qds(); ++q) {
+      installed.SetPoint(b, q, 100.0 * static_cast<double>(b + 1));
+    }
+  }
+  db.InstallModel(installed);
+  DriftDefenseOptions options;
+  options.calibrator.calibration.max_pages_per_point = 200;
+  options.calibrator.poll_interval_us = 5'000.0;
+  options.calibrator.idle_threshold_us = 10'000.0;
+  db.EnableDriftDefense(options);
+  DriftDefense& defense = *db.drift_defense();
+
+  // An I/O-dominated plan priced at band 64, queue depth 4: min_samples
+  // runs learn the cell's reference, then as many at 4x cross drift_ratio.
+  core::PlanCandidate plan;
+  plan.band_pages = 64.0;
+  plan.queue_depth = 4.0;
+  plan.io_us = 900.0;
+  plan.cpu_us = 100.0;
+  plan.total_us = 1000.0;
+  const uint64_t min_samples = options.detector.min_samples;
+  for (uint64_t i = 0; i < min_samples; ++i) defense.ObserveQuery(plan, 1e3);
+  for (uint64_t i = 0; i < min_samples; ++i) defense.ObserveQuery(plan, 4e3);
+  ASSERT_EQ(defense.stats().recalibrations_triggered, 1u);
+  const uint64_t generation = db.qdtt().generation();
+  db.simulator().Run();
+
+  const core::QdttModel& live = db.qdtt();
+  EXPECT_EQ(defense.stats().recalibrations_completed, 1u);
+  EXPECT_EQ(defense.stats().points_merged, live.num_qds());
+  EXPECT_EQ(live.generation(), generation + live.num_qds());
+  for (size_t b = 0; b < live.num_bands(); ++b) {
+    for (size_t q = 0; q < live.num_qds(); ++q) {
+      if (b == 1) continue;
+      EXPECT_EQ(live.PointAt(b, q), installed.PointAt(b, q))
+          << "b=" << b << " q=" << q;
+    }
+  }
+  EXPECT_EQ(defense.confidence(), 1.0);
+}
+
 TEST(DatabaseDeathTest, EnableHealthMonitorTwiceDies) {
   // The monitor is enable-once: a second one would be left deaf when the
   // first one's destructor uninstalls the device's completion observer.
@@ -300,7 +350,7 @@ TEST(DatabaseDeathTest, EnableAdmissionControlAfterDriftDefenseDies) {
 }
 
 TEST(DatabaseDeathTest, CalibrateAfterDriftDefenseDies) {
-  // The defense plans from and merges into the live model, and its
+  // The defense plans from and recalibrates into the live model, and its
   // detector's per-cell references were learned against that model.
   EXPECT_DEATH(
       {

@@ -1,9 +1,8 @@
 #include "core/idle_calibrator.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,27 +27,32 @@ IdleCalibratorOptions FastOptions() {
   return options;
 }
 
+/// An empty model on the grid `options` names.
+QdttModel EmptyModel(const IdleCalibratorOptions& options) {
+  return QdttModel(options.calibration.band_grid, options.calibration.qd_grid);
+}
+
 TEST(IdleCalibratorTest, CompletesOnIdleDevice) {
   sim::Simulator sim;
   auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
-  IdleCalibrator calibrator(sim, *ssd, FastOptions());
+  QdttModel model = EmptyModel(FastOptions());
+  IdleCalibrator calibrator(sim, *ssd, model, FastOptions());
   EXPECT_FALSE(calibrator.started());
   calibrator.Start();
   sim.Run();
-  EXPECT_TRUE(calibrator.complete());
+  EXPECT_TRUE(model.complete());
   EXPECT_EQ(calibrator.points_measured(), 3 * 6);
   EXPECT_EQ(calibrator.points_defaulted(), 0);
-  ASSERT_TRUE(calibrator.FinishedModel().has_value());
-  EXPECT_TRUE(calibrator.FinishedModel()->complete());
 }
 
 TEST(IdleCalibratorTest, EarlyStopsOnHdd) {
   sim::Simulator sim;
   auto hdd = io::MakeDevice(sim, io::DeviceKind::kHdd7200);
-  IdleCalibrator calibrator(sim, *hdd, FastOptions());
+  QdttModel model = EmptyModel(FastOptions());
+  IdleCalibrator calibrator(sim, *hdd, model, FastOptions());
   calibrator.Start();
   sim.Run();
-  EXPECT_TRUE(calibrator.complete());
+  EXPECT_TRUE(model.complete());
   EXPECT_GT(calibrator.points_defaulted(), 0);
   EXPECT_LT(calibrator.points_measured(), 3 * 6);
 }
@@ -56,15 +60,17 @@ TEST(IdleCalibratorTest, EarlyStopsOnHdd) {
 TEST(IdleCalibratorTest, StopRequestHalts) {
   sim::Simulator sim;
   auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
-  IdleCalibrator calibrator(sim, *ssd, FastOptions());
+  QdttModel model = EmptyModel(FastOptions());
+  IdleCalibrator calibrator(sim, *ssd, model, FastOptions());
   calibrator.Start();
   // Stop it shortly after it starts; only the points measured before the
   // request should exist.
   sim.ScheduleAt(40'000.0, [&] { calibrator.Stop(); });
   sim.Run();
-  EXPECT_FALSE(calibrator.complete());
+  EXPECT_FALSE(model.complete());
   EXPECT_LT(calibrator.points_measured(), 3 * 6);
-  EXPECT_FALSE(calibrator.FinishedModel().has_value());
+  EXPECT_EQ(model.generation(),
+            static_cast<uint64_t>(calibrator.points_measured()));
 }
 
 /// Simulated foreground load: periodic bursts of random reads.
@@ -89,7 +95,8 @@ TEST(IdleCalibratorTest, DefersToForegroundIo) {
   auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
   auto options = FastOptions();
   options.idle_threshold_us = 30'000.0;
-  IdleCalibrator calibrator(sim, *ssd, options);
+  QdttModel model = EmptyModel(options);
+  IdleCalibrator calibrator(sim, *ssd, model, options);
   calibrator.Start();
   // Foreground bursts every 20 ms with the idle threshold at 30 ms: while
   // the load runs, the device never looks idle, so no calibration happens.
@@ -99,7 +106,7 @@ TEST(IdleCalibratorTest, DefersToForegroundIo) {
   sim.RunUntil(last_burst_end > 0 ? last_burst_end : 700'000.0);
   // Drive until the foreground load finishes.
   sim.Run();
-  EXPECT_TRUE(calibrator.complete());  // finished after the load stopped
+  EXPECT_TRUE(model.complete());  // finished after the load stopped
   // No calibration I/O may be interleaved into a foreground burst window:
   // validated indirectly — the calibrator only ran after bursts ended, so
   // its first point began after the last burst.
@@ -148,7 +155,8 @@ class AlwaysGrantGate : public ProbeGate {
 TEST(IdleCalibratorTest, NeverIdleDeviceStarvesWithoutProbeGate) {
   sim::Simulator sim;
   auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
-  IdleCalibrator calibrator(sim, *ssd, FastOptions());
+  QdttModel model = EmptyModel(FastOptions());
+  IdleCalibrator calibrator(sim, *ssd, model, FastOptions());
   calibrator.Start();
   ContinuousLoad(sim, *ssd, /*until_us=*/2'000'000.0).Detach();
   int measured_during_load = -1;
@@ -156,7 +164,7 @@ TEST(IdleCalibratorTest, NeverIdleDeviceStarvesWithoutProbeGate) {
                  [&] { measured_during_load = calibrator.points_measured(); });
   sim.Run();
   EXPECT_EQ(measured_during_load, 0) << "idle-only loop should starve";
-  EXPECT_TRUE(calibrator.complete()) << "but finish once the load stops";
+  EXPECT_TRUE(model.complete()) << "but finish once the load stops";
   EXPECT_EQ(calibrator.points_measured_busy(), 0);
 }
 
@@ -165,10 +173,10 @@ TEST(IdleCalibratorTest, ProbeGateEscalationMeasuresUnderLoad) {
   auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
   AlwaysGrantGate gate;
   auto options = FastOptions();
-  options.probe_gate = &gate;
   options.busy_escalation_us = 100'000.0;
   options.busy_probe_interval_us = 20'000.0;
-  IdleCalibrator calibrator(sim, *ssd, options);
+  QdttModel model = EmptyModel(options);
+  IdleCalibrator calibrator(sim, *ssd, model, options, &gate);
   calibrator.Start();
   ContinuousLoad(sim, *ssd, /*until_us=*/2'000'000.0).Detach();
   int measured_during_load = -1;
@@ -177,7 +185,7 @@ TEST(IdleCalibratorTest, ProbeGateEscalationMeasuresUnderLoad) {
   sim.Run();
   EXPECT_GT(measured_during_load, 0) << "escalation must make progress";
   EXPECT_GT(calibrator.points_measured_busy(), 0);
-  EXPECT_TRUE(calibrator.complete());
+  EXPECT_TRUE(model.complete());
   // Every granted probe was released.
   EXPECT_EQ(gate.acquires(), calibrator.points_measured_busy());
   EXPECT_EQ(gate.releases(), gate.acquires());
@@ -187,38 +195,44 @@ TEST(IdleCalibratorTest, ProbeGateEscalationMeasuresUnderLoad) {
 TEST(IdleCalibratorTest, StartPartialRefreshesRequestedBandsOnly) {
   sim::Simulator sim;
   auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
-  IdleCalibrator calibrator(sim, *ssd, FastOptions());
+  QdttModel model = EmptyModel(FastOptions());
+  IdleCalibrator calibrator(sim, *ssd, model, FastOptions());
   calibrator.Start();
   sim.Run();
-  ASSERT_TRUE(calibrator.complete());
+  ASSERT_TRUE(model.complete());
   const int full_grid = calibrator.points_measured();
+  const QdttModel before = model;
 
   // Invalid requests are rejected up front.
   EXPECT_EQ(calibrator.StartPartial({}).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(calibrator.StartPartial({999}).code(),
+  EXPECT_EQ(calibrator.StartPartial({3}).code(),
             StatusCode::kInvalidArgument);
 
-  std::vector<std::pair<uint64_t, int>> refreshed;
   bool completed = false;
-  calibrator.set_on_point([&](uint64_t band, int qd, double cost) {
-    refreshed.emplace_back(band, qd);
-    EXPECT_GT(cost, 0.0);
-  });
   calibrator.set_on_complete([&] { completed = true; });
 
-  ASSERT_TRUE(calibrator.StartPartial({4096}).ok());
+  ASSERT_TRUE(calibrator.StartPartial({1}).ok());
   EXPECT_TRUE(calibrator.loop_running());
   // A second partial while one is in flight is refused.
-  EXPECT_EQ(calibrator.StartPartial({4096}).code(),
+  EXPECT_EQ(calibrator.StartPartial({1}).code(),
             StatusCode::kFailedPrecondition);
   sim.Run();
 
   EXPECT_TRUE(completed);
   EXPECT_FALSE(calibrator.loop_running());
-  ASSERT_EQ(refreshed.size(), 6u) << "one row: every qd of the given band";
-  for (const auto& [band, qd] : refreshed) EXPECT_EQ(band, 4096u);
   EXPECT_EQ(calibrator.points_measured(), full_grid + 6);
-  EXPECT_TRUE(calibrator.complete());
+  EXPECT_EQ(model.generation(), before.generation() + 6)
+      << "one row: every qd of the given band";
+  for (size_t b = 0; b < model.num_bands(); ++b) {
+    for (size_t q = 0; q < model.num_qds(); ++q) {
+      if (b == 1) {
+        EXPECT_GT(model.PointAt(b, q), 0.0) << "q=" << q;
+      } else {
+        EXPECT_EQ(model.PointAt(b, q), before.PointAt(b, q))
+            << "b=" << b << " q=" << q;
+      }
+    }
+  }
 }
 
 TEST(IdleCalibratorDeathTest, RejectsRepetitions) {
@@ -230,9 +244,31 @@ TEST(IdleCalibratorDeathTest, RejectsRepetitions) {
         auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
         IdleCalibratorOptions options = FastOptions();
         options.calibration.repetitions = 2;
-        IdleCalibrator calibrator(sim, *ssd, options);
+        QdttModel model = EmptyModel(options);
+        IdleCalibrator calibrator(sim, *ssd, model, options);
       },
       "repetitions must be 1");
+}
+
+TEST(IdleCalibratorDeathTest, RejectsAGridOtherThanTheModels) {
+  // The loop calibrates its model's grid; options naming another grid
+  // would otherwise be silently ignored.
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
+        QdttModel model({1, 8192, 1 << 22}, QdttModel::DefaultQdGrid());
+        IdleCalibrator calibrator(sim, *ssd, model, FastOptions());
+      },
+      "grid must match the model's grid");
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
+        QdttModel model({1, 4096, 1 << 22}, {1, 4, 16});
+        IdleCalibrator calibrator(sim, *ssd, model, FastOptions());
+      },
+      "grid must match the model's grid");
 }
 
 class IdleMatchesOfflineTest
@@ -246,15 +282,8 @@ TEST_P(IdleMatchesOfflineTest, MatchesOfflineCalibrationResults) {
   sim::Simulator sim1;
   auto device1 = io::MakeDevice(sim1, GetParam());
   auto options = FastOptions();
-  IdleCalibrator background(sim1, *device1, options);
-  testing::PointSet background_points;
-  const auto& bands = options.calibration.band_grid;
-  const auto& qds = options.calibration.qd_grid;
-  background.set_on_point([&](uint64_t band, int qd, double) {
-    background_points.emplace(
-        std::find(bands.begin(), bands.end(), band) - bands.begin(),
-        std::find(qds.begin(), qds.end(), qd) - qds.begin());
-  });
+  QdttModel bg = EmptyModel(options);
+  IdleCalibrator background(sim1, *device1, bg, options);
   background.Start();
   sim1.Run();
 
@@ -263,15 +292,19 @@ TEST_P(IdleMatchesOfflineTest, MatchesOfflineCalibrationResults) {
   Calibrator offline(sim2, *device2, options.calibration);
   auto offline_result = offline.Calibrate();
 
-  ASSERT_TRUE(background.complete());
-  const auto& bg = background.model();
+  ASSERT_TRUE(bg.complete());
   const auto& off = offline_result.model;
   ASSERT_EQ(bg.band_grid(), off.band_grid());
   EXPECT_EQ(background.points_measured(), offline_result.points_measured);
   EXPECT_EQ(background.points_defaulted(), offline_result.points_defaulted);
+  QdttModel bg_replay = EmptyModel(options);
+  const testing::PointSet background_points =
+      testing::MeasuredPoints(bg, &bg_replay);
   QdttModel replay(off.band_grid(), off.qd_grid());
   const testing::PointSet offline_points =
       testing::MeasuredPoints(off, &replay);
+  EXPECT_EQ(background_points.size(),
+            static_cast<size_t>(background.points_measured()));
   EXPECT_EQ(background_points, offline_points);
   EXPECT_EQ(offline_points.size(),
             static_cast<size_t>(offline_result.points_measured));

@@ -1,5 +1,7 @@
 #include "core/qdtt_model.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace pioqo::core {
@@ -94,6 +96,25 @@ TEST(QdttModelTest, SerializeRoundTrips) {
 TEST(QdttModelTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(QdttModel::Deserialize("not a model").ok());
   EXPECT_FALSE(QdttModel::Deserialize("qdtt v1\n").ok());
+  const std::string valid = "qdtt v1\n1 1 100\n1 4 60\n16 1 120\n16 4 70\n";
+  ASSERT_TRUE(QdttModel::Deserialize(valid).ok());
+  for (const std::string& bad : {
+           valid + "this is junk\n",             // not a number
+           valid + "16 4",                        // truncated triple
+           valid + "32 x 1\n",                    // junk inside a triple
+           std::string("qdtt v1\n0 1 100\n8 1 90\n"),  // band 0
+           std::string("qdtt v1\n-8 1 100\n"),         // negative band
+           std::string("qdtt v1\n1 0 100\n1 1 90\n"),  // queue depth 0
+           valid + "16 4 75\n",                  // repeated point
+       }) {
+    const auto model = QdttModel::Deserialize(bad);
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // Serialize writes an unset point as -1, which reads back unset.
+  const auto partial = QdttModel::Deserialize("qdtt v1\n1 1 100\n1 4 -1\n");
+  ASSERT_TRUE(partial.ok());
+  EXPECT_TRUE(partial->IsSet(0, 0));
+  EXPECT_FALSE(partial->IsSet(0, 1));
 }
 
 TEST(QdttModelTest, ToStringShowsGrid) {

@@ -51,7 +51,7 @@ TEST_F(StorageTest, OffsetMatchesPageId) {
 }
 
 TEST_F(StorageTest, TableCreateComputesLayout) {
-  auto t = Table::Create(disk_, "T33", 1000, 33, 2);
+  auto t = Table::Create(disk_, "T33", 1000, 33);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->rows_per_page(), 33u);
   EXPECT_EQ(t->num_pages(), 31u);  // ceil(1000/33)
@@ -63,21 +63,21 @@ TEST_F(StorageTest, TableCreateComputesLayout) {
 
 TEST_F(StorageTest, TableRejectsImpossibleLayout) {
   // 1000 rows/page -> ~4 bytes/row, cannot hold 2 int32 columns.
-  auto t = Table::Create(disk_, "bad", 10, 1000, 2);
+  auto t = Table::Create(disk_, "bad", 10, 1000);
   EXPECT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(StorageTest, T500LayoutWorksWithTwoColumns) {
   // The paper's extreme small-row case: 500 rows/page -> 8-byte rows.
-  auto t = Table::Create(disk_, "T500", 5000, 500, 2);
+  auto t = Table::Create(disk_, "T500", 5000, 500);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->schema().row_size, 8u);
   EXPECT_EQ(t->num_pages(), 10u);
 }
 
 TEST_F(StorageTest, ColumnRoundTrip) {
-  auto t = Table::Create(disk_, "T", 100, 10, 2);
+  auto t = Table::Create(disk_, "T", 100, 10);
   ASSERT_TRUE(t.ok());
   RowId rid = t->NthRowId(57);
   char* page = disk_.PageData(rid.page);
@@ -88,7 +88,7 @@ TEST_F(StorageTest, ColumnRoundTrip) {
 }
 
 TEST_F(StorageTest, NthRowIdMapsPagesAndSlots) {
-  auto t = Table::Create(disk_, "T", 100, 10, 2);
+  auto t = Table::Create(disk_, "T", 100, 10);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ(t->NthRowId(0), (RowId{t->first_page(), 0}));
   EXPECT_EQ(t->NthRowId(9), (RowId{t->first_page(), 9}));

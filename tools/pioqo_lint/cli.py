@@ -6,8 +6,10 @@ Usage:
 
 Default scan set: src/ bench/ tests/ examples/ under --root (each rule
 judges only the layers it is about). Exits 0 when clean, 1 when violations
-were found, 2 on usage errors. See the rule modules for what each checker
-enforces and tools/static_analysis_allowlist.txt for the suppression format.
+were found (on a default-scan-set run, an allowlist entry of an enabled rule
+that suppresses nothing counts as one), 2 on usage errors. See the rule
+modules for what each checker enforces and tools/static_analysis_allowlist.txt
+for the suppression format.
 """
 
 import argparse
@@ -17,7 +19,7 @@ from pathlib import Path
 from pioqo_lint import (rules_arch, rules_determinism, rules_error, rules_perf,
                         rules_suspend)
 from pioqo_lint.scanner import (SourceFile, collect_files, is_allowed,
-                                load_allowlist, relativize)
+                                load_allowlist, relativize, stale_entries)
 
 DEFAULT_SCAN_DIRS = ("src", "bench", "tests", "examples")
 DEFAULT_ALLOWLIST = Path("tools") / "static_analysis_allowlist.txt"
@@ -117,7 +119,8 @@ def run_self_test(rules):
         if extra:
             failures.append(f"other rules fired on {good.name}: "
                             f"{[(v.rule, v.lineno) for v in extra]}")
-    # Allowlist suppression round-trips on a known-bad fixture.
+    # Allowlist suppression round-trips on a known-bad fixture, and only an
+    # entry of an enabled rule that suppresses nothing reads as stale.
     if "ERR001" in rules:
         bad = FIXTURES_DIR / "err001_bad.cc"
         src = SourceFile.load(bad, bad.name)
@@ -125,6 +128,11 @@ def run_self_test(rules):
         entries = [(bad.name, v.rule, v.line.strip()[:20]) for v in hits]
         if any(not is_allowed(entries, v) for v in hits):
             failures.append("allowlist entry failed to suppress ERR001")
+        stale = (bad.name, "ERR001", "no line holds this fragment")
+        other_rule = (bad.name, "SUS001", "no line holds this fragment")
+        found = stale_entries(entries + [stale, other_rule], hits, {"ERR001"})
+        if found != [stale]:
+            failures.append(f"stale allowlist entries misreported: {found}")
     if failures:
         print("pioqo-lint self-test FAILED:")
         for failure in failures:
@@ -180,15 +188,21 @@ def main(argv=None):
                              if (root / d).is_dir()]
     files = collect_files(targets)
     sources = load_sources(files, root)
-    violations = [v for v in scan(sources, enabled)
-                  if not is_allowed(allowlist, v)]
+    found = scan(sources, enabled)
+    violations = [v for v in found if not is_allowed(allowlist, v)]
     violations.sort(key=lambda v: (v.rel, v.lineno, v.rule))
+    # Only a scan of the whole tree can tell that an entry matches nothing.
+    stale = [] if args.paths else stale_entries(allowlist, found, enabled)
 
-    if violations:
-        print(f"pioqo-lint: {len(violations)} violation(s):")
+    if violations or stale:
+        print(f"pioqo-lint: {len(violations)} violation(s), {len(stale)} "
+              f"stale allowlist entr{'y' if len(stale) == 1 else 'ies'}:")
         for v in violations:
             print(f"{v.rel}:{v.lineno}: [{v.rule}] {v.message}")
             print(f"    {v.line}")
+        for suffix, rule, fragment in stale:
+            print(f"{suffix}:{rule}:{fragment}: allowlist entry suppresses "
+                  f"nothing; delete it")
         print(f"\n(allowlist: {allowlist_path})")
         return 1
     print(f"pioqo-lint: {len(files)} file(s) clean "

@@ -188,6 +188,13 @@ def is_allowed(allowlist, violation):
     return False
 
 
+def stale_entries(allowlist, violations, rules):
+    """Entries for a rule in `rules` that suppress none of `violations`."""
+    return [entry for entry in allowlist
+            if entry[1] in rules
+            and not any(is_allowed([entry], v) for v in violations)]
+
+
 def collect_files(targets):
     """Expands files/directories into a sorted list of .h/.cc paths."""
     files = []
