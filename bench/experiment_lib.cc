@@ -1,9 +1,10 @@
 #include "experiment_lib.h"
 
-#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -15,6 +16,19 @@ double ScaleFromEnv(double def) {
   double v = std::atof(env);
   if (v <= 0.0 || v > 1.0) {
     PIOQO_LOG_WARNING << "ignoring PIOQO_SCALE=" << env;
+    return def;
+  }
+  return v;
+}
+
+int RepsFromEnv(int def) {
+  const char* env = std::getenv("PIOQO_REPS");
+  if (env == nullptr) return def;
+  const char* end = env + std::strlen(env);
+  int v = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ec != std::errc() || ptr != end || v < 1) {
+    PIOQO_LOG_WARNING << "ignoring PIOQO_REPS=" << env;
     return def;
   }
   return v;
@@ -99,14 +113,6 @@ std::string Ms(double us) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f", us / 1000.0);
   return buf;
-}
-
-int BenchThreadsFromEnv() {
-  if (const char* env = std::getenv("PIOQO_BENCH_THREADS")) {
-    return std::max(1, std::atoi(env));
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 }  // namespace pioqo::bench

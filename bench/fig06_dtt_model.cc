@@ -6,12 +6,10 @@
 // (sequential) is cheapest on both.
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/calibrator.h"
-#include "experiment_lib.h"
 #include "io/device_factory.h"
 #include "sim/simulator.h"
 
@@ -27,18 +25,13 @@ int main() {
 
   std::printf("%12s %14s %14s\n", "band (pages)", "HDD us/page",
               "SSD us/page");
-  // Each device calibrates in its own fan-out cell (own Simulator, own
-  // device model); collection order is fixed, so output is unchanged.
-  std::vector<std::function<core::QdttModel()>> cells;
+  std::vector<core::QdttModel> models;
   for (io::DeviceKind kind :
        {io::DeviceKind::kHdd7200, io::DeviceKind::kSsdConsumer}) {
-    cells.emplace_back([kind, options] {
-      sim::Simulator sim;
-      auto device = io::MakeDevice(sim, kind);
-      return core::Calibrator(sim, *device, options).Calibrate().model;
-    });
+    sim::Simulator sim;
+    auto device = io::MakeDevice(sim, kind);
+    models.push_back(core::Calibrator(sim, *device, options).Calibrate().model);
   }
-  std::vector<core::QdttModel> models = bench::RunCells(cells);
   const core::QdttModel& hdd_model = models[0];
   const core::QdttModel& ssd_model = models[1];
 

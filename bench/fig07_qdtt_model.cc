@@ -7,12 +7,9 @@
 // disabled here to show the full surface).
 
 #include <cstdio>
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "core/calibrator.h"
-#include "experiment_lib.h"
 #include "io/device_factory.h"
 #include "sim/simulator.h"
 
@@ -43,23 +40,15 @@ int main() {
   options.repetitions = 2;
   options.max_pages_per_point = 1600;
 
-  // One fan-out cell per device: each owns its Simulator + device +
-  // calibrator, so the two calibration grids run concurrently; results are
-  // collected (and printed) in input order.
-  const io::DeviceKind kinds[] = {io::DeviceKind::kHdd7200,
-                                  io::DeviceKind::kSsdConsumer};
-  const char* names[] = {"HDD (7200rpm single spindle)",
-                         "SSD (consumer PCIe)"};
-  std::vector<std::function<core::QdttModel()>> cells;
-  for (io::DeviceKind kind : kinds) {
-    cells.emplace_back([kind, options] {
-      sim::Simulator sim;
-      auto device = io::MakeDevice(sim, kind);
-      core::Calibrator cal(sim, *device, options);
-      return cal.Calibrate().model;
-    });
+  const struct {
+    io::DeviceKind kind;
+    const char* name;
+  } devices[] = {{io::DeviceKind::kHdd7200, "HDD (7200rpm single spindle)"},
+                 {io::DeviceKind::kSsdConsumer, "SSD (consumer PCIe)"}};
+  for (const auto& [kind, name] : devices) {
+    sim::Simulator sim;
+    auto device = io::MakeDevice(sim, kind);
+    PrintModel(name, core::Calibrator(sim, *device, options).Calibrate().model);
   }
-  const std::vector<core::QdttModel> models = bench::RunCells(cells);
-  for (size_t i = 0; i < models.size(); ++i) PrintModel(names[i], models[i]);
   return 0;
 }

@@ -6,18 +6,17 @@
 // Paper shape: the two surfaces are nearly identical on SSD.
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/calibrator.h"
+#include "experiment_lib.h"
 #include "io/device_factory.h"
 #include "sim/simulator.h"
 #include "storage/page.h"
 
 int main() {
   using namespace pioqo;
-  int reps = 10;
-  if (const char* env = std::getenv("PIOQO_REPS")) reps = std::atoi(env);
+  const int reps = bench::RepsFromEnv(10);
   std::printf("Fig. 9: QDTT on SSD calibrated with GW vs AW (%d reps)\n",
               reps);
 

@@ -12,14 +12,14 @@
 #include <memory>
 
 #include "core/calibrator.h"
+#include "experiment_lib.h"
 #include "io/device_factory.h"
 #include "sim/simulator.h"
 #include "storage/page.h"
 
 int main() {
   using namespace pioqo;
-  int reps = 10;
-  if (const char* env = std::getenv("PIOQO_REPS")) reps = std::atoi(env);
+  const int reps = bench::RepsFromEnv(10);
   std::printf("Fig. 10: |AW - GW| calibration difference on SSD (%d reps)\n\n",
               reps);
 

@@ -8,18 +8,17 @@
 // method ... the AW method must be the method of choice."
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/calibrator.h"
+#include "experiment_lib.h"
 #include "io/device_factory.h"
 #include "sim/simulator.h"
 #include "storage/page.h"
 
 int main() {
   using namespace pioqo;
-  int reps = 6;
-  if (const char* env = std::getenv("PIOQO_REPS")) reps = std::atoi(env);
+  const int reps = bench::RepsFromEnv(6);
   std::printf(
       "Fig. 11: GW - AW calibration difference on RAID (8x15000rpm, %d "
       "reps)\n\n",

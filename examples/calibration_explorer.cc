@@ -48,9 +48,9 @@ void Explore(pioqo::io::DeviceKind kind) {
     std::ofstream out(path);
     out << result.model.Serialize();
   }
-  std::ifstream in(path);
   std::stringstream buffer;
-  buffer << in.rdbuf();
+  buffer << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
   auto reloaded = core::QdttModel::Deserialize(buffer.str());
   PIOQO_CHECK(reloaded.ok());
   PIOQO_CHECK(reloaded->Lookup(4096, 8) == result.model.Lookup(4096, 8));

@@ -307,6 +307,7 @@ double Calibrator::MeasurePoint(uint64_t band_pages, int qd,
 RunningStat Calibrator::MeasurePointStats(uint64_t band_pages, int qd,
                                           CalibrationMethod method,
                                           int repetitions, uint64_t seed) {
+  PIOQO_CHECK(repetitions >= 1);
   RunningStat stat;
   for (int r = 0; r < repetitions; ++r) {
     stat.Add(MeasurePoint(band_pages, qd, method,

@@ -111,13 +111,16 @@ core::CalibrationResult Database::Calibrate() {
   return result;
 }
 
-void Database::InstallModel(core::QdttModel model) {
+Status Database::InstallModel(core::QdttModel model) {
   PIOQO_CHECK(drift_defense_ == nullptr)  // as in Calibrate()
       << "InstallModel() after EnableDriftDefense(): install the model "
          "first, then enable the drift defense";
-  PIOQO_CHECK(model.complete());
+  if (!model.complete()) {
+    return Status::InvalidArgument("QDTT model leaves a grid point unset");
+  }
   qdtt_ = std::move(model);
   plan_cache_.InvalidateAll();  // as in Calibrate()
+  return Status::OK();
 }
 
 const core::QdttModel& Database::qdtt() const {

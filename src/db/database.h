@@ -71,8 +71,10 @@ class Database {
   core::CalibrationResult Calibrate();
 
   /// Installs an externally calibrated/deserialized model instead. The same
-  /// ordering rule as Calibrate() applies.
-  void InstallModel(core::QdttModel model);
+  /// ordering rule as Calibrate() applies. A model that leaves a grid point
+  /// unset is rejected with kInvalidArgument, and the installed model (if
+  /// any) stays in place.
+  Status InstallModel(core::QdttModel model);
   bool calibrated() const { return qdtt_.has_value(); }
   const core::QdttModel& qdtt() const;
 

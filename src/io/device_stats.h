@@ -15,10 +15,11 @@ namespace pioqo::io {
 /// definition: "the average number of outstanding I/Os in the I/O queue at
 /// any point of time".
 ///
-/// The fault-path counters (errors, injected faults, retries, timeouts,
-/// degraded-mode clamps) make failure experiments observable: the injector
-/// records what it injected, the buffer pool records how recovery went, and
-/// the health monitor records when it throttled parallelism.
+/// The fault-path counters (errors, injected faults, degraded-mode clamps)
+/// make failure experiments observable: the injector records what it
+/// injected and the health monitor records when it throttled parallelism.
+/// Recovery (retries, timed-out attempts) is the buffer pool's to count, in
+/// its own `BufferPoolStats`.
 class DeviceStats {
  public:
   void RecordSubmit(sim::SimTime now, bool is_read, uint64_t bytes);
@@ -35,8 +36,6 @@ class DeviceStats {
 
   /// Fault-path accounting.
   void RecordErrorInjected() { ++errors_injected_; }
-  void RecordRetry() { ++retries_; }
-  void RecordTimeout() { ++timeouts_; }
   void RecordDegradedClamp() { ++degraded_clamps_; }
 
   /// Degradation-regime accounting (RAID spindle loss / SSD throttling).
@@ -59,10 +58,6 @@ class DeviceStats {
   uint64_t errors() const { return errors_; }
   /// Faults the injector decided to inject (errors + stuck requests).
   uint64_t errors_injected() const { return errors_injected_; }
-  /// Re-issued attempts after a transient failure (buffer-pool retry path).
-  uint64_t retries() const { return retries_; }
-  /// Per-request deadlines that fired before the completion arrived.
-  uint64_t timeouts() const { return timeouts_; }
   /// Times the health monitor clamped a scan's parallel degree.
   uint64_t degraded_clamps() const { return degraded_clamps_; }
   /// Requests reclaimed via Device::Cancel before being serviced.
@@ -98,8 +93,6 @@ class DeviceStats {
   uint64_t bytes_completed_ = 0;
   uint64_t errors_ = 0;
   uint64_t errors_injected_ = 0;
-  uint64_t retries_ = 0;
-  uint64_t timeouts_ = 0;
   uint64_t degraded_clamps_ = 0;
   uint64_t cancelled_requests_ = 0;
   uint64_t regime_transitions_ = 0;

@@ -19,7 +19,7 @@ namespace pioqo::sim {
 /// The pool is `thread_local`, mirroring the simulator's threading model: a
 /// simulator and all its coroutines are confined to one thread, so a frame
 /// is always freed on the thread that allocated it and the pool needs no
-/// synchronization. Each bench fan-out thread gets an independent pool.
+/// synchronization. Simulators on separate threads get independent pools.
 ///
 /// Blocks are rounded up to 64-byte granularity; sizes above 4 KiB (none in
 /// this codebase today) bypass the pool. Per-bucket retention is capped so

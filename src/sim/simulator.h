@@ -26,8 +26,9 @@ using SimTime = double;
 /// The simulator is single-threaded: device models, the CPU scheduler and
 /// all coroutine workers run interleaved on the caller's thread, and
 /// "runtime" means elapsed simulated time. Independent simulators may run on
-/// different threads concurrently (the bench fan-out does); no state is
-/// shared between instances.
+/// different threads concurrently: no state is shared between instances, and
+/// the engine's per-thread state (frame pool, invariant checker) is
+/// `thread_local`.
 ///
 /// Hot-path layout (DESIGN.md §11): the priority queue is a 4-ary min-heap
 /// of 16-byte plain-old-data nodes (time, seq⋅slot key); the callback and

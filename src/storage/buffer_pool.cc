@@ -420,7 +420,6 @@ void BufferPool::OnDeadline(uint64_t read_id, int attempt) {
   if (r == nullptr || r->attempt != attempt) return;
   r->has_deadline = false;  // this deadline just fired
   ++stats_.timeouts;
-  disk_.device().stats().RecordTimeout();
   // Try to reclaim the queue slot the abandoned attempt occupies — the
   // recovery path for a *stuck* request, which otherwise pins a device
   // slot forever. False just means the request is genuinely in service
@@ -484,7 +483,6 @@ void BufferPool::HandleFailure(uint64_t read_id, const Status& status) {
       return;
     }
     ++stats_.retries;
-    disk_.device().stats().RecordRetry();
     ++r->attempt;
     disk_.device().simulator().ScheduleAfter(
         backoff, [this, read_id] { IssueAttempt(read_id); });

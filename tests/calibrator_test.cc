@@ -225,6 +225,16 @@ TEST(CalibratorTest, RepetitionsReduceToStats) {
   EXPECT_GE(stat.max(), stat.min());
 }
 
+TEST(CalibratorDeathTest, MeasurePointStatsWithoutRepetitionsDies) {
+  // Zero repetitions would return an empty distribution whose mean reads 0.
+  sim::Simulator sim;
+  io::SsdDevice ssd(sim, io::SsdGeometry::ConsumerPcie());
+  Calibrator cal(sim, ssd, FastOptions());
+  EXPECT_DEATH(
+      cal.MeasurePointStats(512, 4, CalibrationMethod::kActiveWaiting, 0, 1),
+      "repetitions >= 1");
+}
+
 TEST(CalibratorTest, PagesReadCountsTheSequencesRead) {
   // Band 512 reads whole 512-page blocks: six of them, 3072 pages, under
   // M = 3200.

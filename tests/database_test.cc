@@ -69,6 +69,29 @@ TEST(DatabaseTest, CalibrateInstallsModel) {
   EXPECT_TRUE(db.qdtt().complete());
 }
 
+TEST(DatabaseTest, InstallModelRejectsIncompleteGrid) {
+  // A persisted model that leaves out grid point (8, 2) deserializes, but
+  // installing it fails and keeps the installed model and cached plans.
+  auto partial =
+      core::QdttModel::Deserialize("qdtt v1\n1 1 100\n1 2 90\n8 1 120\n");
+  ASSERT_TRUE(partial.ok());
+  ASSERT_FALSE(partial->complete());
+
+  Database db(SmallSsd());
+  EXPECT_EQ(db.InstallModel(*partial).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(db.calibrated());
+
+  ASSERT_TRUE(db.CreateTable(SmallTable("t", 10000, 33)).ok());
+  const std::string calibrated = db.Calibrate().model.Serialize();
+  ASSERT_TRUE(db.ExecuteQuery("t", exec::RangePredicate{0, 100}, true, true)
+                  .ok());
+  const size_t cached_plans = db.plan_cache()->size();
+  ASSERT_GE(cached_plans, 1u);
+  EXPECT_EQ(db.InstallModel(*partial).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.qdtt().Serialize(), calibrated);
+  EXPECT_EQ(db.plan_cache()->size(), cached_plans);
+}
+
 TEST(DatabaseTest, ForcedScansAgree) {
   Database db(SmallSsd());
   ASSERT_TRUE(db.CreateTable(SmallTable("t", 30000, 33)).ok());
@@ -251,7 +274,7 @@ TEST(DatabaseTest, DriftDefenseRefreshesOneRowOfAnInstalledGrid) {
       installed.SetPoint(b, q, 100.0 * static_cast<double>(b + 1));
     }
   }
-  db.InstallModel(installed);
+  ASSERT_TRUE(db.InstallModel(installed).ok());
   DriftDefenseOptions options;
   options.calibrator.calibration.max_pages_per_point = 200;
   options.calibrator.poll_interval_us = 5'000.0;
@@ -368,7 +391,7 @@ TEST(DatabaseDeathTest, InstallModelAfterDriftDefenseDies) {
         Database db(SmallSsd());
         core::QdttModel model = db.Calibrate().model;
         db.EnableDriftDefense();
-        db.InstallModel(std::move(model));
+        (void)db.InstallModel(std::move(model));
       },
       "InstallModel\\(\\) after EnableDriftDefense");
 }

@@ -246,7 +246,6 @@ TEST_F(PoolRetryTest, TransientErrorIsRetriedToSuccess) {
   EXPECT_EQ(pool.stats().failed_loads, 0u);
   EXPECT_EQ(pool.stats().fetch_errors, 0u);
   EXPECT_EQ(faulty_->stats().errors_injected(), 1u);
-  EXPECT_EQ(faulty_->stats().retries(), 1u);
   sim::checks::ExpectQuiescent("transient retry");
 }
 
@@ -308,7 +307,6 @@ TEST_F(PoolRetryTest, StuckRequestsExhaustTimeoutsAndFailCleanly) {
   EXPECT_EQ(pool.stats().retries, 1u);
   EXPECT_EQ(pool.stats().failed_loads, 1u);
   EXPECT_EQ(faulty_->stats().errors_injected(), 2u);
-  EXPECT_EQ(faulty_->stats().timeouts(), 2u);
   // attempt1 deadline at 3000 + backoff 500 + attempt2 deadline 3000.
   EXPECT_DOUBLE_EQ(sim_.Now(), 6500.0);
   EXPECT_EQ(sim_.num_pending(), 0u);

@@ -272,7 +272,7 @@ TEST(PlanCacheWorkloadTest, ModelReplacementFlushesTheCache) {
 
   // Reinstalling a model (even an identical copy) must flush: generation
   // counters are per model object and cannot vouch across a swap.
-  db->InstallModel(db->qdtt());
+  ASSERT_TRUE(db->InstallModel(db->qdtt()).ok());
   EXPECT_EQ(db->plan_cache()->size(), 0u);
   EXPECT_GE(db->plan_cache()->stats().invalidations, 1u);
   sim::checks::ExpectQuiescent("plan cache install");
