@@ -10,28 +10,33 @@
 
 namespace pioqo::bench {
 
-double ScaleFromEnv(double def) {
-  const char* env = std::getenv("PIOQO_SCALE");
+namespace {
+
+/// The value of environment variable `name` if all of it parses as a `T`
+/// that `valid` accepts; otherwise `def`, with a warning when it is set.
+template <typename T, typename Valid>
+T FromEnv(const char* name, T def, Valid valid) {
+  const char* env = std::getenv(name);
   if (env == nullptr) return def;
-  double v = std::atof(env);
-  if (v <= 0.0 || v > 1.0) {
-    PIOQO_LOG_WARNING << "ignoring PIOQO_SCALE=" << env;
+  const char* end = env + std::strlen(env);
+  T v{};
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ec != std::errc() || ptr != end || !valid(v)) {
+    PIOQO_LOG_WARNING << "ignoring " << name << "=" << env;
     return def;
   }
   return v;
 }
 
+}  // namespace
+
+double ScaleFromEnv(double def) {
+  return FromEnv("PIOQO_SCALE", def,
+                 [](double v) { return v > 0.0 && v <= 1.0; });
+}
+
 int RepsFromEnv(int def) {
-  const char* env = std::getenv("PIOQO_REPS");
-  if (env == nullptr) return def;
-  const char* end = env + std::strlen(env);
-  int v = 0;
-  const auto [ptr, ec] = std::from_chars(env, end, v);
-  if (ec != std::errc() || ptr != end || v < 1) {
-    PIOQO_LOG_WARNING << "ignoring PIOQO_REPS=" << env;
-    return def;
-  }
-  return v;
+  return FromEnv("PIOQO_REPS", def, [](int v) { return v >= 1; });
 }
 
 exec::RangePredicate ExperimentRig::PredicateFor(double selectivity) const {

@@ -13,8 +13,9 @@
 namespace pioqo::bench {
 
 /// Scale factor for experiment tables, read from the PIOQO_SCALE environment
-/// variable (default `def`, clamped to (0, 1]). Smaller is faster; the
-/// paper-shape conclusions hold from ~0.25 upward.
+/// variable (default `def`); anything but a number in (0, 1] with nothing
+/// after it is ignored with a warning. Smaller is faster; the paper-shape
+/// conclusions hold from ~0.25 upward.
 double ScaleFromEnv(double def = 0.5);
 
 /// Calibration repetitions per point for the Fig. 9-11 benches, read from

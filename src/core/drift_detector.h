@@ -14,8 +14,8 @@ struct DriftDetectorOptions {
   /// Shift of the observed/predicted ratio relative to the cell's learned
   /// reference (in either direction) beyond which the cell counts as
   /// drifted. 1.5 tolerates the noise of concurrent execution while
-  /// catching regime shifts (reconstruction reads and thermal throttling
-  /// multiply service times well past 1.5x).
+  /// catching regime shifts (a thermal throttle multiplies service times
+  /// well past 1.5x).
   double drift_ratio = 1.5;
   /// Samples a cell spends learning its reference error level (warmup), and
   /// again the number of post-warmup samples it needs before its drift

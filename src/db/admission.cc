@@ -33,14 +33,9 @@ bool AdmissionController::CanAdmit() const {
 }
 
 AdmissionGrant AdmissionController::Charge(int requested_dop) {
+  // The health monitor counts its own clamps (DeviceStats::degraded_clamps).
   int dop = requested_dop;
-  if (options_.health != nullptr && options_.health->degraded()) {
-    const int clamped = options_.health->ClampDop(dop);
-    if (clamped < dop) {
-      dop = clamped;
-      ++stats_.degraded_clamps;
-    }
-  }
+  if (options_.health != nullptr) dop = options_.health->ClampDop(dop);
   const int budget = options_.max_total_dop - total_dop_;
   PIOQO_CHECK(budget >= 1);
   if (dop > budget) {
@@ -67,12 +62,8 @@ void AdmissionController::Release(const AdmissionGrant& grant) {
 
 bool AdmissionController::TryChargeBackground(int queue_depth) {
   PIOQO_CHECK(queue_depth >= 1);
-  if (background_dop_ != 0) {
-    ++stats_.background_denials;
-    return false;
-  }
+  if (background_dop_ != 0) return false;
   background_dop_ = queue_depth;
-  ++stats_.background_grants;
   return true;
 }
 

@@ -57,10 +57,7 @@ struct AdmissionStats {
   uint64_t shed_wait_timeout = 0;  // queued longer than max_queue_wait_us
   uint64_t shed_deadline = 0;      // deadline passed at arrival or in queue
   uint64_t shed_cancelled = 0;     // cancelled at arrival or in queue
-  uint64_t degraded_clamps = 0;    // grants reduced by the health monitor
   uint64_t partial_grants = 0;     // grants reduced by the DOP budget
-  uint64_t background_grants = 0;  // TryChargeBackground successes
-  uint64_t background_denials = 0; // TryChargeBackground refusals
   int peak_running = 0;
   int peak_total_dop = 0;
   size_t peak_queued = 0;

@@ -1,6 +1,7 @@
 #include "db/database.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
@@ -423,6 +424,13 @@ StatusOr<Database::WorkloadReport> Database::RunWorkload(
   std::vector<exec::ScanSpec> specs;
   specs.reserve(requests.size());
   for (const QueryRequest& req : requests) {
+    // A NaN passes every comparison below and an infinite arrival would
+    // leave the clock at infinity, so reject both up front.
+    if (!std::isfinite(req.arrival_us) || !std::isfinite(req.timeout_us) ||
+        !std::isfinite(req.cancel_at_us)) {
+      return Status::InvalidArgument(
+          "non-finite arrival_us, timeout_us or cancel_at_us");
+    }
     if (req.arrival_us < sim_.Now()) {
       return Status::InvalidArgument("arrival_us in the simulated past");
     }

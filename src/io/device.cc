@@ -29,12 +29,11 @@ uint64_t Device::Submit(const IoRequest& req, CompletionFn done) {
         " length=" + std::to_string(req.length) +
         " capacity=" + std::to_string(capacity_bytes()));
   }
-  auto wrapped = [this, done = std::move(done), is_read, length = req.length,
-                  req, submit_time](const IoResult& result) {
+  auto wrapped = [this, done = std::move(done), req,
+                  submit_time](const IoResult& result) {
     IoResult out = result;
     out.latency_us = sim_.Now() - submit_time;
-    stats_.RecordComplete(sim_.Now(), is_read, length, out.latency_us,
-                          out.ok());
+    stats_.RecordComplete(sim_.Now(), req.length, out.latency_us, out.ok());
     if (observer_) observer_(req, out);
     done(out);
   };

@@ -18,9 +18,8 @@ void DeviceStats::RecordSubmit(sim::SimTime now, bool is_read, uint64_t bytes) {
   queue_depth_.Update(now, outstanding_);
 }
 
-void DeviceStats::RecordComplete(sim::SimTime now, bool is_read, uint64_t bytes,
+void DeviceStats::RecordComplete(sim::SimTime now, uint64_t bytes,
                                  double latency_us, bool ok) {
-  (void)is_read;
   --outstanding_;
   queue_depth_.Update(now, outstanding_);
   if (ok) {

@@ -26,8 +26,8 @@ class DeviceStats {
   /// `ok == false` records an errored completion: it balances the
   /// outstanding count and latency history but does not count toward
   /// transferred bytes (a failed command moves no data).
-  void RecordComplete(sim::SimTime now, bool is_read, uint64_t bytes,
-                      double latency_us, bool ok = true);
+  void RecordComplete(sim::SimTime now, uint64_t bytes, double latency_us,
+                      bool ok = true);
 
   /// A request reclaimed by `Device::Cancel` before it was serviced: it
   /// balances the outstanding count (the queue slot is free again) but is
@@ -38,10 +38,7 @@ class DeviceStats {
   void RecordErrorInjected() { ++errors_injected_; }
   void RecordDegradedClamp() { ++degraded_clamps_; }
 
-  /// Degradation-regime accounting (RAID spindle loss / SSD throttling).
-  void RecordRegimeTransition() { ++regime_transitions_; }
-  void RecordReconstructedRead() { ++reconstructed_reads_; }
-  void RecordRebuildChunk() { ++rebuild_chunks_; }
+  /// Degradation-regime accounting (SSD throttling).
   void RecordThrottledCommand() { ++throttled_commands_; }
 
   /// Forgets all history; the next submit starts a new interval.
@@ -63,15 +60,6 @@ class DeviceStats {
   /// Requests reclaimed via Device::Cancel before being serviced.
   uint64_t cancelled_requests() const { return cancelled_requests_; }
 
-  /// Regime entries/exits (a spindle loss, a rebuild completion, a throttle
-  /// window opening or closing).
-  uint64_t regime_transitions() const { return regime_transitions_; }
-  /// RAID reads that mapped to the failed member and were served by
-  /// reconstruction from the surviving spindles.
-  uint64_t reconstructed_reads() const { return reconstructed_reads_; }
-  /// Background rebuild units issued (each = one read per survivor plus the
-  /// spare rewrite), competing with foreground traffic for the queues.
-  uint64_t rebuild_chunks() const { return rebuild_chunks_; }
   /// SSD commands admitted while a throttle phase was active.
   uint64_t throttled_commands() const { return throttled_commands_; }
 
@@ -95,9 +83,6 @@ class DeviceStats {
   uint64_t errors_injected_ = 0;
   uint64_t degraded_clamps_ = 0;
   uint64_t cancelled_requests_ = 0;
-  uint64_t regime_transitions_ = 0;
-  uint64_t reconstructed_reads_ = 0;
-  uint64_t rebuild_chunks_ = 0;
   uint64_t throttled_commands_ = 0;
   int64_t outstanding_ = 0;
   bool active_ = false;

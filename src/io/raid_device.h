@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "io/degradation.h"
 #include "io/device.h"
 #include "io/hdd_device.h"
 
@@ -18,15 +17,6 @@ namespace pioqo::io {
 /// pieces do. With independent random 4 KiB reads, queue depth spreads
 /// pieces over the spindles, so throughput scales up to ~num_members — the
 /// multi-spindle behaviour the paper calibrates QDTT against (Figs. 11-12).
-///
-/// Degraded mode (ScheduleDegradation): at a scripted instant one spindle
-/// drops out. Pieces mapped to it are served by *reconstruction* — the
-/// same-size range is read from every surviving member, as a parity array
-/// would — and an optional background rebuild chain reads survivors chunk by
-/// chunk and rewrites the replacement spindle, competing with foreground
-/// traffic for the member queues. The array exits degraded mode when the
-/// rebuild extent completes. Without a schedule none of this machinery
-/// schedules events or draws randomness, so healthy runs stay bit-identical.
 class RaidDevice : public Device {
  public:
   /// Builds a RAID-0 array of `num_members` drives with geometry `member`.
@@ -36,24 +26,9 @@ class RaidDevice : public Device {
 
   uint64_t capacity_bytes() const override { return capacity_bytes_; }
   std::string name() const override { return name_; }
-  int num_members() const { return static_cast<int>(members_.size()); }
   uint64_t chunk_bytes() const { return chunk_bytes_; }
 
   const HddDevice& member(int i) const { return *members_[static_cast<size_t>(i)]; }
-
-  /// Arms a scripted spindle loss (and its rebuild). Call at most once,
-  /// before `schedule.fail_at_us`; requires >= 2 members (reconstruction
-  /// needs survivors). A disabled schedule (fail_at_us < 0, the default)
-  /// is a no-op and leaves the trace bit-identical.
-  void ScheduleDegradation(const RaidDegradationSchedule& schedule);
-
-  /// True between the spindle loss and the rebuild's completion.
-  bool degraded() const { return degraded_; }
-  /// The lost member while degraded; -1 otherwise.
-  int failed_member() const { return failed_member_; }
-  /// Fraction of the rebuild extent reconstructed; 1.0 once healthy again
-  /// (and 0.0 forever when the schedule disables the rebuild).
-  double rebuild_progress() const;
 
  private:
   /// Pieces fan out to the member devices immediately, so a RAID request is
@@ -62,24 +37,10 @@ class RaidDevice : public Device {
   void SubmitImpl(uint64_t id, const IoRequest& req,
                   CompletionFn done) override;
 
-  void OnSpindleLoss();
-  /// One paced rebuild unit: read the reconstruction chunk from every
-  /// survivor, then rewrite the replacement spindle, then (after the
-  /// schedule's interval) the next chunk.
-  void RebuildStep();
-  void OnRebuildComplete();
-
   uint64_t chunk_bytes_;
   uint64_t capacity_bytes_;
   std::string name_;
   std::vector<std::unique_ptr<HddDevice>> members_;
-
-  RaidDegradationSchedule schedule_;
-  bool degradation_armed_ = false;
-  bool degraded_ = false;
-  int failed_member_ = -1;
-  uint64_t rebuild_chunks_total_ = 0;
-  uint64_t rebuild_chunks_done_ = 0;
 };
 
 }  // namespace pioqo::io

@@ -248,7 +248,7 @@ TEST(AdmissionTest, DegradedDeviceClampsGrantedDop) {
   ASSERT_TRUE(p.grant.ok());
   EXPECT_LT(p.grant.dop, 8);
   EXPECT_GE(p.grant.dop, 1);
-  EXPECT_EQ(ctrl.stats().degraded_clamps, 1u);
+  EXPECT_EQ(device->stats().degraded_clamps(), 1u);
   sim::checks::ExpectQuiescent("degraded clamp");
 }
 

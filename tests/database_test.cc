@@ -1,6 +1,7 @@
 #include "db/database.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -259,6 +260,52 @@ TEST(DatabaseTest, DriftObservationIsChargedAtTheGrantedDop) {
   EXPECT_EQ(db.drift_defense()->stats().observations, 1u);
   EXPECT_EQ(detector.CellSamples(0, qd_idx(2)), 1u);
   EXPECT_EQ(detector.CellSamples(0, qd_idx(8)), 0u);
+}
+
+TEST(DatabaseTest, RunWorkloadRejectsNonFiniteTimes) {
+  Database db(SmallSsd());
+  ASSERT_TRUE(db.CreateTable(SmallTable("t", 10000, 33)).ok());
+  db.EnableAdmissionControl();
+  Database::QueryRequest good;
+  good.scan.table = "t";
+  good.scan.pred = {0, storage::C2UpperBoundForSelectivity(1 << 24, 0.1)};
+  good.arrival_us = db.simulator().Now();
+  // Warm the pool, so a flush before the rejection would show.
+  ASSERT_TRUE(db.RunWorkload({good}, /*flush_pool=*/false).ok());
+  const double now = db.simulator().Now();
+  const uint32_t resident = db.pool().resident_pages();
+  ASSERT_GT(resident, 0u);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Database::QueryRequest> bad;
+  for (double v : {nan, inf, -inf}) {
+    Database::QueryRequest req = good;
+    req.arrival_us = v;
+    bad.push_back(req);
+    req = good;
+    req.arrival_us = now;
+    req.timeout_us = v;
+    bad.push_back(req);
+    req.timeout_us = 0.0;
+    req.cancel_at_us = v;
+    bad.push_back(req);
+  }
+  for (const Database::QueryRequest& req : bad) {
+    good.arrival_us = now;
+    auto report = db.RunWorkload({good, req}, /*flush_pool=*/true);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    // Rejected before anything was flushed or run.
+    EXPECT_EQ(db.simulator().Now(), now);
+    EXPECT_EQ(db.pool().resident_pages(), resident);
+  }
+
+  // The clock stayed finite, so a later arrival still runs.
+  good.arrival_us = now + 1000.0;
+  auto report = db.RunWorkload({good}, /*flush_pool=*/false);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->completed, 1u);
 }
 
 TEST(DatabaseTest, DriftDefenseRefreshesOneRowOfAnInstalledGrid) {

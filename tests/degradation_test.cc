@@ -1,13 +1,10 @@
 #include "io/degradation.h"
 
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "io/hdd_device.h"
-#include "io/raid_device.h"
 #include "io/ssd_device.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -39,139 +36,6 @@ double Mean(const std::vector<double>& xs, size_t first, size_t last) {
   double sum = 0.0;
   for (size_t i = first; i < last; ++i) sum += xs[i];
   return sum / static_cast<double>(last - first);
-}
-
-// --- RAID spindle loss ------------------------------------------------------
-
-TEST(RaidDegradationTest, SpindleLossEntersDegradedModeAndReconstructsReads) {
-  sim::Simulator sim;
-  RaidDevice raid(sim, 4, HddGeometry::Enterprise15000());
-  RaidDegradationSchedule schedule;
-  schedule.fail_at_us = 50'000.0;
-  schedule.failed_member = 1;
-  schedule.rebuild = false;  // stay degraded so every later read can hit it
-  raid.ScheduleDegradation(schedule);
-
-  sim::Latch done(sim, 1);
-  SerialReads(sim, raid, 400, /*seed=*/7, nullptr, done).Detach();
-  sim.Run();
-
-  EXPECT_TRUE(raid.degraded());
-  EXPECT_EQ(raid.failed_member(), 1);
-  EXPECT_EQ(raid.rebuild_progress(), 0.0);
-  EXPECT_EQ(raid.stats().regime_transitions(), 1u);
-  // A quarter of the stripes map to the lost spindle; with 400 random reads
-  // a healthy margin of them must have been served by reconstruction.
-  EXPECT_GT(raid.stats().reconstructed_reads(), 20u);
-  // Reconstruction fans the piece out to every survivor, so survivors see
-  // strictly more read requests than the failed member.
-  EXPECT_GT(raid.member(0).stats().reads(), raid.member(1).stats().reads());
-}
-
-TEST(RaidDegradationTest, DegradedReadsAreSlower) {
-  sim::Simulator sim;
-  RaidDevice raid(sim, 4, HddGeometry::Enterprise15000());
-  RaidDegradationSchedule schedule;
-  schedule.fail_at_us = 0.0;  // degraded from the start
-  schedule.failed_member = 0;
-  schedule.rebuild = false;
-  raid.ScheduleDegradation(schedule);
-
-  std::vector<double> degraded_lat;
-  sim::Latch done(sim, 1);
-  SerialReads(sim, raid, 300, /*seed=*/11, &degraded_lat, done).Detach();
-  sim.Run();
-
-  sim::Simulator sim2;
-  RaidDevice healthy(sim2, 4, HddGeometry::Enterprise15000());
-  std::vector<double> healthy_lat;
-  sim::Latch done2(sim2, 1);
-  SerialReads(sim2, healthy, 300, /*seed=*/11, &healthy_lat, done2).Detach();
-  sim2.Run();
-
-  // Same seed, same offsets: the degraded array must be slower on average
-  // (a quarter of the reads wait for the slowest of three survivors).
-  EXPECT_GT(Mean(degraded_lat, 0, degraded_lat.size()),
-            Mean(healthy_lat, 0, healthy_lat.size()));
-}
-
-TEST(RaidDegradationTest, RebuildRestoresHealthyMode) {
-  sim::Simulator sim;
-  RaidDevice raid(sim, 4, HddGeometry::Enterprise15000());
-  RaidDegradationSchedule schedule;
-  schedule.fail_at_us = 10'000.0;
-  schedule.failed_member = 2;
-  schedule.rebuild = true;
-  schedule.rebuild_bytes = 1024 * 1024;  // 16 chunks of 64 KiB
-  schedule.rebuild_interval_us = 1'000.0;
-  raid.ScheduleDegradation(schedule);
-
-  sim.Run();  // nothing but the degradation machinery is scheduled
-
-  EXPECT_FALSE(raid.degraded());
-  EXPECT_EQ(raid.failed_member(), -1);
-  EXPECT_EQ(raid.rebuild_progress(), 1.0);
-  // One transition into degraded mode, one back out.
-  EXPECT_EQ(raid.stats().regime_transitions(), 2u);
-  EXPECT_EQ(raid.stats().rebuild_chunks(), 16u);
-  // The rebuild rewrote the replacement spindle chunk by chunk.
-  EXPECT_EQ(raid.member(2).stats().writes(), 16u);
-}
-
-TEST(RaidDegradationTest, SeedDerivedMemberIsDeterministic) {
-  auto failed_member_for = [](uint64_t seed) {
-    sim::Simulator sim;
-    RaidDevice raid(sim, 8, HddGeometry::Enterprise15000());
-    RaidDegradationSchedule schedule;
-    schedule.fail_at_us = 0.0;
-    schedule.failed_member = -1;  // derive from the seed
-    schedule.seed = seed;
-    schedule.rebuild = false;
-    raid.ScheduleDegradation(schedule);
-    sim.Run();
-    return raid.failed_member();
-  };
-  const int first = failed_member_for(2014);
-  EXPECT_EQ(first, failed_member_for(2014));
-  EXPECT_GE(first, 0);
-  EXPECT_LT(first, 8);
-}
-
-TEST(RaidDegradationTest, UnconfiguredScheduleIsInert) {
-  auto trace_for = [](bool call_with_disabled_schedule) {
-    sim::Simulator sim;
-    RaidDevice raid(sim, 4, HddGeometry::Enterprise15000());
-    if (call_with_disabled_schedule) {
-      raid.ScheduleDegradation(RaidDegradationSchedule{});  // fail_at_us < 0
-    }
-    sim::Latch done(sim, 1);
-    SerialReads(sim, raid, 200, /*seed=*/3, nullptr, done).Detach();
-    sim.Run();
-    EXPECT_FALSE(raid.degraded());
-    EXPECT_EQ(raid.stats().regime_transitions(), 0u);
-    EXPECT_EQ(raid.stats().reconstructed_reads(), 0u);
-    return sim.trace_hash();
-  };
-  // A default (disabled) schedule must leave the trace bit-identical to
-  // never mentioning degradation at all.
-  EXPECT_EQ(trace_for(false), trace_for(true));
-}
-
-TEST(RaidDegradationTest, SameSeedReplayIsBitIdentical) {
-  auto trace = [] {
-    sim::Simulator sim;
-    RaidDevice raid(sim, 4, HddGeometry::Enterprise15000());
-    RaidDegradationSchedule schedule;
-    schedule.fail_at_us = 30'000.0;
-    schedule.seed = 99;
-    schedule.rebuild_bytes = 512 * 1024;
-    raid.ScheduleDegradation(schedule);
-    sim::Latch done(sim, 1);
-    SerialReads(sim, raid, 250, /*seed=*/5, nullptr, done).Detach();
-    sim.Run();
-    return sim.trace_hash();
-  };
-  EXPECT_EQ(trace(), trace());
 }
 
 // --- SSD wear / thermal throttle -------------------------------------------
