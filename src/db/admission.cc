@@ -19,6 +19,9 @@ AdmissionController::AdmissionController(sim::Simulator& sim,
   PIOQO_CHECK(options_.max_total_dop >= 1)
       << "AdmissionOptions::max_total_dop must be >= 1, got "
       << options_.max_total_dop;
+  PIOQO_CHECK(options_.max_queue_wait_us >= 0.0)
+      << "AdmissionOptions::max_queue_wait_us must be >= 0, got "
+      << options_.max_queue_wait_us;
 }
 
 AdmissionController::~AdmissionController() {

@@ -28,7 +28,7 @@ struct AdmissionOptions {
   int max_total_dop = 32;
   /// Longest a query may sit in the queue before being shed with
   /// `kResourceExhausted`. Zero waits indefinitely (the query's own
-  /// deadline, if any, still bounds it).
+  /// deadline, if any, still bounds it); a negative or NaN wait aborts.
   double max_queue_wait_us = 0.0;
   /// Arrivals beyond this queue length are shed immediately. Zero means
   /// unbounded.

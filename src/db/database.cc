@@ -434,6 +434,9 @@ StatusOr<Database::WorkloadReport> Database::RunWorkload(
     if (req.arrival_us < sim_.Now()) {
       return Status::InvalidArgument("arrival_us in the simulated past");
     }
+    if (req.timeout_us < 0.0) {
+      return Status::InvalidArgument("negative timeout_us");
+    }
     PIOQO_ASSIGN_OR_RETURN(exec::ScanSpec spec, ResolveScanSpec(req.scan));
     specs.push_back(spec);
   }

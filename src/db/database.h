@@ -136,7 +136,8 @@ class Database {
     opt::OptimizerOptions optimizer;
     /// Absolute simulated arrival time.
     double arrival_us = 0.0;
-    /// Deadline relative to arrival; 0 disables it.
+    /// Deadline relative to arrival; 0 disables it, and RunWorkload rejects
+    /// a negative one.
     double timeout_us = 0.0;
     /// Absolute simulated time of an injected cancellation (a user hitting
     /// Ctrl-C); negative disables it.

@@ -297,5 +297,15 @@ TEST(AdmissionDeathTest, ZeroDopCapDies) {
                "max_total_dop must be >= 1");
 }
 
+TEST(AdmissionDeathTest, NegativeOrNanQueueWaitDies) {
+  sim::Simulator sim;
+  for (double wait : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    AdmissionOptions options;
+    options.max_queue_wait_us = wait;
+    EXPECT_DEATH({ AdmissionController ctrl(sim, options); },
+                 "max_queue_wait_us must be >= 0");
+  }
+}
+
 }  // namespace
 }  // namespace pioqo::db

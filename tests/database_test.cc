@@ -262,7 +262,7 @@ TEST(DatabaseTest, DriftObservationIsChargedAtTheGrantedDop) {
   EXPECT_EQ(detector.CellSamples(0, qd_idx(8)), 0u);
 }
 
-TEST(DatabaseTest, RunWorkloadRejectsNonFiniteTimes) {
+TEST(DatabaseTest, RunWorkloadRejectsInvalidTimes) {
   Database db(SmallSsd());
   ASSERT_TRUE(db.CreateTable(SmallTable("t", 10000, 33)).ok());
   db.EnableAdmissionControl();
@@ -291,6 +291,11 @@ TEST(DatabaseTest, RunWorkloadRejectsNonFiniteTimes) {
     req.cancel_at_us = v;
     bad.push_back(req);
   }
+  // Only a zero timeout disables the deadline; a negative one is rejected.
+  Database::QueryRequest negative_timeout = good;
+  negative_timeout.arrival_us = now;
+  negative_timeout.timeout_us = -5.0;
+  bad.push_back(negative_timeout);
   for (const Database::QueryRequest& req : bad) {
     good.arrival_us = now;
     auto report = db.RunWorkload({good, req}, /*flush_pool=*/true);

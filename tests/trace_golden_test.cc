@@ -7,9 +7,9 @@
 // Simulator::trace_hash() folds every executed event's (time, seq) pair into
 // an order-sensitive hash, so equality against a pre-recorded golden value
 // from the seed implementation proves bit-identity end to end — through the
-// device models, buffer pool, scan/join operators, and calibrator.
+// device models, buffer pool, scan operators, and calibrator.
 //
-// The scan/join/calibration golden values below were recorded from the
+// The scan and calibration golden values below were recorded from the
 // pre-optimization engine (commit 1579194) on x86-64; the sorted-scan,
 // prefetching-PIS and concurrent-mix values from commit f488daf, before the
 // scan operators were folded onto one driver. The HDD calibration value was
@@ -37,7 +37,6 @@
 #include "common/logging.h"
 #include "core/calibrator.h"
 #include "db/database.h"
-#include "exec/join_operators.h"
 #include "io/device_factory.h"
 #include "sim/simulator.h"
 #include "storage/data_generator.h"
@@ -132,46 +131,6 @@ uint64_t ConcurrentScenario(io::DeviceKind kind) {
   return db->simulator().trace_hash();
 }
 
-/// A parallel index-nested-loop join (dop 8) over two seeded tables — the
-/// probe phase generates the random-I/O queue depth the paper prices.
-uint64_t JoinScenario(io::DeviceKind kind) {
-  sim::Simulator sim;
-  auto device = io::MakeDevice(sim, kind);
-  storage::DiskImage disk(*device);
-  storage::BufferPool pool(disk, 2048);
-  core::CostConstants constants;
-  sim::CpuScheduler cpu(sim, constants.logical_cores, constants.physical_cores,
-                        constants.smt_penalty);
-
-  storage::DatasetConfig inner_cfg;
-  inner_cfg.name = "inner";
-  inner_cfg.num_rows = 6000;
-  inner_cfg.rows_per_page = 33;
-  inner_cfg.c2_domain = 6000;
-  inner_cfg.index_leaf_fill = 64;
-  inner_cfg.seed = 7;
-  auto inner = storage::BuildDataset(disk, inner_cfg);
-  PIOQO_CHECK_OK(inner.status());
-
-  storage::DatasetConfig outer_cfg;
-  outer_cfg.name = "outer";
-  outer_cfg.num_rows = 6000;
-  outer_cfg.rows_per_page = 33;
-  outer_cfg.c2_domain = 6000;
-  outer_cfg.index_leaf_fill = 64;
-  outer_cfg.seed = 8;
-  auto outer = storage::BuildDataset(disk, outer_cfg);
-  PIOQO_CHECK_OK(outer.status());
-
-  exec::ExecContext ctx{sim, cpu, pool, constants};
-  auto result = exec::RunIndexNestedLoopJoin(ctx, outer->table, inner->table,
-                                             inner->index_c2,
-                                             exec::RangePredicate{0, 300}, 8);
-  EXPECT_TRUE(result.ok()) << result.status.ToString();
-  EXPECT_GT(result.rows_joined, 0u);
-  return sim.trace_hash();
-}
-
 /// An early-stopping grid calibration — the workload the tentpole exists to
 /// accelerate (Secs. 4.4-4.6), heavy on cancellable deadline churn.
 uint64_t CalibrationScenario(io::DeviceKind kind) {
@@ -198,9 +157,6 @@ const Golden kGoldens[] = {
     {"scan", io::DeviceKind::kHdd7200, ScanScenario, 0x24eee24c061081fdULL},
     {"scan", io::DeviceKind::kSsdConsumer, ScanScenario, 0x259385d7edd91aaaULL},
     {"scan", io::DeviceKind::kRaid8, ScanScenario, 0x21b65ee7f954b5b6ULL},
-    {"join", io::DeviceKind::kHdd7200, JoinScenario, 0x6cf676cc01d2e1adULL},
-    {"join", io::DeviceKind::kSsdConsumer, JoinScenario, 0x2a1c39c03fc4cc7cULL},
-    {"join", io::DeviceKind::kRaid8, JoinScenario, 0xdc343f198b7b1922ULL},
     {"calibration", io::DeviceKind::kHdd7200, CalibrationScenario,
      0xd3653d35cff5412cULL},
     {"calibration", io::DeviceKind::kSsdConsumer, CalibrationScenario,
@@ -230,7 +186,6 @@ const Golden kGoldens[] = {
 /// The scenario function behind a table name, for the regeneration printer.
 const char* ScenarioFunction(std::string_view scenario) {
   if (scenario == "scan") return "ScanScenario";
-  if (scenario == "join") return "JoinScenario";
   if (scenario == "calibration") return "CalibrationScenario";
   if (scenario == "sorted_scan") return "SortedScanScenario";
   if (scenario == "pis_prefetch") return "PisPrefetchScenario";
