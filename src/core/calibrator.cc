@@ -113,17 +113,6 @@ CalibrationSchedule CalibrationSchedule::FullGrid(size_t num_bands,
   return schedule;
 }
 
-CalibrationSchedule CalibrationSchedule::Rows(
-    const std::vector<size_t>& band_idxs, size_t num_qds) {
-  CalibrationSchedule schedule;
-  for (size_t bi : band_idxs) {
-    for (size_t qi = 0; qi < num_qds; ++qi) {
-      schedule.order_.push_back(Point{bi, qi});
-    }
-  }
-  return schedule;
-}
-
 std::optional<CalibrationSchedule::Point> CalibrationSchedule::Next() const {
   if (next_ == order_.size()) return std::nullopt;
   return order_[next_];

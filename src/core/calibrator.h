@@ -41,9 +41,8 @@ inline constexpr double kEarlyStopThreshold = 0.20;
 /// queue depth one").
 inline constexpr double kEarlyStopDefaultFactor = 1.05;
 
-/// The order and stop rule of one grid calibration, shared by Calibrator and
-/// IdleCalibrator: measure Next(), hand its cost to Record(), repeat until
-/// Next() is empty.
+/// The order and stop rule of one grid calibration: measure Next(), hand its
+/// cost to Record(), repeat until Next() is empty.
 ///
 /// FullGrid walks Sec. 4.6's order: queue depths ascending, bands largest to
 /// smallest within each depth. With early stop, the T test runs after the
@@ -57,9 +56,6 @@ inline constexpr double kEarlyStopDefaultFactor = 1.05;
 /// linear in log qd) between its last measured depth and its anchor.
 /// Otherwise, or when the test fires at the deepest depth, the stop is final
 /// and every skipped point gets the paper's default.
-///
-/// Rows walks whole rows in the given band order with no stop rule: drift
-/// defense's refresh measures exactly the rows it asks for.
 class CalibrationSchedule {
  public:
   struct Point {
@@ -69,9 +65,6 @@ class CalibrationSchedule {
 
   static CalibrationSchedule FullGrid(size_t num_bands, size_t num_qds,
                                       bool early_stop);
-  /// Every queue depth, ascending, of each band in `band_idxs`, in order.
-  static CalibrationSchedule Rows(const std::vector<size_t>& band_idxs,
-                                  size_t num_qds);
 
   /// The point to measure next; empty once the schedule is done.
   std::optional<Point> Next() const;
@@ -81,10 +74,6 @@ class CalibrationSchedule {
   /// `model` still unset.
   void Record(QdttModel& model, double cost_us);
 
-  /// True once the T test fired and the schedule has ended.
-  bool stopped() const {
-    return stop_qd_.has_value() && next_ == order_.size();
-  }
   /// Points the fill set without measuring them.
   int points_filled() const { return points_filled_; }
 
@@ -163,9 +152,9 @@ class Calibrator {
                                 uint64_t seed);
 
   /// Coroutine-friendly variant for callers that are themselves simulated
-  /// activities (e.g. the idle-time calibrator): measures the point while
-  /// the rest of the simulation keeps running, writes the amortized cost to
-  /// `*out_us_per_page`, and counts `done` down once.
+  /// activities (drift defense's background refresh): measures the point
+  /// while the rest of the simulation keeps running, writes the amortized
+  /// cost to `*out_us_per_page`, and counts `done` down once.
   sim::Task MeasurePointAsync(uint64_t band_pages, int qd,
                               CalibrationMethod method, uint64_t seed,
                               double* out_us_per_page, sim::Latch& done);

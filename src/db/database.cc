@@ -12,6 +12,43 @@
 
 namespace pioqo::db {
 
+namespace {
+
+/// The planner's option check (ExecuteQuery in database.h): the optimizer
+/// aborts on these options, or plans a degree ResolveScanSpec refuses only
+/// after planning.
+Status CheckPlannerOptions(const opt::OptimizerOptions& options,
+                           int max_parallel_degree) {
+  if (options.parallel_degrees.empty() || options.prefetch_depths.empty()) {
+    return Status::InvalidArgument("no parallel degree or prefetch depth");
+  }
+  bool parallel = false;
+  for (int dop : options.parallel_degrees) {
+    if (dop < 1 || dop > max_parallel_degree) {
+      return Status::InvalidArgument("bad parallel degree");
+    }
+    parallel = parallel || dop > 1;
+  }
+  if (options.force_parallel && !parallel) {
+    return Status::InvalidArgument("force_parallel without a parallel degree");
+  }
+  for (int depth : options.prefetch_depths) {
+    if (depth < 0) return Status::InvalidArgument("negative prefetch depth");
+  }
+  if (options.concurrent_streams < 1) {
+    return Status::InvalidArgument("concurrent_streams below 1");
+  }
+  // Negated, so that a NaN is rejected too.
+  if (!(options.dtt_fallback_confidence <=
+        opt::kConservativeConfidenceThreshold)) {
+    return Status::InvalidArgument(
+        "dtt_fallback_confidence above the DOP clamp threshold");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Database::Database(DatabaseOptions options)
     : options_(options),
       device_(io::MakeDevice(sim_, options.device)),
@@ -221,11 +258,10 @@ StatusOr<Database::QueryOutcome> Database::ExecuteQuery(
 }
 
 void Database::EnableAdmissionControl(AdmissionOptions options) {
-  // Enable-once: drift defense's probe gate holds a raw pointer to the
-  // controller.
+  // Enable-once: drift defense holds a raw pointer to the controller.
   PIOQO_CHECK(admission_ == nullptr) << "admission control already enabled";
-  // Drift defense builds its probe gate from the controller when it is
-  // enabled; without one its recalibration gets no busy probes.
+  // Drift defense takes the controller when it is enabled; without one its
+  // recalibration gets no busy probes.
   PIOQO_CHECK(drift_defense_ == nullptr)
       << "EnableAdmissionControl() after EnableDriftDefense(): enable "
          "admission control first, then the drift defense";
@@ -239,7 +275,7 @@ void Database::EnableDriftDefense(DriftDefenseOptions options) {
   PIOQO_CHECK(drift_defense_ == nullptr) << "drift defense already enabled";
   PIOQO_CHECK(qdtt_.has_value())
       << "EnableDriftDefense requires a calibrated model";
-  // The recalibrator probes the raw device, like Calibrate() does: it must
+  // The refresh probes the raw device, like Calibrate() does: it must
   // measure the medium (including degradation regimes, which live in the
   // device models), not the injected transient-fault schedule.
   drift_defense_ = std::make_unique<DriftDefense>(
@@ -260,6 +296,8 @@ StatusOr<Database::PlannedQuery> Database::PlanWorkloadQuery(
 StatusOr<Database::PlannedQuery> Database::Plan(
     const ConcurrentScanSpec& scan, const opt::OptimizerOptions& options,
     double confidence) {
+  PIOQO_RETURN_IF_ERROR(
+      CheckPlannerOptions(options, options_.constants.max_parallel_degree));
   if (!calibrated()) {
     return Status::FailedPrecondition("calibrate the database first");
   }
@@ -436,6 +474,10 @@ StatusOr<Database::WorkloadReport> Database::RunWorkload(
     }
     if (req.timeout_us < 0.0) {
       return Status::InvalidArgument("negative timeout_us");
+    }
+    if (req.use_optimizer) {
+      PIOQO_RETURN_IF_ERROR(CheckPlannerOptions(
+          req.optimizer, options_.constants.max_parallel_degree));
     }
     PIOQO_ASSIGN_OR_RETURN(exec::ScanSpec spec, ResolveScanSpec(req.scan));
     specs.push_back(spec);

@@ -104,7 +104,12 @@ class Database {
   /// Plans Q with the optimizer (QDTT if `queue_depth_aware`, the legacy
   /// DTT costing otherwise) at full model confidence, then flushes the pool
   /// if asked and executes the winning plan. The plan is costed against the
-  /// pool as it was *before* the flush.
+  /// pool as it was *before* the flush. Options the optimizer cannot plan
+  /// with are rejected with kInvalidArgument before planning: no parallel
+  /// degree or prefetch depth, a degree outside [1, max_parallel_degree],
+  /// force_parallel without a degree above 1, a negative prefetch depth,
+  /// concurrent_streams below 1, or a dtt_fallback_confidence above
+  /// kConservativeConfidenceThreshold.
   StatusOr<QueryOutcome> ExecuteQuery(const std::string& table,
                                       exec::RangePredicate pred,
                                       bool queue_depth_aware, bool flush_pool,
@@ -117,8 +122,8 @@ class Database {
   /// is wired in, so degraded devices clamp admitted DOP automatically.
   /// May be called at most once per database. Call it after
   /// EnableHealthMonitor, whose monitor it copies, and before
-  /// EnableDriftDefense, whose probe gate copies it: it aborts once the
-  /// drift defense is enabled.
+  /// EnableDriftDefense, which charges its busy probes to it: it aborts once
+  /// the drift defense is enabled.
   void EnableAdmissionControl(AdmissionOptions options = {});
   AdmissionController* admission() { return admission_.get(); }
 
@@ -132,7 +137,8 @@ class Database {
     /// a device regime change are planned by the defended optimizer.
     bool use_optimizer = false;
     /// Planner knobs for `use_optimizer` (enumerated degrees, fallback
-    /// thresholds, ...). `queue_depth_aware` is taken as-is.
+    /// thresholds, ...). `queue_depth_aware` is taken as-is. RunWorkload
+    /// rejects knobs ExecuteQuery would reject before anything runs.
     opt::OptimizerOptions optimizer;
     /// Absolute simulated arrival time.
     double arrival_us = 0.0;
@@ -193,7 +199,7 @@ class Database {
   // --- Drift defense (DESIGN.md §12) --------------------------------------
 
   /// Installs the cost-model drift defense. Requires a calibrated model
-  /// (the live model's grids parameterize the detector and recalibrator);
+  /// (the live model's grids parameterize the detector and the refresh);
   /// enable admission control first if busy-probe escalation should work on
   /// a never-idle device. Workload queries with `use_optimizer` then plan
   /// under the defense's confidence, feed their predicted-vs-observed
@@ -206,8 +212,8 @@ class Database {
   /// Arrival-time planning for a `use_optimizer` workload query: estimates
   /// selectivity, plans under the current drift-defense confidence (1.0
   /// when the defense is off) without recording the losing candidates, and
-  /// resolves the winning plan. Exposed for the query lifecycle and for
-  /// tests.
+  /// resolves the winning plan. Planner options ExecuteQuery rejects are
+  /// rejected here too. Exposed for the query lifecycle and for tests.
   struct PlannedQuery {
     exec::ScanSpec spec;
     opt::OptimizationResult optimization;
@@ -265,9 +271,9 @@ class Database {
   /// and prefetch validation) into an executable exec::ScanSpec — the one
   /// place an AccessMethod becomes a scan.
   StatusOr<exec::ScanSpec> ResolveScanSpec(const ConcurrentScanSpec& spec) const;
-  /// The one planner behind ExecuteQuery and PlanWorkloadQuery: histogram
-  /// estimate, table profile, then a plan-cache hit or a fresh
-  /// Optimizer::ChooseAccessPath (inserted), resolved into a scan.
+  /// The one planner behind ExecuteQuery and PlanWorkloadQuery: the options
+  /// check, histogram estimate, table profile, then a plan-cache hit or a
+  /// fresh Optimizer::ChooseAccessPath (inserted), resolved into a scan.
   StatusOr<PlannedQuery> Plan(const ConcurrentScanSpec& scan,
                               const opt::OptimizerOptions& options,
                               double confidence);

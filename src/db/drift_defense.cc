@@ -2,20 +2,43 @@
 
 #include <utility>
 
+#include "common/logging.h"
+#include "sim/sync.h"
+
 namespace pioqo::db {
+
+namespace {
+
+/// The refresh measures points of `model`'s grid; a grid the options name
+/// must be that grid, and each point is measured once (averaging
+/// repetitions is the offline calibrator's job).
+const core::CalibratorOptions& CheckedOptions(
+    const core::CalibratorOptions& options, const core::QdttModel& model) {
+  PIOQO_CHECK(options.repetitions == 1)
+      << "drift recalibration measures each point once; repetitions must "
+         "be 1";
+  PIOQO_CHECK((options.band_grid.empty() ||
+               options.band_grid == model.band_grid()) &&
+              (options.qd_grid.empty() || options.qd_grid == model.qd_grid()))
+      << "drift recalibration grid must match the live model's grid";
+  return options;
+}
+
+}  // namespace
 
 DriftDefense::DriftDefense(sim::Simulator& sim, io::Device& device,
                            core::QdttModel& live_model,
                            AdmissionController* admission,
                            DriftDefenseOptions options)
-    : gate_(admission != nullptr
-                ? std::optional<AdmissionProbeGate>(std::in_place, *admission)
-                : std::nullopt),
+    : sim_(sim),
+      device_(device),
+      model_(live_model),
+      admission_(admission),
+      options_(std::move(options.calibrator)),
+      calibrator_(sim, device,
+                  CheckedOptions(options_.calibration, live_model)),
       detector_(live_model, options.detector),
-      calibrator_(sim, device, live_model, options.calibrator,
-                  gate_.has_value() ? &*gate_ : nullptr) {
-  calibrator_.set_on_complete([this] { OnRecalibrationComplete(); });
-}
+      seed_(options_.calibration.seed) {}
 
 void DriftDefense::ObserveQuery(const core::PlanCandidate& executed,
                                 double runtime_us) {
@@ -23,28 +46,70 @@ void DriftDefense::ObserveQuery(const core::PlanCandidate& executed,
   detector_.Observe(executed.band_pages, executed.queue_depth,
                     executed.total_us, runtime_us);
   ++stats_.observations;
-  MaybeTriggerRecalibration();
-}
-
-void DriftDefense::MaybeTriggerRecalibration() {
-  if (calibrator_.loop_running()) return;  // bounded rate: one run at a time
-  if (!detector_.drifted()) return;
+  // Bounded rate: one refresh at a time, of the drifted bands only.
+  if (refreshing_ || !detector_.drifted()) return;
   std::vector<size_t> band_idxs = detector_.DriftedBands();
   if (band_idxs.empty()) return;
-  Status started = calibrator_.StartPartial(band_idxs);
-  if (!started.ok()) return;  // raced a just-started run; retry on next sample
-  inflight_bands_ = std::move(band_idxs);
+  refreshing_ = true;
   ++stats_.recalibrations_triggered;
+  Refresh(std::move(band_idxs)).Detach();
 }
 
-void DriftDefense::OnRecalibrationComplete() {
-  for (size_t band_idx : inflight_bands_) {
-    detector_.NoteBandRecalibrated(band_idx);
-    ++stats_.bands_refreshed;
+bool DriftDefense::DeviceIdle() {
+  const auto& stats = device_.stats();
+  const uint64_t count = stats.reads() + stats.writes();
+  if (stats.outstanding() > 0 || count != last_count_seen_) {
+    last_count_seen_ = count;
+    quiet_since_ = sim_.Now();
+    return false;
   }
-  inflight_bands_.clear();
-  stats_.points_merged = static_cast<uint64_t>(calibrator_.points_measured());
+  return sim_.Now() - quiet_since_ >= options_.idle_threshold_us;
+}
+
+sim::Task DriftDefense::Refresh(std::vector<size_t> band_idxs) {
+  const std::vector<uint64_t>& bands = model_.band_grid();
+  const std::vector<int>& qds = model_.qd_grid();
+  // The device has been continuously busy since `busy_since`; past the
+  // escalation threshold, admission lets the refresh measure under load
+  // instead of starving.
+  double busy_since = sim_.Now();
+  for (size_t band_idx : band_idxs) {
+    for (size_t qd_idx = 0; qd_idx < qds.size(); ++qd_idx) {
+      const int qd = qds[qd_idx];
+      bool busy_probe = false;
+      while (!DeviceIdle()) {
+        if (admission_ != nullptr &&
+            sim_.Now() - busy_since >= options_.busy_escalation_us &&
+            admission_->TryChargeBackground(qd)) {
+          busy_probe = true;
+          break;
+        }
+        co_await sim::Delay(sim_, options_.poll_interval_us);
+      }
+      if (!busy_probe) busy_since = sim_.Now();
+      double cost = 0.0;
+      sim::Latch done(sim_, 1);
+      calibrator_.MeasurePointAsync(bands[band_idx], qd,
+                                    options_.calibration.method, seed_, &cost,
+                                    done).Detach();
+      seed_ += 104729;
+      co_await done.Wait();
+      // A busy probe shares the device with foreground traffic, so its
+      // sample is noisy-high; it still beats planning on a drifted grid.
+      if (busy_probe) admission_->ReleaseBackground(qd);
+      model_.SetPoint(band_idx, qd_idx, cost);
+      // Yield after every point, the last included, so foreground I/O can
+      // resume promptly. Busy probes pace themselves with the (longer) busy
+      // interval.
+      co_await sim::Delay(sim_, busy_probe ? options_.busy_probe_interval_us
+                                           : options_.poll_interval_us);
+    }
+  }
+  for (size_t band_idx : band_idxs) detector_.NoteBandRecalibrated(band_idx);
+  stats_.bands_refreshed += band_idxs.size();
+  stats_.points_merged += band_idxs.size() * qds.size();
   ++stats_.recalibrations_completed;
+  refreshing_ = false;
 }
 
 }  // namespace pioqo::db

@@ -3,45 +3,44 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "common/status.h"
+#include "core/calibrator.h"
 #include "core/cost_model.h"
 #include "core/drift_detector.h"
-#include "core/idle_calibrator.h"
-#include "core/probe_gate.h"
 #include "core/qdtt_model.h"
 #include "db/admission.h"
 #include "io/device.h"
 #include "sim/simulator.h"
+#include "sim/task.h"
 
 namespace pioqo::db {
 
-/// core::ProbeGate implementation over the admission controller's
-/// one-at-a-time background ledger: a drift-triggered calibration probe asks
-/// here before touching a busy device, so the db layer keeps authority over
-/// how much background load runs (and the core layer never depends on db).
-class AdmissionProbeGate : public core::ProbeGate {
- public:
-  explicit AdmissionProbeGate(AdmissionController& ctrl) : ctrl_(ctrl) {}
+/// How the guarded recalibration measures and paces its refresh.
+struct RecalibrationOptions {
+  /// The refresh measures the live model's grid, each point once: a
+  /// non-empty `band_grid` or `qd_grid` must equal the model's, and
+  /// `repetitions` must stay 1 (both checked at construction).
+  core::CalibratorOptions calibration;
+  /// How often the refresh re-checks for device idleness.
+  double poll_interval_us = 20'000.0;
+  /// The device must have been quiet (no completions, nothing outstanding)
+  /// for this long before a point is measured.
+  double idle_threshold_us = 50'000.0;
 
-  bool TryAcquire(int queue_depth) override {
-    return ctrl_.TryChargeBackground(queue_depth);
-  }
-  void Release(int queue_depth) override {
-    ctrl_.ReleaseBackground(queue_depth);
-  }
-
- private:
-  AdmissionController& ctrl_;
+  /// --- Busy-probe escalation (the never-idle starvation fix) ------------
+  /// Under sustained load the device never satisfies the idle threshold, so
+  /// a refresh waiting for idleness would starve forever. With admission
+  /// control, the refresh escalates after `busy_escalation_us` of
+  /// continuous busyness: it measures the next point *under load*, pacing
+  /// successive busy probes with `busy_probe_interval_us`.
+  double busy_escalation_us = 200'000.0;
+  double busy_probe_interval_us = 50'000.0;
 };
 
 struct DriftDefenseOptions {
   core::DriftDetectorOptions detector;
-  /// Options for the guarded recalibrator, which measures the live model's
-  /// grid: a non-empty `calibration.band_grid` or `qd_grid` must equal it.
-  core::IdleCalibratorOptions calibrator;
+  RecalibrationOptions calibrator;
 };
 
 /// The cost-model drift defense: closes the loop from mis-estimation
@@ -51,23 +50,22 @@ struct DriftDefenseOptions {
 ///     -> DriftDetector degrades model confidence
 ///       -> the optimizer, planning with that confidence, clamps DOP /
 ///          falls back to DTT costing (see opt::OptimizerOptions)
-///       -> on any drifted cell, the drifted bands are handed to
-///          the IdleCalibrator as a bounded-rate background job (idle-cycle
-///          measurement, escalating on a never-idle device to busy probes)
+///       -> on any drifted cell, one background refresh re-measures the
+///          drifted bands' rows in idle I/O cycles, escalating on a
+///          never-idle device to busy probes (paper Sec. 4.6's future work)
 ///         -> each refreshed point is measured straight into the live
 ///            model; completion clears the refreshed bands' error history,
 ///            so confidence recovers as the new predictions hold up.
 ///
-/// A busy probe is charged to the admission controller's background ledger
-/// (AdmissionProbeGate), which is separate from the foreground DOP budget:
-/// it never shrinks or waits for foreground capacity. A database has one
-/// recalibrator, and its loop releases each charge before the next probe,
-/// so the charge never fails inside the engine.
+/// A busy probe is charged to the admission controller's background ledger,
+/// which is separate from the foreground DOP budget: it never shrinks or
+/// waits for foreground capacity. The refresh is the ledger's only user and
+/// releases each charge before the next probe, so the charge never fails
+/// inside the engine.
 ///
-/// Everything is driven by query completions and the calibrator's own
-/// simulated task — no timers of its own, no randomness beyond the
-/// calibrator's seeded probes — so a workload that never drifts leaves the
-/// trace hash untouched.
+/// Everything is driven by query completions and the refresh's own
+/// simulated task — no timers of its own, no randomness beyond its seeded
+/// probes — so a workload that never drifts leaves the trace hash untouched.
 class DriftDefense {
  public:
   struct Stats {
@@ -78,10 +76,9 @@ class DriftDefense {
     uint64_t bands_refreshed = 0;
   };
 
-  /// `live_model` is the model the optimizer plans from; the recalibrator
-  /// measures refreshed points into it in place. `admission` may be null
-  /// (no busy-probe escalation: recalibration then only runs in idle
-  /// cycles).
+  /// `live_model` is the model the optimizer plans from; the refresh
+  /// measures its points into it in place. `admission` may be null (no
+  /// busy-probe escalation: recalibration then only runs in idle cycles).
   DriftDefense(sim::Simulator& sim, io::Device& device,
                core::QdttModel& live_model, AdmissionController* admission,
                DriftDefenseOptions options);
@@ -94,7 +91,7 @@ class DriftDefense {
   /// priced at (`band_pages`, `queue_depth`), comparing `total_us` against
   /// the runtime at whole-query granularity (robust to prefetching shifting
   /// pages between pool hits and misses). When some cell has drifted and
-  /// no recalibration is in flight, triggers the partial refresh.
+  /// no refresh is in flight, starts one for the drifted bands.
   void ObserveQuery(const core::PlanCandidate& executed, double runtime_us);
 
   double confidence() const { return detector_.confidence(); }
@@ -104,14 +101,27 @@ class DriftDefense {
   const Stats& stats() const { return stats_; }
 
  private:
-  void MaybeTriggerRecalibration();
-  void OnRecalibrationComplete();
+  /// Re-measures every queue depth, ascending, of each band in `band_idxs`
+  /// (most drifted first), one point per idle cycle or busy probe.
+  sim::Task Refresh(std::vector<size_t> band_idxs);
+  /// True when the device has been quiet for the idle threshold.
+  bool DeviceIdle();
 
-  std::optional<AdmissionProbeGate> gate_;  // absent when admission == null
+  sim::Simulator& sim_;
+  io::Device& device_;
+  core::QdttModel& model_;
+  AdmissionController* admission_;  // null: idle cycles only
+  RecalibrationOptions options_;
+  core::Calibrator calibrator_;
   core::DriftDetector detector_;
-  core::IdleCalibrator calibrator_;
-  std::vector<size_t> inflight_bands_;
   Stats stats_;
+  bool refreshing_ = false;
+  /// Seeds continue across runs: no two refreshed points share one.
+  uint64_t seed_;
+  // Idle detection state, kept across runs: the last observed read+write
+  // count and when it was first seen unchanged.
+  uint64_t last_count_seen_ = 0;
+  double quiet_since_ = 0.0;
 };
 
 }  // namespace pioqo::db

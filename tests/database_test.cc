@@ -262,7 +262,54 @@ TEST(DatabaseTest, DriftObservationIsChargedAtTheGrantedDop) {
   EXPECT_EQ(detector.CellSamples(0, qd_idx(8)), 0u);
 }
 
-TEST(DatabaseTest, RunWorkloadRejectsInvalidTimes) {
+/// Planner options the optimizer cannot plan with: each one aborted the
+/// process inside the optimizer or cost model, and a degree above
+/// max_parallel_degree failed only after planning.
+std::vector<opt::OptimizerOptions> MalformedPlannerOptions() {
+  std::vector<opt::OptimizerOptions> bad(9);
+  bad[0].parallel_degrees = {};
+  bad[1].parallel_degrees = {0, 1};
+  bad[2].parallel_degrees = {64};
+  bad[3].force_parallel = true;
+  bad[3].parallel_degrees = {1};
+  bad[4].prefetch_depths = {};
+  bad[5].prefetch_depths = {-1};
+  bad[6].concurrent_streams = 0;
+  bad[7].dtt_fallback_confidence = 0.9;
+  bad[8].dtt_fallback_confidence = std::numeric_limits<double>::quiet_NaN();
+  return bad;
+}
+
+TEST(DatabaseTest, PlanningRejectsMalformedPlannerOptions) {
+  Database db(SmallSsd());
+  ASSERT_TRUE(db.CreateTable(SmallTable("t", 10000, 33)).ok());
+  db.Calibrate();
+  const exec::RangePredicate pred{
+      0, storage::C2UpperBoundForSelectivity(1 << 24, 0.1)};
+  const double now = db.simulator().Now();
+  const opt::PlanCacheStats cache = db.plan_cache()->stats();
+  const std::vector<opt::OptimizerOptions> bad = MalformedPlannerOptions();
+  for (size_t i = 0; i < bad.size(); ++i) {
+    auto outcome = db.ExecuteQuery("t", pred, /*queue_depth_aware=*/true,
+                                   /*flush_pool=*/true, bad[i]);
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
+        << "options " << i;
+    Database::QueryRequest req;
+    req.scan = {"t", pred};
+    req.use_optimizer = true;
+    req.optimizer = bad[i];
+    EXPECT_EQ(db.PlanWorkloadQuery(req).status().code(),
+              StatusCode::kInvalidArgument)
+        << "options " << i;
+  }
+  // Rejected before planning or running.
+  EXPECT_EQ(db.simulator().Now(), now);
+  EXPECT_EQ(db.plan_cache()->stats().misses, cache.misses);
+  EXPECT_EQ(db.plan_cache()->stats().hits, cache.hits);
+  EXPECT_TRUE(db.ExecuteQuery("t", pred, true, true).ok());
+}
+
+TEST(DatabaseTest, RunWorkloadRejectsInvalidRequests) {
   Database db(SmallSsd());
   ASSERT_TRUE(db.CreateTable(SmallTable("t", 10000, 33)).ok());
   db.EnableAdmissionControl();
@@ -296,6 +343,14 @@ TEST(DatabaseTest, RunWorkloadRejectsInvalidTimes) {
   negative_timeout.arrival_us = now;
   negative_timeout.timeout_us = -5.0;
   bad.push_back(negative_timeout);
+  // A planned request is held to ExecuteQuery's option check.
+  for (const opt::OptimizerOptions& options : MalformedPlannerOptions()) {
+    Database::QueryRequest planned = good;
+    planned.arrival_us = now;
+    planned.use_optimizer = true;
+    planned.optimizer = options;
+    bad.push_back(planned);
+  }
   for (const Database::QueryRequest& req : bad) {
     good.arrival_us = now;
     auto report = db.RunWorkload({good, req}, /*flush_pool=*/true);
@@ -376,8 +431,8 @@ TEST(DatabaseDeathTest, EnableHealthMonitorTwiceDies) {
 }
 
 TEST(DatabaseDeathTest, EnableAdmissionControlTwiceDies) {
-  // A second controller would free the one drift defense's probe gate
-  // still points at.
+  // A second controller would free the one drift defense still points
+  // at.
   EXPECT_DEATH(
       {
         Database db(SmallSsd());
@@ -412,8 +467,8 @@ TEST(DatabaseDeathTest, EnableHealthMonitorAfterAdmissionDies) {
 }
 
 TEST(DatabaseDeathTest, EnableAdmissionControlAfterDriftDefenseDies) {
-  // The defense builds its probe gate from the controller when it is
-  // enabled: a later controller would leave it without busy probes.
+  // The defense takes the controller when it is enabled: a later
+  // controller would leave it without busy probes.
   EXPECT_DEATH(
       {
         Database db(SmallSsd());

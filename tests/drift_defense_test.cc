@@ -20,6 +20,11 @@
 //      query ends in a terminal state other than failed, every completed
 //      query returns the exact row count, a recalibration completes, and
 //      the replay stays bit-identical.
+//
+// The refresh's own rules are tested on a DriftDefense driven directly,
+// without a database: it defers to foreground I/O, starves on a never-idle
+// device without admission control, escalates to busy probes with it, and
+// refuses options that name another grid or repetitions.
 
 #include <memory>
 #include <optional>
@@ -30,12 +35,17 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "db/database.h"
+#include "io/device_factory.h"
 #include "io/ssd_device.h"
+#include "sim/simulator.h"
+#include "sim/task.h"
 #include "soak_test_util.h"
+#include "storage/page.h"
 
 namespace pioqo {
 namespace {
 
+using db::AdmissionController;
 using db::AdmissionOptions;
 using db::Database;
 using db::DatabaseOptions;
@@ -304,6 +314,178 @@ TEST(DriftDefenseSoakTest, EveryDefenseAtOnceAnswersExactlyAndReplays) {
 
   const SoakOutcome b = RunDriftSoak(all);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
+}
+
+// --- The refresh, driven directly ----------------------------------------
+
+/// Refresh options that measure quickly: 200 pages a point, 5 ms polls and
+/// a 10 ms idle threshold.
+DriftDefenseOptions FastRefresh() {
+  DriftDefenseOptions options;
+  options.calibrator.calibration.max_pages_per_point = 200;
+  options.calibrator.poll_interval_us = 5'000.0;
+  options.calibrator.idle_threshold_us = 10'000.0;
+  return options;
+}
+
+/// A complete model on a three-band grid, as an installed one would be.
+core::QdttModel InstalledModel() {
+  core::QdttModel model({1, 4096, 1 << 22}, core::QdttModel::DefaultQdGrid());
+  for (size_t b = 0; b < model.num_bands(); ++b) {
+    for (size_t q = 0; q < model.num_qds(); ++q) {
+      model.SetPoint(b, q, 100.0 * static_cast<double>(b + 1));
+    }
+  }
+  return model;
+}
+
+/// Drifts the cell at band 4096, queue depth 4: min_samples runs learn its
+/// reference, then as many at 4x cross drift_ratio, which starts a refresh
+/// of that one row.
+void DriftOneRow(DriftDefense& defense, const DriftDefenseOptions& options) {
+  core::PlanCandidate plan;
+  plan.band_pages = 4096.0;
+  plan.queue_depth = 4.0;
+  plan.io_us = 900.0;
+  plan.cpu_us = 100.0;
+  plan.total_us = 1000.0;
+  const uint64_t min_samples = options.detector.min_samples;
+  for (uint64_t i = 0; i < min_samples; ++i) defense.ObserveQuery(plan, 1e3);
+  for (uint64_t i = 0; i < min_samples; ++i) defense.ObserveQuery(plan, 4e3);
+  ASSERT_EQ(defense.stats().recalibrations_triggered, 1u);
+}
+
+/// Bursts of 20 random reads, `period_us` apart. After the last burst,
+/// stores the model's generation in `*generation_after_load`.
+sim::Task ForegroundBursts(sim::Simulator& sim, io::Device& device,
+                           int bursts, double period_us,
+                           const core::QdttModel& model,
+                           uint64_t* generation_after_load) {
+  Pcg32 rng(77);
+  const uint64_t pages = device.capacity_bytes() / storage::kPageSize;
+  for (int b = 0; b < bursts; ++b) {
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_TRUE((co_await device.Read(rng.UniformBelow(pages) *
+                                            storage::kPageSize,
+                                        storage::kPageSize))
+                      .ok());
+    }
+    *generation_after_load = model.generation();
+    co_await sim::Delay(sim, period_us);
+  }
+}
+
+/// Back-to-back random reads until `until_us`: the device never satisfies
+/// the idle threshold while this runs.
+sim::Task ContinuousLoad(sim::Simulator& sim, io::Device& device,
+                         double until_us) {
+  Pcg32 rng(123);
+  const uint64_t pages = device.capacity_bytes() / storage::kPageSize;
+  while (sim.Now() < until_us) {
+    EXPECT_TRUE((co_await device.Read(rng.UniformBelow(pages) *
+                                          storage::kPageSize,
+                                      storage::kPageSize))
+                    .ok());
+  }
+}
+
+TEST(DriftDefenseRefreshTest, DefersToForegroundBursts) {
+  sim::Simulator sim;
+  auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
+  core::QdttModel model = InstalledModel();
+  DriftDefenseOptions options = FastRefresh();
+  options.calibrator.idle_threshold_us = 30'000.0;
+  DriftDefense defense(sim, *ssd, model, /*admission=*/nullptr, options);
+  // Bursts every 20 ms against a 30 ms idle threshold: while they run, the
+  // device never looks idle, so no point may be measured.
+  const uint64_t generation = model.generation();
+  uint64_t generation_after_load = 0;
+  ForegroundBursts(sim, *ssd, /*bursts=*/40, /*period_us=*/20'000.0, model,
+                   &generation_after_load).Detach();
+  DriftOneRow(defense, options);
+  sim.Run();
+  EXPECT_EQ(generation_after_load, generation);
+  EXPECT_EQ(defense.stats().recalibrations_completed, 1u);
+  EXPECT_EQ(model.generation(), generation + model.num_qds());
+}
+
+TEST(DriftDefenseRefreshTest, NeverIdleDeviceStarvesWithoutAdmission) {
+  sim::Simulator sim;
+  auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
+  core::QdttModel model = InstalledModel();
+  const DriftDefenseOptions options = FastRefresh();
+  DriftDefense defense(sim, *ssd, model, /*admission=*/nullptr, options);
+  ContinuousLoad(sim, *ssd, /*until_us=*/2'000'000.0).Detach();
+  const uint64_t generation = model.generation();
+  DriftOneRow(defense, options);
+  uint64_t generation_under_load = 0;
+  sim.ScheduleAt(1'900'000.0,
+                 [&] { generation_under_load = model.generation(); });
+  sim.Run();
+  EXPECT_EQ(generation_under_load, generation)
+      << "an idle-only refresh should starve";
+  EXPECT_EQ(defense.stats().recalibrations_completed, 1u)
+      << "but complete once the load stops";
+  EXPECT_EQ(model.generation(), generation + model.num_qds());
+}
+
+TEST(DriftDefenseRefreshTest, AdmissionEscalatesToBusyProbes) {
+  sim::Simulator sim;
+  auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
+  core::QdttModel model = InstalledModel();
+  AdmissionController admission(sim, AdmissionOptions{});
+  DriftDefenseOptions options = FastRefresh();
+  options.calibrator.busy_escalation_us = 100'000.0;
+  options.calibrator.busy_probe_interval_us = 20'000.0;
+  DriftDefense defense(sim, *ssd, model, &admission, options);
+  ContinuousLoad(sim, *ssd, /*until_us=*/2'000'000.0).Detach();
+  const uint64_t generation = model.generation();
+  DriftOneRow(defense, options);
+  uint64_t generation_under_load = 0;
+  uint64_t completed_under_load = 0;
+  sim.ScheduleAt(1'900'000.0, [&] {
+    generation_under_load = model.generation();
+    completed_under_load = defense.stats().recalibrations_completed;
+  });
+  sim.Run();
+  EXPECT_GT(generation_under_load, generation)
+      << "escalation must make progress";
+  EXPECT_EQ(completed_under_load, 1u) << "the whole row, under load";
+  EXPECT_EQ(model.generation(), generation + model.num_qds());
+  // Every busy probe's background charge was released.
+  EXPECT_EQ(admission.background_dop(), 0);
+}
+
+/// Constructs a DriftDefense whose refresh measures with `calibration`, on
+/// InstalledModel()'s grid.
+void ConstructDefense(const core::CalibratorOptions& calibration) {
+  sim::Simulator sim;
+  auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
+  core::QdttModel model = InstalledModel();
+  DriftDefenseOptions options = FastRefresh();
+  options.calibrator.calibration = calibration;
+  DriftDefense defense(sim, *ssd, model, /*admission=*/nullptr, options);
+}
+
+TEST(DriftDefenseDeathTest, RejectsRepetitions) {
+  // The refresh measures each point once; averaging repetitions is the
+  // offline calibrator's, so a larger value would silently be ignored.
+  core::CalibratorOptions repeated = FastRefresh().calibrator.calibration;
+  repeated.repetitions = 2;
+  EXPECT_DEATH(ConstructDefense(repeated), "repetitions must be 1");
+}
+
+TEST(DriftDefenseDeathTest, RejectsAGridOtherThanTheModels) {
+  // The refresh measures the live model's grid; options naming another
+  // grid would otherwise be silently ignored.
+  core::CalibratorOptions other_bands = FastRefresh().calibrator.calibration;
+  other_bands.band_grid = {1, 8192, 1 << 22};
+  EXPECT_DEATH(ConstructDefense(other_bands),
+               "grid must match the live model's grid");
+  core::CalibratorOptions other_depths = FastRefresh().calibrator.calibration;
+  other_depths.qd_grid = {1, 4, 16};
+  EXPECT_DEATH(ConstructDefense(other_depths),
+               "grid must match the live model's grid");
 }
 
 }  // namespace

@@ -12,7 +12,9 @@
 // The scan and calibration golden values below were recorded from the
 // pre-optimization engine (commit 1579194) on x86-64; the sorted-scan,
 // prefetching-PIS and concurrent-mix values from commit f488daf, before the
-// scan operators were folded onto one driver. The HDD calibration value was
+// scan operators were folded onto one driver; the drift-defense value from
+// commit fd0c127, before the defense's row refresh moved from core into
+// db::DriftDefense. The HDD calibration value was
 // re-recorded when the early stop gained its far anchor (the HDD now also
 // measures its queue-depth-32 column; SSD and RAID never stop early). Every
 // arithmetic operation on the simulated timeline is IEEE-correctly-rounded
@@ -38,6 +40,7 @@
 #include "core/calibrator.h"
 #include "db/database.h"
 #include "io/device_factory.h"
+#include "io/ssd_device.h"
 #include "sim/simulator.h"
 #include "storage/data_generator.h"
 
@@ -145,6 +148,63 @@ uint64_t CalibrationScenario(io::DeviceKind kind) {
   return sim.trace_hash();
 }
 
+/// Drift defense's whole loop (DESIGN.md §12): optimizer-planned queries
+/// on a table four times the pool, with a permanent 6x throttle from the
+/// eleventh on, when throttled queries start to overlap. The detector trips
+/// and the refresh re-measures the drifted rows straight into the live
+/// model: two runs of one row each, whose 12 points were measured half in
+/// idle gaps and half through busy probes charged to admission when the
+/// golden was recorded.
+uint64_t DriftDefenseScenario(io::DeviceKind kind) {
+  db::DatabaseOptions opts;
+  opts.device = kind;
+  opts.pool_pages = 1024;
+  opts.calibration.max_pages_per_point = 512;
+  auto db = std::make_unique<db::Database>(opts);
+  storage::DatasetConfig cfg;
+  cfg.name = "t";
+  cfg.num_rows = 33 * 4096;
+  cfg.rows_per_page = 33;
+  cfg.c2_domain = kScanDomain;
+  cfg.seed = 42;
+  PIOQO_CHECK_OK(db->CreateTable(cfg));
+  db->Calibrate();
+  db->EnableAdmissionControl();
+  db::DriftDefenseOptions defense;
+  defense.detector.drift_ratio = 2.0;
+  defense.calibrator.calibration.max_pages_per_point = 256;
+  defense.calibrator.poll_interval_us = 5'000.0;
+  defense.calibrator.idle_threshold_us = 20'000.0;
+  defense.calibrator.busy_escalation_us = 100'000.0;
+  defense.calibrator.busy_probe_interval_us = 20'000.0;
+  db->EnableDriftDefense(defense);
+
+  constexpr double kSelectivities[4] = {0.30, 0.01, 0.10, 0.02};
+  constexpr size_t kQueries = 40;
+  constexpr double kSpacingUs = 250'000.0;
+  const double start_us = db->simulator().Now();
+  auto* ssd = dynamic_cast<io::SsdDevice*>(&db->raw_device());
+  PIOQO_CHECK(ssd != nullptr);
+  ssd->SetThrottleSchedule({{.start_us = start_us + 10.5 * kSpacingUs,
+                             .end_us = 1e15,
+                             .latency_multiplier = 6.0,
+                             .unit_divisor = 4}});
+  std::vector<db::Database::QueryRequest> requests(kQueries);
+  for (size_t i = 0; i < kQueries; ++i) {
+    requests[i].scan.table = "t";
+    requests[i].scan.pred = {0, storage::C2UpperBoundForSelectivity(
+                                    kScanDomain, kSelectivities[i % 4])};
+    requests[i].use_optimizer = true;
+    requests[i].optimizer.parallel_degrees = {1, 2, 4, 8, 16};
+    requests[i].arrival_us = start_us + static_cast<double>(i) * kSpacingUs;
+  }
+  auto report = db->RunWorkload(requests, /*flush_pool=*/true);
+  EXPECT_TRUE(report.ok() && report->completed == kQueries)
+      << report.status().ToString();
+  EXPECT_GE(db->drift_defense()->stats().recalibrations_completed, 1u);
+  return db->simulator().trace_hash();
+}
+
 struct Golden {
   const char* scenario;
   io::DeviceKind kind;
@@ -181,6 +241,8 @@ const Golden kGoldens[] = {
      0x72792b994b22989fULL},
     {"concurrent", io::DeviceKind::kRaid8, ConcurrentScenario,
      0x17d06593cbb28015ULL},
+    {"drift_defense", io::DeviceKind::kSsdConsumer, DriftDefenseScenario,
+     0xa53efd3003f62bc1ULL},
 };
 
 /// The scenario function behind a table name, for the regeneration printer.
@@ -189,7 +251,8 @@ const char* ScenarioFunction(std::string_view scenario) {
   if (scenario == "calibration") return "CalibrationScenario";
   if (scenario == "sorted_scan") return "SortedScanScenario";
   if (scenario == "pis_prefetch") return "PisPrefetchScenario";
-  return "ConcurrentScenario";
+  if (scenario == "concurrent") return "ConcurrentScenario";
+  return "DriftDefenseScenario";
 }
 
 TEST(TraceGoldenTest, MatchesSeedImplementation) {
