@@ -63,6 +63,4 @@ class LogMessage {
     if (!_st.ok()) PIOQO_LOG_FATAL << "Status not OK: " << _st.ToString(); \
   } while (false)
 
-#define PIOQO_DCHECK(cond) PIOQO_CHECK(cond)
-
 #endif  // PIOQO_COMMON_LOGGING_H_

@@ -43,15 +43,14 @@ void DriftDetector::Observe(double band_pages, double queue_depth,
   Cell& cell = cells_[Index(NearestInLogSpace(bands_, band_pages),
                             NearestInLogSpace(qds_, queue_depth))];
   const double log_ratio = std::log(observed_us / predicted_us);
-  if (cell.warmup_samples < options_.min_samples) {
+  if (cell.warmup_samples < kMinSamples) {
     // Warmup: learn the cell's reference error level. Whatever structural
     // bias the plan costing carries right after calibration is the healthy
     // baseline, not drift.
     cell.warmup_sum += log_ratio;
     ++cell.warmup_samples;
-    if (cell.warmup_samples == options_.min_samples) {
-      cell.reference =
-          cell.warmup_sum / static_cast<double>(options_.min_samples);
+    if (cell.warmup_samples == kMinSamples) {
+      cell.reference = cell.warmup_sum / static_cast<double>(kMinSamples);
       cell.log_ratio_ewma = cell.reference;
     }
   } else {

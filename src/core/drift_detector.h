@@ -17,10 +17,6 @@ struct DriftDetectorOptions {
   /// catching regime shifts (a thermal throttle multiplies service times
   /// well past 1.5x).
   double drift_ratio = 1.5;
-  /// Samples a cell spends learning its reference error level (warmup), and
-  /// again the number of post-warmup samples it needs before its drift
-  /// signal is trusted.
-  uint64_t min_samples = 3;
 };
 
 /// Tracks how well the calibrated QDTT grid predicts observed I/O cost, per
@@ -29,7 +25,7 @@ struct DriftDetectorOptions {
 ///
 /// Each completed I/O-dominated query contributes one sample: the log of
 /// observed/predicted cost, attributed to the grid cell nearest the plan's
-/// (band size, effective queue depth). A cell's first `min_samples` samples
+/// (band size, effective queue depth). A cell's first `kMinSamples` samples
 /// establish its *reference* error level — whole-plan cost estimates carry
 /// a static structural bias (pipelining, CPU overlap, caching) that is not
 /// drift, and predictions right after calibration are the most trustworthy
@@ -50,6 +46,10 @@ class DriftDetector {
  public:
   /// EWMA smoothing weight for each new log-error sample.
   static constexpr double kEwmaAlpha = 0.3;
+  /// Samples a cell spends learning its reference error level (warmup), and
+  /// again the number of post-warmup samples it needs before its drift
+  /// signal is trusted.
+  static constexpr uint64_t kMinSamples = 3;
 
   explicit DriftDetector(const QdttModel& model,
                          DriftDetectorOptions options = {});
@@ -96,7 +96,7 @@ class DriftDetector {
  private:
   struct Cell {
     /// Sum of warmup log-ratios; becomes the reference mean once
-    /// `warmup_samples == min_samples`.
+    /// `warmup_samples == kMinSamples`.
     double warmup_sum = 0.0;
     double reference = 0.0;
     double log_ratio_ewma = 0.0;
@@ -105,7 +105,7 @@ class DriftDetector {
   };
 
   bool CellTrusted(const Cell& cell) const {
-    return cell.post_samples >= options_.min_samples;
+    return cell.post_samples >= kMinSamples;
   }
   static double CellShift(const Cell& cell) {
     return std::exp(std::abs(cell.log_ratio_ewma - cell.reference));

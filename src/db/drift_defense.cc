@@ -1,5 +1,6 @@
 #include "db/drift_defense.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
@@ -11,17 +12,36 @@ namespace {
 
 /// The refresh measures points of `model`'s grid; a grid the options name
 /// must be that grid, and each point is measured once (averaging
-/// repetitions is the offline calibrator's job).
+/// repetitions is the offline calibrator's job). Its pacing must let the
+/// clock move: a zero poll interval re-queues a waiting refresh at the same
+/// instant forever, and a negative or NaN wait aborts the simulator
+/// mid-run.
 const core::CalibratorOptions& CheckedOptions(
-    const core::CalibratorOptions& options, const core::QdttModel& model) {
-  PIOQO_CHECK(options.repetitions == 1)
+    const RecalibrationOptions& options, const core::QdttModel& model) {
+  const core::CalibratorOptions& calibration = options.calibration;
+  PIOQO_CHECK(calibration.repetitions == 1)
       << "drift recalibration measures each point once; repetitions must "
          "be 1";
-  PIOQO_CHECK((options.band_grid.empty() ||
-               options.band_grid == model.band_grid()) &&
-              (options.qd_grid.empty() || options.qd_grid == model.qd_grid()))
+  PIOQO_CHECK((calibration.band_grid.empty() ||
+               calibration.band_grid == model.band_grid()) &&
+              (calibration.qd_grid.empty() ||
+               calibration.qd_grid == model.qd_grid()))
       << "drift recalibration grid must match the live model's grid";
-  return options;
+  PIOQO_CHECK(std::isfinite(options.poll_interval_us) &&
+              options.poll_interval_us > 0.0)
+      << "drift recalibration poll_interval_us must be positive and finite, "
+         "got "
+      << options.poll_interval_us;
+  const std::pair<const char*, double> waits[] = {
+      {"idle_threshold_us", options.idle_threshold_us},
+      {"busy_escalation_us", options.busy_escalation_us},
+      {"busy_probe_interval_us", options.busy_probe_interval_us}};
+  for (const auto& [name, us] : waits) {
+    PIOQO_CHECK(std::isfinite(us) && us >= 0.0)
+        << "drift recalibration " << name
+        << " must be non-negative and finite, got " << us;
+  }
+  return calibration;
 }
 
 }  // namespace
@@ -35,8 +55,7 @@ DriftDefense::DriftDefense(sim::Simulator& sim, io::Device& device,
       model_(live_model),
       admission_(admission),
       options_(std::move(options.calibrator)),
-      calibrator_(sim, device,
-                  CheckedOptions(options_.calibration, live_model)),
+      calibrator_(sim, device, CheckedOptions(options_, live_model)),
       detector_(live_model, options.detector),
       seed_(options_.calibration.seed) {}
 

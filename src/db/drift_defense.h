@@ -22,7 +22,9 @@ struct RecalibrationOptions {
   /// non-empty `band_grid` or `qd_grid` must equal the model's, and
   /// `repetitions` must stay 1 (both checked at construction).
   core::CalibratorOptions calibration;
-  /// How often the refresh re-checks for device idleness.
+  /// How often the refresh re-checks for device idleness. Must be positive
+  /// and the three waits below non-negative, all finite (checked at
+  /// construction).
   double poll_interval_us = 20'000.0;
   /// The device must have been quiet (no completions, nothing outstanding)
   /// for this long before a point is measured.

@@ -13,6 +13,10 @@ namespace pioqo::io {
 /// draws no random numbers and schedules no simulator events, so a database
 /// built without retries is bit-identical (same trace_hash) to one built
 /// before this policy existed.
+///
+/// `BufferPool`'s constructor aborts on a policy it cannot run: fewer than
+/// one attempt, a negative or non-finite deadline, backoff base or
+/// multiplier, or a jitter fraction outside [0, 1].
 struct RetryPolicy {
   /// Total attempts per page load, including the first (1 = never retry).
   int max_attempts = 1;

@@ -19,29 +19,13 @@ SsdDevice::SsdDevice(sim::Simulator& sim, SsdGeometry geometry, std::string name
   PIOQO_CHECK(geometry_.ncq_slots >= 1);
   PIOQO_CHECK(geometry_.stripe_bytes >= 512);
   ftl_index_.reserve(static_cast<size_t>(geometry_.ftl_cache_segments) + 1);
-  command_pool_.reserve(static_cast<size_t>(geometry_.ncq_slots));
 }
 
 SsdDevice::~SsdDevice() {
-  for (Command* cmd : command_pool_) delete cmd;
   // Commands still awaiting admission at teardown (scenario abandoned
-  // mid-flight) are reclaimed too; their completions never fire.
+  // mid-flight) are reclaimed; their completions never fire.
   for (Command* cmd : admission_queue_) delete cmd;
 }
-
-SsdDevice::Command* SsdDevice::AllocCommand(uint64_t id, const IoRequest& req,
-                                            CompletionFn done) {
-  if (command_pool_.empty()) return new Command{id, req, std::move(done), 0};
-  Command* cmd = command_pool_.back();
-  command_pool_.pop_back();
-  cmd->id = id;
-  cmd->req = req;
-  cmd->done = std::move(done);
-  cmd->chunks_remaining = 0;
-  return cmd;
-}
-
-void SsdDevice::FreeCommand(Command* cmd) { command_pool_.push_back(cmd); }
 
 double SsdDevice::FtlHitRatio() const {
   uint64_t total = ftl_hits_ + ftl_misses_;
@@ -76,7 +60,7 @@ const SsdThrottlePhase* SsdDevice::ActiveThrottlePhase() const {
 
 void SsdDevice::SubmitImpl(uint64_t id, const IoRequest& req,
                            CompletionFn done) {
-  Command* cmd = AllocCommand(id, req, std::move(done));
+  auto* cmd = new Command{id, req, std::move(done), 0};
   if (active_commands_ < geometry_.ncq_slots) {
     Admit(cmd);
   } else {
@@ -87,8 +71,7 @@ void SsdDevice::SubmitImpl(uint64_t id, const IoRequest& req,
 bool SsdDevice::CancelImpl(uint64_t id) {
   for (auto it = admission_queue_.begin(); it != admission_queue_.end(); ++it) {
     if ((*it)->id == id) {
-      (*it)->done = nullptr;  // destroy the unfired completion now
-      FreeCommand(*it);
+      delete *it;  // destroys the unfired completion with it
       admission_queue_.erase(it);
       return true;
     }
@@ -212,7 +195,7 @@ void SsdDevice::FinishChunk(Command* cmd) {
     Admit(next);
   }
   CompletionFn done = std::move(cmd->done);
-  FreeCommand(cmd);
+  delete cmd;
   done(IoResult{});
 }
 

@@ -116,11 +116,6 @@ class SsdDevice : public Device {
   /// A command still waiting for an NCQ slot in the admission queue can be
   /// dropped; one the controller already admitted cannot.
   bool CancelImpl(uint64_t id) override;
-  /// Commands are recycled through `command_pool_` so steady-state traffic
-  /// allocates nothing per command; the pool's high-water mark is the
-  /// maximum number of simultaneously outstanding commands.
-  Command* AllocCommand(uint64_t id, const IoRequest& req, CompletionFn done);
-  void FreeCommand(Command* cmd);
   void Admit(Command* cmd);
   void UnitMaybeStart(int unit);
   void BusMaybeStart();
@@ -152,8 +147,6 @@ class SsdDevice : public Device {
       ftl_index_;
   uint64_t ftl_hits_ = 0;
   uint64_t ftl_misses_ = 0;
-
-  std::vector<Command*> command_pool_;
 };
 
 }  // namespace pioqo::io

@@ -27,7 +27,7 @@ using SimTime = double;
 /// all coroutine workers run interleaved on the caller's thread, and
 /// "runtime" means elapsed simulated time. Independent simulators may run on
 /// different threads concurrently: no state is shared between instances, and
-/// the engine's per-thread state (frame pool, invariant checker) is
+/// the engine's one piece of per-thread state, the invariant checker, is
 /// `thread_local`.
 ///
 /// Hot-path layout (DESIGN.md §11): the priority queue is a 4-ary min-heap

@@ -2,10 +2,8 @@
 #define PIOQO_SIM_TASK_H_
 
 #include <coroutine>
-#include <cstddef>
 #include <cstdlib>
 
-#include "sim/frame_pool.h"
 #include "sim/sim_checks.h"
 #include "sim/simulator.h"
 
@@ -48,15 +46,6 @@ struct [[nodiscard]] Task {
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
     void unhandled_exception() noexcept { std::abort(); }
-
-    /// Frames are recycled through the thread-local FramePool: spawning a
-    /// worker in steady state is a free-list pop instead of a malloc. The
-    /// compiler routes the whole coroutine frame (not just the promise)
-    /// through these operators.
-    static void* operator new(size_t size) { return FramePool::Allocate(size); }
-    static void operator delete(void* ptr, size_t size) {
-      FramePool::Deallocate(ptr, size);
-    }
   };
 
   /// Explicit fire-and-forget acknowledgement. The coroutine already ran (or

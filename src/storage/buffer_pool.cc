@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -10,6 +11,28 @@
 
 namespace pioqo::storage {
 
+namespace {
+
+/// A negative or NaN backoff aborts the simulator at the first retry, and a
+/// negative or NaN deadline silently disables it.
+void CheckRetryPolicy(const io::RetryPolicy& retry) {
+  PIOQO_CHECK(retry.max_attempts >= 1)
+      << "retry max_attempts must be at least 1, got " << retry.max_attempts;
+  const std::pair<const char*, double> non_negative[] = {
+      {"timeout_us", retry.timeout_us},
+      {"backoff_base_us", retry.backoff_base_us},
+      {"backoff_multiplier", retry.backoff_multiplier}};
+  for (const auto& [name, value] : non_negative) {
+    PIOQO_CHECK(std::isfinite(value) && value >= 0.0)
+        << "retry " << name << " must be non-negative and finite, got "
+        << value;
+  }
+  PIOQO_CHECK(retry.jitter_frac >= 0.0 && retry.jitter_frac <= 1.0)
+      << "retry jitter_frac must lie in [0, 1], got " << retry.jitter_frac;
+}
+
+}  // namespace
+
 BufferPool::BufferPool(DiskImage& disk, uint32_t capacity_pages,
                        BufferPoolOptions options)
     : disk_(disk),
@@ -17,6 +40,7 @@ BufferPool::BufferPool(DiskImage& disk, uint32_t capacity_pages,
       options_(options),
       retry_rng_(options.retry_seed) {
   PIOQO_CHECK(capacity_pages >= 2);
+  CheckRetryPolicy(options_.retry);
   // The slab is the high-water mark: at most `capacity_` frames can ever be
   // resident or loading. Sizing the tables to it means no rehash — and no
   // allocation of any kind — on the steady-state fetch path.
@@ -110,7 +134,6 @@ bool BufferPool::FetchAwaiter::await_ready() {
     }
     // Hit: pin immediately, no suspension.
     ++pool_.stats_.hits;
-    if (f->from_prefetch) f->from_prefetch = false;
     // Pinning removes the page from the LRU list; Unpin re-inserts it at the
     // MRU end, which is what makes the policy least-recently-*used*.
     pool_.RemoveFromLru(*f);
@@ -285,7 +308,6 @@ Status BufferPool::StartRead(PageId first, uint32_t count, bool prefetch,
     if (!EnsureCapacity()) break;
     Frame& f = AllocFrame(first + i);
     f.state = FrameState::kLoading;
-    f.from_prefetch = prefetch;
     f.read_id = read_id;
     ++created;
   }

@@ -185,7 +185,6 @@ class BufferPool {
   struct Frame {
     PageId pid = kInvalidPageId;
     FrameState state = FrameState::kLoading;
-    bool from_prefetch = false;
     bool in_lru = false;  // linked into the LRU list (see lru_prev)
     const char* data = nullptr;
     /// The read loading this frame; valid only while state == kLoading.

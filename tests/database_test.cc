@@ -389,7 +389,7 @@ TEST(DatabaseTest, DriftDefenseRefreshesOneRowOfAnInstalledGrid) {
   db.EnableDriftDefense(options);
   DriftDefense& defense = *db.drift_defense();
 
-  // An I/O-dominated plan priced at band 64, queue depth 4: min_samples
+  // An I/O-dominated plan priced at band 64, queue depth 4: kMinSamples
   // runs learn the cell's reference, then as many at 4x cross drift_ratio.
   core::PlanCandidate plan;
   plan.band_pages = 64.0;
@@ -397,7 +397,7 @@ TEST(DatabaseTest, DriftDefenseRefreshesOneRowOfAnInstalledGrid) {
   plan.io_us = 900.0;
   plan.cpu_us = 100.0;
   plan.total_us = 1000.0;
-  const uint64_t min_samples = options.detector.min_samples;
+  const uint64_t min_samples = core::DriftDetector::kMinSamples;
   for (uint64_t i = 0; i < min_samples; ++i) defense.ObserveQuery(plan, 1e3);
   for (uint64_t i = 0; i < min_samples; ++i) defense.ObserveQuery(plan, 4e3);
   ASSERT_EQ(defense.stats().recalibrations_triggered, 1u);

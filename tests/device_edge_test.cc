@@ -1,5 +1,5 @@
 // Edge-case device model tests: readahead fast paths, NCQ reordering,
-// tracing, stats accounting, and capacity enforcement.
+// cancellation, tracing, stats accounting, and capacity enforcement.
 
 #include <memory>
 #include <vector>
@@ -114,6 +114,75 @@ TEST(RaidTest, LargeRequestSpansAllMembers) {
   for (int m = 0; m < 4; ++m) {
     EXPECT_EQ(raid.member(m).stats().reads(), 1u) << "member " << m;
   }
+}
+
+// Device::Cancel: a request is reclaimable only while the model can still
+// guarantee its completion never fires.
+
+TEST(DeviceCancelTest, SsdDropsOnlyCommandsAwaitingAnNcqSlot) {
+  sim::Simulator sim;
+  SsdDevice ssd(sim, SsdGeometry::ConsumerPcie());
+  const int n = ssd.geometry().ncq_slots + 1;
+  std::vector<int> completions(static_cast<size_t>(n), 0);
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < n; ++i) {
+    ids.push_back(ssd.Submit(
+        IoRequest{IoRequest::Kind::kRead,
+                  static_cast<uint64_t>(i) * (8 << 20), 4096},
+        [&completions, i](const IoResult&) {
+          ++completions[static_cast<size_t>(i)];
+        }));
+  }
+  // Every slot is taken, so the last command waits in the admission queue.
+  EXPECT_TRUE(ssd.Cancel(ids.back()));
+  EXPECT_FALSE(ssd.Cancel(ids.back())) << "already dropped";
+  EXPECT_FALSE(ssd.Cancel(ids.front())) << "admitted: beyond recall";
+  sim.Run();
+  EXPECT_EQ(completions.back(), 0) << "a dropped completion never fires";
+  for (int i = 0; i + 1 < n; ++i) {
+    EXPECT_EQ(completions[static_cast<size_t>(i)], 1) << "request " << i;
+  }
+  EXPECT_EQ(ssd.stats().cancelled_requests(), 1u);
+  EXPECT_EQ(ssd.stats().outstanding(), 0);
+  EXPECT_FALSE(ssd.Cancel(ids.front())) << "already completed";
+}
+
+TEST(DeviceCancelTest, HddDropsOnlyQueuedCommands) {
+  sim::Simulator sim;
+  HddDevice hdd(sim, HddGeometry::Commodity7200());
+  int completions[2] = {0, 0};
+  const uint64_t in_service =
+      hdd.Submit(IoRequest{IoRequest::Kind::kRead, 0, 4096},
+                 [&](const IoResult&) { ++completions[0]; });
+  const uint64_t queued =
+      hdd.Submit(IoRequest{IoRequest::Kind::kRead, 1 << 20, 4096},
+                 [&](const IoResult&) { ++completions[1]; });
+  EXPECT_FALSE(hdd.Cancel(in_service));
+  EXPECT_TRUE(hdd.Cancel(queued));
+  sim.Run();
+  EXPECT_EQ(completions[0], 1);
+  EXPECT_EQ(completions[1], 0);
+  EXPECT_EQ(hdd.stats().cancelled_requests(), 1u);
+  EXPECT_EQ(hdd.stats().outstanding(), 0);
+}
+
+TEST(DeviceCancelTest, RaidRequestsAreBeyondRecallOnceSubmitted) {
+  sim::Simulator sim;
+  RaidDevice raid(sim, 4, HddGeometry::Enterprise15000(), 64 * 1024);
+  constexpr int kRequests = 8;
+  int completions = 0;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kRequests; ++i) {
+    ids.push_back(raid.Submit(
+        IoRequest{IoRequest::Kind::kRead,
+                  static_cast<uint64_t>(i) * 3 * 64 * 1024, 64 * 1024},
+        [&](const IoResult&) { ++completions; }));
+  }
+  for (uint64_t id : ids) EXPECT_FALSE(raid.Cancel(id));
+  sim.Run();
+  EXPECT_EQ(completions, kRequests);
+  EXPECT_EQ(raid.stats().cancelled_requests(), 0u);
+  EXPECT_EQ(raid.stats().outstanding(), 0);
 }
 
 TEST(DeviceStatsTest, LatencyAndQueueDepthAccounting) {

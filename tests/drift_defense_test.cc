@@ -24,8 +24,10 @@
 // The refresh's own rules are tested on a DriftDefense driven directly,
 // without a database: it defers to foreground I/O, starves on a never-idle
 // device without admission control, escalates to busy probes with it, and
-// refuses options that name another grid or repetitions.
+// refuses options that name another grid or repetitions, or whose pacing
+// would stall or abort the simulator.
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -51,6 +53,7 @@ using db::Database;
 using db::DatabaseOptions;
 using db::DriftDefense;
 using db::DriftDefenseOptions;
+using db::RecalibrationOptions;
 using db::testing::ChaosSchedule;
 using db::testing::ExpectDrained;
 using db::testing::Gaps;
@@ -339,17 +342,17 @@ core::QdttModel InstalledModel() {
   return model;
 }
 
-/// Drifts the cell at band 4096, queue depth 4: min_samples runs learn its
+/// Drifts the cell at band 4096, queue depth 4: kMinSamples runs learn its
 /// reference, then as many at 4x cross drift_ratio, which starts a refresh
 /// of that one row.
-void DriftOneRow(DriftDefense& defense, const DriftDefenseOptions& options) {
+void DriftOneRow(DriftDefense& defense) {
   core::PlanCandidate plan;
   plan.band_pages = 4096.0;
   plan.queue_depth = 4.0;
   plan.io_us = 900.0;
   plan.cpu_us = 100.0;
   plan.total_us = 1000.0;
-  const uint64_t min_samples = options.detector.min_samples;
+  const uint64_t min_samples = core::DriftDetector::kMinSamples;
   for (uint64_t i = 0; i < min_samples; ++i) defense.ObserveQuery(plan, 1e3);
   for (uint64_t i = 0; i < min_samples; ++i) defense.ObserveQuery(plan, 4e3);
   ASSERT_EQ(defense.stats().recalibrations_triggered, 1u);
@@ -402,7 +405,7 @@ TEST(DriftDefenseRefreshTest, DefersToForegroundBursts) {
   uint64_t generation_after_load = 0;
   ForegroundBursts(sim, *ssd, /*bursts=*/40, /*period_us=*/20'000.0, model,
                    &generation_after_load).Detach();
-  DriftOneRow(defense, options);
+  DriftOneRow(defense);
   sim.Run();
   EXPECT_EQ(generation_after_load, generation);
   EXPECT_EQ(defense.stats().recalibrations_completed, 1u);
@@ -417,7 +420,7 @@ TEST(DriftDefenseRefreshTest, NeverIdleDeviceStarvesWithoutAdmission) {
   DriftDefense defense(sim, *ssd, model, /*admission=*/nullptr, options);
   ContinuousLoad(sim, *ssd, /*until_us=*/2'000'000.0).Detach();
   const uint64_t generation = model.generation();
-  DriftOneRow(defense, options);
+  DriftOneRow(defense);
   uint64_t generation_under_load = 0;
   sim.ScheduleAt(1'900'000.0,
                  [&] { generation_under_load = model.generation(); });
@@ -440,7 +443,7 @@ TEST(DriftDefenseRefreshTest, AdmissionEscalatesToBusyProbes) {
   DriftDefense defense(sim, *ssd, model, &admission, options);
   ContinuousLoad(sim, *ssd, /*until_us=*/2'000'000.0).Detach();
   const uint64_t generation = model.generation();
-  DriftOneRow(defense, options);
+  DriftOneRow(defense);
   uint64_t generation_under_load = 0;
   uint64_t completed_under_load = 0;
   sim.ScheduleAt(1'900'000.0, [&] {
@@ -456,34 +459,73 @@ TEST(DriftDefenseRefreshTest, AdmissionEscalatesToBusyProbes) {
   EXPECT_EQ(admission.background_dop(), 0);
 }
 
-/// Constructs a DriftDefense whose refresh measures with `calibration`, on
+/// Constructs a DriftDefense with refresh options `recalibration`, on
 /// InstalledModel()'s grid.
-void ConstructDefense(const core::CalibratorOptions& calibration) {
+void ConstructDefense(const RecalibrationOptions& recalibration) {
   sim::Simulator sim;
   auto ssd = io::MakeDevice(sim, io::DeviceKind::kSsdConsumer);
   core::QdttModel model = InstalledModel();
-  DriftDefenseOptions options = FastRefresh();
-  options.calibrator.calibration = calibration;
+  DriftDefenseOptions options;
+  options.calibrator = recalibration;
   DriftDefense defense(sim, *ssd, model, /*admission=*/nullptr, options);
 }
 
 TEST(DriftDefenseDeathTest, RejectsRepetitions) {
   // The refresh measures each point once; averaging repetitions is the
   // offline calibrator's, so a larger value would silently be ignored.
-  core::CalibratorOptions repeated = FastRefresh().calibrator.calibration;
-  repeated.repetitions = 2;
+  RecalibrationOptions repeated = FastRefresh().calibrator;
+  repeated.calibration.repetitions = 2;
   EXPECT_DEATH(ConstructDefense(repeated), "repetitions must be 1");
+}
+
+TEST(DriftDefenseDeathTest, RejectsPacingThatStallsOrAborts) {
+  // A zero poll interval livelocks a refresh waiting on a busy device (each
+  // poll re-queues it at the same instant), and a negative or NaN wait
+  // aborts the simulator mid-run: both abort here instead, naming the field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {0.0, -1.0, nan, inf}) {
+    RecalibrationOptions options = FastRefresh().calibrator;
+    options.poll_interval_us = bad;
+    EXPECT_DEATH(ConstructDefense(options),
+                 "poll_interval_us must be positive and finite")
+        << bad;
+  }
+  for (double bad : {-1.0, nan, inf}) {
+    RecalibrationOptions idle = FastRefresh().calibrator;
+    idle.idle_threshold_us = bad;
+    EXPECT_DEATH(ConstructDefense(idle),
+                 "idle_threshold_us must be non-negative and finite")
+        << bad;
+    RecalibrationOptions escalation = FastRefresh().calibrator;
+    escalation.busy_escalation_us = bad;
+    EXPECT_DEATH(ConstructDefense(escalation),
+                 "busy_escalation_us must be non-negative and finite")
+        << bad;
+    RecalibrationOptions probe = FastRefresh().calibrator;
+    probe.busy_probe_interval_us = bad;
+    EXPECT_DEATH(ConstructDefense(probe),
+                 "busy_probe_interval_us must be non-negative and finite")
+        << bad;
+  }
+  // The boundaries themselves are accepted.
+  RecalibrationOptions edge = FastRefresh().calibrator;
+  edge.poll_interval_us = 1e-3;
+  edge.idle_threshold_us = 0.0;
+  edge.busy_escalation_us = 0.0;
+  edge.busy_probe_interval_us = 0.0;
+  ConstructDefense(edge);
 }
 
 TEST(DriftDefenseDeathTest, RejectsAGridOtherThanTheModels) {
   // The refresh measures the live model's grid; options naming another
   // grid would otherwise be silently ignored.
-  core::CalibratorOptions other_bands = FastRefresh().calibrator.calibration;
-  other_bands.band_grid = {1, 8192, 1 << 22};
+  RecalibrationOptions other_bands = FastRefresh().calibrator;
+  other_bands.calibration.band_grid = {1, 8192, 1 << 22};
   EXPECT_DEATH(ConstructDefense(other_bands),
                "grid must match the live model's grid");
-  core::CalibratorOptions other_depths = FastRefresh().calibrator.calibration;
-  other_depths.qd_grid = {1, 4, 16};
+  RecalibrationOptions other_depths = FastRefresh().calibrator;
+  other_depths.calibration.qd_grid = {1, 4, 16};
   EXPECT_DEATH(ConstructDefense(other_depths),
                "grid must match the live model's grid");
 }

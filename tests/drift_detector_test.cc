@@ -88,11 +88,10 @@ TEST(DriftDetectorTest, OverestimationIsDriftToo) {
 
 TEST(DriftDetectorTest, RequiresPostWarmupSamplesBeforeTrusting) {
   QdttModel model = MakeModel();
-  DriftDetectorOptions options;
-  options.min_samples = 3;
-  DriftDetector detector(model, options);
+  DriftDetector detector(model);
   // 3 warmup samples at ratio 1, then a 10x shift: the shifted cell is not
-  // trusted until it has min_samples post-warmup observations.
+  // trusted until it has kMinSamples post-warmup observations.
+  static_assert(DriftDetector::kMinSamples == 3);
   Feed(detector, 3, 4096.0, 8.0, 1000.0, 1000.0);
   detector.Observe(4096.0, 8.0, 1000.0, 10'000.0);
   detector.Observe(4096.0, 8.0, 1000.0, 10'000.0);

@@ -1,10 +1,12 @@
 // Fault-injection layer tests: injected error/spike/stuck behavior, phase
 // windows, schedule determinism, the zero-fault A/B guarantee, buffer-pool
-// retry/timeout recovery, and health-monitor degradation detection.
+// retry/timeout recovery and the retry policies the pool rejects, and
+// health-monitor degradation detection.
 
 #include "io/fault_injection.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -387,6 +389,58 @@ TEST_F(PoolRetryTest, LateCompletionOfTimedOutAttemptIsDiscarded) {
   EXPECT_EQ(pool.ResidentInRange(1, 1), 0u);
   EXPECT_TRUE(pool.Clear().ok());
   sim::checks::ExpectQuiescent("stale completions");
+}
+
+/// Constructs a pool running `retry` over a fault-free SSD.
+void ConstructPool(const io::RetryPolicy& retry) {
+  sim::Simulator sim;
+  SsdDevice ssd(sim, SsdGeometry::ConsumerPcie());
+  storage::DiskImage disk(ssd);
+  storage::BufferPool pool(disk, 16, storage::BufferPoolOptions{retry});
+}
+
+TEST(PoolRetryDeathTest, RejectsPoliciesItCannotRun) {
+  // A negative or NaN backoff aborts the simulator at the first retry, and a
+  // negative or NaN deadline silently disables it: the pool rejects each at
+  // construction instead, naming the field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  io::RetryPolicy no_attempts;
+  no_attempts.max_attempts = 0;
+  EXPECT_DEATH(ConstructPool(no_attempts), "max_attempts must be at least 1");
+  for (double bad : {-1.0, nan, inf}) {
+    io::RetryPolicy timeout;
+    timeout.timeout_us = bad;
+    EXPECT_DEATH(ConstructPool(timeout),
+                 "timeout_us must be non-negative and finite")
+        << bad;
+    io::RetryPolicy base;
+    base.backoff_base_us = bad;
+    EXPECT_DEATH(ConstructPool(base),
+                 "backoff_base_us must be non-negative and finite")
+        << bad;
+    io::RetryPolicy multiplier;
+    multiplier.backoff_multiplier = bad;
+    EXPECT_DEATH(ConstructPool(multiplier),
+                 "backoff_multiplier must be non-negative and finite")
+        << bad;
+  }
+  for (double bad : {-0.5, 2.0, nan}) {
+    io::RetryPolicy jitter;
+    jitter.jitter_frac = bad;
+    EXPECT_DEATH(ConstructPool(jitter), "jitter_frac must lie in \\[0, 1\\]")
+        << bad;
+  }
+  // The boundaries themselves are accepted.
+  io::RetryPolicy edge;
+  edge.max_attempts = 1;
+  edge.timeout_us = 0.0;
+  edge.backoff_base_us = 0.0;
+  edge.backoff_multiplier = 0.0;
+  edge.jitter_frac = 1.0;
+  ConstructPool(edge);
+  edge.jitter_frac = 0.0;
+  ConstructPool(edge);
 }
 
 // ---------------------------------------------------------------------------
