@@ -106,14 +106,6 @@ bool AdmissionController::AdmitAwaiter::await_ready() {
     grant_ = ctrl_.Charge(requested_dop_);
     return true;
   }
-  if (ctrl_.options_.max_queue_length > 0 &&
-      ctrl_.queue_.size() >= ctrl_.options_.max_queue_length) {
-    ++ctrl_.stats_.shed_queue_full;
-    grant_.status = Status::ResourceExhausted(
-        "admission queue full (" +
-        std::to_string(ctrl_.options_.max_queue_length) + " waiting)");
-    return true;
-  }
   return false;
 }
 

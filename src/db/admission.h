@@ -30,9 +30,6 @@ struct AdmissionOptions {
   /// `kResourceExhausted`. Zero waits indefinitely (the query's own
   /// deadline, if any, still bounds it); a negative or NaN wait aborts.
   double max_queue_wait_us = 0.0;
-  /// Arrivals beyond this queue length are shed immediately. Zero means
-  /// unbounded.
-  size_t max_queue_length = 0;
   /// Optional degradation signal: while the device is degraded, requested
   /// DOPs are clamped *before* they are charged against the budget, so an
   /// unhealthy device admits less aggregate work.
@@ -53,7 +50,6 @@ struct AdmissionGrant {
 struct AdmissionStats {
   uint64_t submitted = 0;
   uint64_t admitted = 0;
-  uint64_t shed_queue_full = 0;    // arrival bounced off max_queue_length
   uint64_t shed_wait_timeout = 0;  // queued longer than max_queue_wait_us
   uint64_t shed_deadline = 0;      // deadline passed at arrival or in queue
   uint64_t shed_cancelled = 0;     // cancelled at arrival or in queue
@@ -66,9 +62,8 @@ struct AdmissionStats {
 /// Admission controller for the database's concurrent query workload: caps
 /// concurrent queries and their aggregate scan DOP, queues excess arrivals
 /// FIFO, and sheds them — with `kResourceExhausted` — once the bounded wait
-/// expires (or immediately when the queue itself is full). A queued query
-/// whose deadline fires (or that is cancelled) is shed with that status
-/// instead, via its `QueryContext` cancel listener.
+/// expires. A queued query whose deadline fires (or that is cancelled) is
+/// shed with that status instead, via its `QueryContext` cancel listener.
 ///
 /// Strictly FIFO: a fresh arrival never overtakes the queue, even when its
 /// (smaller) request would fit. All waiting uses cancellable simulator

@@ -21,12 +21,6 @@ SsdDevice::SsdDevice(sim::Simulator& sim, SsdGeometry geometry, std::string name
   ftl_index_.reserve(static_cast<size_t>(geometry_.ftl_cache_segments) + 1);
 }
 
-SsdDevice::~SsdDevice() {
-  // Commands still awaiting admission at teardown (scenario abandoned
-  // mid-flight) are reclaimed; their completions never fire.
-  for (Command* cmd : admission_queue_) delete cmd;
-}
-
 double SsdDevice::FtlHitRatio() const {
   uint64_t total = ftl_hits_ + ftl_misses_;
   return total == 0 ? 1.0 : static_cast<double>(ftl_hits_) / static_cast<double>(total);
@@ -60,7 +54,8 @@ const SsdThrottlePhase* SsdDevice::ActiveThrottlePhase() const {
 
 void SsdDevice::SubmitImpl(uint64_t id, const IoRequest& req,
                            CompletionFn done) {
-  auto* cmd = new Command{id, req, std::move(done), 0};
+  const CommandIt cmd =
+      commands_.insert(commands_.end(), Command{id, req, std::move(done), 0});
   if (active_commands_ < geometry_.ncq_slots) {
     Admit(cmd);
   } else {
@@ -71,7 +66,7 @@ void SsdDevice::SubmitImpl(uint64_t id, const IoRequest& req,
 bool SsdDevice::CancelImpl(uint64_t id) {
   for (auto it = admission_queue_.begin(); it != admission_queue_.end(); ++it) {
     if ((*it)->id == id) {
-      delete *it;  // destroys the unfired completion with it
+      commands_.erase(*it);  // destroys the unfired completion with it
       admission_queue_.erase(it);
       return true;
     }
@@ -79,7 +74,7 @@ bool SsdDevice::CancelImpl(uint64_t id) {
   return false;
 }
 
-void SsdDevice::Admit(Command* cmd) {
+void SsdDevice::Admit(CommandIt cmd) {
   ++active_commands_;
   // Wear/thermal throttling: while a phase is active the admitted command
   // stripes over fewer effective channels (refresh traffic takes dies out
@@ -184,18 +179,18 @@ void SsdDevice::BusMaybeStart() {
   });
 }
 
-void SsdDevice::FinishChunk(Command* cmd) {
+void SsdDevice::FinishChunk(CommandIt cmd) {
   if (--cmd->chunks_remaining > 0) return;
   --active_commands_;
   // Admit the next waiting command before completing this one, so a caller
   // that immediately resubmits queues fairly behind earlier arrivals.
   if (!admission_queue_.empty() && active_commands_ < geometry_.ncq_slots) {
-    Command* next = admission_queue_.front();
+    const CommandIt next = admission_queue_.front();
     admission_queue_.pop_front();
     Admit(next);
   }
   CompletionFn done = std::move(cmd->done);
-  delete cmd;
+  commands_.erase(cmd);
   done(IoResult{});
 }
 

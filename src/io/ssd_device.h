@@ -75,7 +75,6 @@ struct SsdGeometry {
 class SsdDevice : public Device {
  public:
   SsdDevice(sim::Simulator& sim, SsdGeometry geometry, std::string name = "ssd");
-  ~SsdDevice() override;
 
   uint64_t capacity_bytes() const override { return geometry_.capacity_bytes; }
   std::string name() const override { return name_; }
@@ -105,8 +104,9 @@ class SsdDevice : public Device {
     CompletionFn done;
     int chunks_remaining = 0;
   };
+  using CommandIt = std::list<Command>::iterator;
   struct Chunk {
-    Command* command;
+    CommandIt command;
     uint32_t bytes;
     double extra_us;  // per-command overheads charged on the first chunk
   };
@@ -116,10 +116,10 @@ class SsdDevice : public Device {
   /// A command still waiting for an NCQ slot in the admission queue can be
   /// dropped; one the controller already admitted cannot.
   bool CancelImpl(uint64_t id) override;
-  void Admit(Command* cmd);
+  void Admit(CommandIt cmd);
   void UnitMaybeStart(int unit);
   void BusMaybeStart();
-  void FinishChunk(Command* cmd);
+  void FinishChunk(CommandIt cmd);
   /// Returns the FTL penalty for a command touching `offset` and updates
   /// the map cache LRU.
   double FtlAccess(uint64_t offset);
@@ -127,8 +127,13 @@ class SsdDevice : public Device {
   SsdGeometry geometry_;
   std::string name_;
 
+  /// Every command accepted and not yet completed or cancelled. List nodes
+  /// never move, so the admission queue and chunks refer to commands by
+  /// iterator; tearing the device down mid-flight destroys the unfired
+  /// completions with the list.
+  std::list<Command> commands_;
   int active_commands_ = 0;
-  std::deque<Command*> admission_queue_;
+  std::deque<CommandIt> admission_queue_;
 
   std::vector<std::deque<Chunk>> unit_queues_;
   std::vector<bool> unit_busy_;

@@ -42,46 +42,39 @@ BufferPool::BufferPool(DiskImage& disk, uint32_t capacity_pages,
   PIOQO_CHECK(capacity_pages >= 2);
   CheckRetryPolicy(options_.retry);
   // The slab is the high-water mark: at most `capacity_` frames can ever be
-  // resident or loading. Sizing the tables to it means no rehash — and no
-  // allocation of any kind — on the steady-state fetch path.
+  // resident or loading, and so at most `capacity_` reads in flight.
   slab_.resize(capacity_pages);
   for (uint32_t i = 0; i < capacity_pages; ++i) {
     slab_[i].next_free = (i + 1 < capacity_pages) ? i + 1 : kNoSlot;
   }
   free_head_ = 0;
-  page_table_.Reserve(capacity_pages);
-  inflight_.Reserve(capacity_pages);
-}
-
-BufferPool::Frame* BufferPool::FindFrame(PageId pid) {
-  uint32_t* slot = page_table_.Find(pid);
-  return slot != nullptr ? &slab_[*slot] : nullptr;
-}
-
-const BufferPool::Frame* BufferPool::FindFrame(PageId pid) const {
-  const uint32_t* slot = page_table_.Find(pid);
-  return slot != nullptr ? &slab_[*slot] : nullptr;
+  reads_.resize(capacity_pages);
 }
 
 BufferPool::Frame& BufferPool::AllocFrame(PageId pid) {
+  if (pid >= page_slots_.size()) {
+    PIOQO_CHECK(pid < disk_.num_pages())
+        << "page " << pid << " lies past the disk's " << disk_.num_pages()
+        << " pages";
+    page_slots_.resize(disk_.num_pages(), kNoSlot);
+    resident_.resize((disk_.num_pages() + 63) / 64);
+  }
   PIOQO_CHECK(free_head_ != kNoSlot);
   const uint32_t slot = free_head_;
   Frame& f = slab_[slot];
   free_head_ = f.next_free;
   f = Frame{};
   f.pid = pid;
-  page_table_.Insert(pid, slot);
+  page_slots_[pid] = slot;
   ++num_frames_;
   return f;
 }
 
 void BufferPool::ReleaseFrame(Frame& f) {
   const uint32_t slot = SlotOf(f);
-  // A loading frame's bit was never set, and may lie past the bitmap.
-  if (f.state == FrameState::kReady) {
-    resident_[f.pid / 64] &= ~(uint64_t{1} << (f.pid % 64));
-  }
-  page_table_.Erase(f.pid);
+  // A loading frame's bit is already clear.
+  resident_[f.pid / 64] &= ~(uint64_t{1} << (f.pid % 64));
+  page_slots_[f.pid] = kNoSlot;
   --num_frames_;
   f.pid = kInvalidPageId;
   f.next_free = free_head_;
@@ -228,7 +221,7 @@ void BufferPool::PrefetchBlock(PageId first, uint32_t count) {
   uint32_t run_start = 0;
   bool in_run = false;
   for (uint32_t i = 0; i <= count; ++i) {
-    const bool absent = i < count && !page_table_.Contains(first + i);
+    const bool absent = i < count && FindFrame(first + i) == nullptr;
     if (absent && !in_run) {
       run_start = i;
       in_run = true;
@@ -277,7 +270,7 @@ Status BufferPool::Clear() {
                                         std::to_string(f.pid));
     }
   }
-  page_table_.clear();
+  std::fill(page_slots_.begin(), page_slots_.end(), kNoSlot);
   for (uint32_t i = 0; i < capacity_; ++i) {
     slab_[i] = Frame{};
     slab_[i].next_free = (i + 1 < capacity_) ? i + 1 : kNoSlot;
@@ -302,13 +295,14 @@ bool BufferPool::EnsureCapacity() {
 Status BufferPool::StartRead(PageId first, uint32_t count, bool prefetch,
                              io::QueryContext* originator) {
   PIOQO_CHECK(count >= 1);
-  const uint64_t read_id = next_read_id_++;
+  uint32_t slot = kNoSlot;  // the first frame's, which keys the read
   uint32_t created = 0;
   for (uint32_t i = 0; i < count; ++i) {
     if (!EnsureCapacity()) break;
     Frame& f = AllocFrame(first + i);
+    if (created == 0) slot = SlotOf(f);
     f.state = FrameState::kLoading;
-    f.read_id = read_id;
+    f.read_slot = slot;
     ++created;
   }
   if (created < count) {
@@ -329,43 +323,41 @@ Status BufferPool::StartRead(PageId first, uint32_t count, bool prefetch,
   ++stats_.device_reads;
   stats_.pages_read += count;
   if (prefetch) stats_.prefetch_read += count;
-  InflightRead r;
+  InflightRead& r = reads_[slot];
+  r = InflightRead{};
+  r.id = next_read_id_++;
   r.first = first;
   r.count = count;
   r.prefetch = prefetch;
   r.originator = prefetch ? nullptr : originator;
-  inflight_.Insert(read_id, r);
-  IssueAttempt(read_id);
+  IssueAttempt(slot);
   return Status::OK();
 }
 
 void BufferPool::OnWaiterCancelled(PageId pid, io::QueryContext* query) {
   Frame* f = FindFrame(pid);
   if (f == nullptr || f->state != FrameState::kLoading) return;
-  InflightRead* r = inflight_.Find(f->read_id);
-  PIOQO_CHECK(r != nullptr);
-  if (r->originator != query) return;  // started by (or handed to) another query
+  InflightRead& r = reads_[f->read_slot];
+  PIOQO_CHECK(r.id != 0);
+  if (r.originator != query) return;  // started by (or handed to) another query
   if (!f->waiters.empty()) {
     // Someone else still wants the page: the read survives its originator.
-    r->originator = nullptr;
+    r.originator = nullptr;
     return;
   }
   PIOQO_CHECK(f->pin_count == 0);
-  if (!disk_.device().Cancel(r->device_request_id)) {
+  if (!disk_.device().Cancel(r.device_request_id)) {
     // Already being serviced (or waiting out a retry backoff): let it land
     // as an unpinned resident page, exactly like a prefetch.
-    r->originator = nullptr;
+    r.originator = nullptr;
     return;
   }
-  // Reclaimed before service: drop the loading frames and the inflight
-  // entry; the cancelled completion will never fire.
-  if (r->has_deadline) disk_.device().simulator().Cancel(r->deadline_token);
-  const PageId first = r->first;
-  const uint32_t count = r->count;
-  const uint64_t read_id = f->read_id;
-  inflight_.Erase(read_id);
-  for (uint32_t i = 0; i < count; ++i) {
-    Frame* df = FindFrame(first + i);
+  // Reclaimed before service: drop the loading frames and free the read's
+  // slot; the cancelled completion will never fire.
+  if (r.has_deadline) disk_.device().simulator().Cancel(r.deadline_token);
+  r.id = 0;
+  for (uint32_t i = 0; i < r.count; ++i) {
+    Frame* df = FindFrame(r.first + i);
     PIOQO_CHECK(df != nullptr && df->state == FrameState::kLoading &&
                 df->waiters.empty() && df->pin_count == 0);
     ReleaseFrame(*df);
@@ -373,34 +365,35 @@ void BufferPool::OnWaiterCancelled(PageId pid, io::QueryContext* query) {
   ++stats_.cancelled_reads;
 }
 
-void BufferPool::IssueAttempt(uint64_t read_id) {
-  InflightRead* r = inflight_.Find(read_id);
-  PIOQO_CHECK(r != nullptr);
-  const int attempt = r->attempt;
+void BufferPool::IssueAttempt(uint32_t slot) {
+  InflightRead& r = reads_[slot];
+  const uint64_t id = r.id;
+  const int attempt = r.attempt;
   if (options_.retry.timeout_us > 0.0) {
     // The deadline is the only recovery path for a stuck request (whose
     // completion never fires). Cancellable: when the read completes in
     // time, the cancelled deadline never executes and leaves no trace.
-    r->has_deadline = true;
-    r->deadline_token = disk_.device().simulator().ScheduleCancellableAfter(
+    r.has_deadline = true;
+    r.deadline_token = disk_.device().simulator().ScheduleCancellableAfter(
         options_.retry.timeout_us,
-        [this, read_id, attempt] { OnDeadline(read_id, attempt); });
+        [this, slot, id, attempt] { OnDeadline(slot, id, attempt); });
   }
-  r->device_request_id = disk_.device().Submit(
-      io::IoRequest{io::IoRequest::Kind::kRead, disk_.OffsetOf(r->first),
-                    r->count * kPageSize},
-      [this, read_id, attempt](const io::IoResult& result) {
-        OnReadComplete(read_id, attempt, result.status);
+  r.device_request_id = disk_.device().Submit(
+      io::IoRequest{io::IoRequest::Kind::kRead, disk_.OffsetOf(r.first),
+                    r.count * kPageSize},
+      [this, slot, id, attempt](const io::IoResult& result) {
+        OnReadComplete(slot, id, attempt, result.status);
       });
 }
 
-void BufferPool::OnReadComplete(uint64_t read_id, int attempt,
+void BufferPool::OnReadComplete(uint32_t slot, uint64_t id, int attempt,
                                 const Status& status) {
-  InflightRead* r = inflight_.Find(read_id);
-  if (r == nullptr || r->attempt != attempt) {
+  InflightRead* r = LiveRead(slot, id, attempt);
+  if (r == nullptr) {
     // Stale completion: this attempt already timed out (and was retried or
-    // failed). The data itself lives in the DiskImage, so discarding the
-    // late completion loses nothing.
+    // failed, its slot perhaps reused by a newer read). The data itself
+    // lives in the DiskImage, so discarding the late completion loses
+    // nothing.
     return;
   }
   if (r->has_deadline) {
@@ -408,15 +401,12 @@ void BufferPool::OnReadComplete(uint64_t read_id, int attempt,
     r->has_deadline = false;
   }
   if (!status.ok()) {
-    HandleFailure(read_id, status);
+    HandleFailure(slot, status);
     return;
   }
   const PageId first = r->first;
   const uint32_t count = r->count;
-  inflight_.Erase(read_id);
-  if (uint64_t{first} + count > uint64_t{resident_.size()} * 64) {
-    resident_.resize((disk_.num_pages() + 63) / 64);
-  }
+  r->id = 0;  // a waiter resumed below may start a read in this slot
   for (uint32_t i = 0; i < count; ++i) {
     const PageId pid = first + i;
     Frame* f = FindFrame(pid);
@@ -437,9 +427,9 @@ void BufferPool::OnReadComplete(uint64_t read_id, int attempt,
   }
 }
 
-void BufferPool::OnDeadline(uint64_t read_id, int attempt) {
-  InflightRead* r = inflight_.Find(read_id);
-  if (r == nullptr || r->attempt != attempt) return;
+void BufferPool::OnDeadline(uint32_t slot, uint64_t id, int attempt) {
+  InflightRead* r = LiveRead(slot, id, attempt);
+  if (r == nullptr) return;
   r->has_deadline = false;  // this deadline just fired
   ++stats_.timeouts;
   // Try to reclaim the queue slot the abandoned attempt occupies — the
@@ -447,9 +437,9 @@ void BufferPool::OnDeadline(uint64_t read_id, int attempt) {
   // slot forever. False just means the request is genuinely in service
   // (merely slow); its late completion will be discarded as stale.
   disk_.device().Cancel(r->device_request_id);
-  // Bumping `attempt` in the retry path (or erasing the entry in the fail
+  // Bumping `attempt` in the retry path (or freeing the slot in the fail
   // path) makes any late completion of this attempt stale.
-  HandleFailure(read_id,
+  HandleFailure(slot,
                 Status::IoError("page read timed out after " +
                                 std::to_string(options_.retry.timeout_us) +
                                 "us (pages " + std::to_string(r->first) + "+" +
@@ -491,34 +481,37 @@ bool BufferPool::RetryWorthwhile(const InflightRead& r, double backoff) const {
   return any_benefit;
 }
 
-void BufferPool::HandleFailure(uint64_t read_id, const Status& status) {
-  InflightRead* r = inflight_.Find(read_id);
-  PIOQO_CHECK(r != nullptr);
+void BufferPool::HandleFailure(uint32_t slot, const Status& status) {
+  InflightRead& r = reads_[slot];
   // Only kIoError is transient; kOutOfRange (malformed request) would fail
   // identically on every attempt.
   const bool retryable = status.code() == StatusCode::kIoError;
-  if (retryable && r->attempt < options_.retry.max_attempts) {
-    const double backoff = options_.retry.BackoffUs(r->attempt, retry_rng_);
-    if (!RetryWorthwhile(*r, backoff)) {
+  if (retryable && r.attempt < options_.retry.max_attempts) {
+    const double backoff = options_.retry.BackoffUs(r.attempt, retry_rng_);
+    if (!RetryWorthwhile(r, backoff)) {
       ++stats_.abandoned_retries;
-      FailRead(read_id, status);
+      FailRead(slot, status);
       return;
     }
     ++stats_.retries;
-    ++r->attempt;
+    ++r.attempt;
     disk_.device().simulator().ScheduleAfter(
-        backoff, [this, read_id] { IssueAttempt(read_id); });
+        backoff, [this, slot, id = r.id, attempt = r.attempt] {
+          // A read waiting out its backoff has no live completion or
+          // deadline, so nothing can have ended it.
+          PIOQO_CHECK(LiveRead(slot, id, attempt) != nullptr);
+          IssueAttempt(slot);
+        });
     return;
   }
-  FailRead(read_id, status);
+  FailRead(slot, status);
 }
 
-void BufferPool::FailRead(uint64_t read_id, const Status& status) {
-  InflightRead* r = inflight_.Find(read_id);
-  PIOQO_CHECK(r != nullptr);
-  const PageId first = r->first;
-  const uint32_t count = r->count;
-  inflight_.Erase(read_id);
+void BufferPool::FailRead(uint32_t slot, const Status& status) {
+  InflightRead& r = reads_[slot];
+  const PageId first = r.first;
+  const uint32_t count = r.count;
+  r.id = 0;
   ++stats_.failed_loads;
   // Drop every loading frame *before* resuming any waiter: a resumed
   // coroutine that immediately re-fetches the page must start a fresh read,

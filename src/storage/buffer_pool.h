@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "io/query_context.h"
@@ -74,11 +73,11 @@ struct BufferPoolOptions {
 ///
 /// Data structures (DESIGN.md §13): frames live in a fixed slab sized at
 /// construction, so every `Frame&` is stable for the pool's lifetime. The
-/// page table is an open-addressed `FlatIntMap` from PageId to slab slot
-/// (no per-node allocation, `Mix64`-scrambled linear probing), the LRU is a
-/// doubly-linked list threaded through the slab by slot index, and fetch
-/// waiters park in each loading frame's intrusive `sim::WaitQueue`. The
-/// steady-state fetch path therefore performs zero heap allocations. A
+/// page table is a vector of slab slots indexed by PageId, in-flight reads
+/// live in a vector indexed by the slab slot of their first frame, the LRU
+/// is a doubly-linked list threaded through the slab by slot index, and
+/// fetch waiters park in each loading frame's intrusive `sim::WaitQueue`.
+/// The steady-state fetch path therefore performs zero heap allocations. A
 /// residency bitmap, one bit per disk page, answers ResidentInRange. All of
 /// this is host-side bookkeeping: device request order, eviction victims,
 /// and waiter resume order are bit-identical to the node-based
@@ -179,7 +178,8 @@ class BufferPool {
  private:
   enum class FrameState : uint8_t { kLoading, kReady };
 
-  /// Sentinel slot index for the intrusive LRU links and the free list.
+  /// Sentinel slot index for the page table, the intrusive LRU links and
+  /// the free list.
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
 
   struct Frame {
@@ -187,8 +187,9 @@ class BufferPool {
     FrameState state = FrameState::kLoading;
     bool in_lru = false;  // linked into the LRU list (see lru_prev)
     const char* data = nullptr;
-    /// The read loading this frame; valid only while state == kLoading.
-    uint64_t read_id = 0;
+    /// Slot of the read loading this frame in `reads_` (the slot of that
+    /// read's first frame); valid only while state == kLoading.
+    uint32_t read_slot = kNoSlot;
     /// Suspended fetches, oldest first; empty unless state == kLoading.
     sim::WaitQueue<FetchAwaiter> waiters;
     uint32_t pin_count = 0;
@@ -205,14 +206,17 @@ class BufferPool {
   static_assert(sizeof(Frame) == 64);
 
   /// One outstanding device read (possibly spanning several pages), tracked
-  /// across retries. `attempt` versions the completion callbacks: a
-  /// completion or deadline carrying a stale attempt number is ignored,
-  /// which is how a late completion of a timed-out attempt is discarded.
+  /// across retries in the `reads_` slot of its first frame. Completions,
+  /// deadlines and retries carry (slot, id, attempt) and are ignored once
+  /// the slot no longer holds that read at that attempt: that is how a late
+  /// completion of a timed-out attempt is discarded, even after the read
+  /// has ended and its slot hosts a newer read.
   struct InflightRead {
+    uint64_t id = 0;  // unique per read; 0 while the slot holds no read
     PageId first = kInvalidPageId;
     uint32_t count = 0;
-    bool prefetch = false;
     int attempt = 1;
+    bool prefetch = false;
     bool has_deadline = false;
     uint64_t deadline_token = 0;
     /// Device request id of the current attempt, for Device::Cancel —
@@ -224,13 +228,20 @@ class BufferPool {
   };
 
   /// Slab lookup through the page table; nullptr when `pid` has no frame.
-  Frame* FindFrame(PageId pid);
-  const Frame* FindFrame(PageId pid) const;
+  Frame* FindFrame(PageId pid) {
+    const uint32_t slot = pid < page_slots_.size() ? page_slots_[pid] : kNoSlot;
+    return slot != kNoSlot ? &slab_[slot] : nullptr;
+  }
+  const Frame* FindFrame(PageId pid) const {
+    return const_cast<BufferPool*>(this)->FindFrame(pid);
+  }
   uint32_t SlotOf(const Frame& f) const {
     return static_cast<uint32_t>(&f - slab_.data());
   }
   /// Takes a slot off the free list and binds it to `pid` in the page
-  /// table. Requires a free slot (EnsureCapacity guarantees one).
+  /// table, first growing the page table and the residency bitmap to the
+  /// disk's page count if `pid` lies past their end (a page past the disk
+  /// aborts). Requires a free slot (EnsureCapacity guarantees one).
   Frame& AllocFrame(PageId pid);
   /// Unbinds the frame from the page table, clears its residency bit and
   /// returns its slot to the free list.
@@ -251,18 +262,25 @@ class BufferPool {
   /// reclaim the queued device request (else let it land as an unpinned
   /// resident page, like a prefetch).
   void OnWaiterCancelled(PageId pid, io::QueryContext* query);
-  /// Submits the device read for the inflight entry's current attempt and
-  /// arms the deadline if the retry policy has one.
-  void IssueAttempt(uint64_t read_id);
-  void OnReadComplete(uint64_t read_id, int attempt, const Status& status);
-  void OnDeadline(uint64_t read_id, int attempt);
+  /// The read in `slot` if it is still read `id` at `attempt`; nullptr
+  /// when that read has ended or moved on to a later attempt.
+  InflightRead* LiveRead(uint32_t slot, uint64_t id, int attempt) {
+    InflightRead& r = reads_[slot];
+    return r.id == id && r.attempt == attempt ? &r : nullptr;
+  }
+  /// Submits the device read for the current attempt of the read in `slot`
+  /// and arms the deadline if the retry policy has one.
+  void IssueAttempt(uint32_t slot);
+  void OnReadComplete(uint32_t slot, uint64_t id, int attempt,
+                      const Status& status);
+  void OnDeadline(uint32_t slot, uint64_t id, int attempt);
   /// False when no live consumer of the read could meet its deadline even
   /// if the retry (re-issued after `backoff`) succeeded instantly.
   bool RetryWorthwhile(const InflightRead& r, double backoff) const;
   /// Retries (after backoff) or, when attempts are exhausted, fails the
   /// read: drops its loading frames and resumes all waiters with `status`.
-  void HandleFailure(uint64_t read_id, const Status& status);
-  void FailRead(uint64_t read_id, const Status& status);
+  void HandleFailure(uint32_t slot, const Status& status);
+  void FailRead(uint32_t slot, const Status& status);
   void AddToLru(Frame& frame);
   void RemoveFromLru(Frame& frame);
 
@@ -276,19 +294,20 @@ class BufferPool {
   std::vector<Frame> slab_;
   uint32_t free_head_ = kNoSlot;
   uint32_t num_frames_ = 0;  // slots bound in the page table
-  /// Open-addressed tables (common/flat_map.h), pre-sized in the
-  /// constructor so steady-state fetch traffic never rehashes: at most
-  /// `capacity_` frames can be resident or loading, and each inflight read
-  /// covers >= 1 frame.
-  FlatIntMap<uint32_t> page_table_;       // PageId -> slab slot
-  FlatIntMap<InflightRead> inflight_;     // read id -> read state
+  /// Page table: PageId -> slab slot, kNoSlot when the page has no frame.
+  /// Grown to the disk's page count when a frame is bound past its end.
+  std::vector<uint32_t> page_slots_;
+  /// In-flight reads, indexed by the slab slot of each read's first frame:
+  /// a read holds that frame loading until it ends, so no two live reads
+  /// share a slot. Sized to `capacity_` once.
+  std::vector<InflightRead> reads_;
   uint64_t next_read_id_ = 1;
   /// Intrusive LRU through the slab; head = most recent, tail = victim.
   uint32_t lru_head_ = kNoSlot;
   uint32_t lru_tail_ = kNoSlot;
   /// Residency bitmap: bit `pid` is set exactly while `pid` has a kReady
-  /// frame. Grown to the disk's page count when a read lands past its end,
-  /// so ResidentInRange counts without touching the page table or slab.
+  /// frame. Grown with the page table, so ResidentInRange counts without
+  /// touching the page table or slab.
   std::vector<uint64_t> resident_;
   BufferPoolStats stats_;
 };

@@ -101,27 +101,6 @@ TEST(AdmissionTest, BoundedWaitShedsWithResourceExhausted) {
   sim::checks::ExpectQuiescent("bounded wait shed");
 }
 
-TEST(AdmissionTest, FullQueueShedsArrivalsImmediately) {
-  sim::Simulator sim;
-  AdmissionOptions options;
-  options.max_concurrent_queries = 1;
-  options.max_queue_length = 1;
-  AdmissionController ctrl(sim, options);
-  io::QueryContext qa(sim), qb(sim), qc(sim);
-  Probe a, b, c;
-  RunQuery(sim, ctrl, qa, 0.0, 1, 100.0, a).Detach();
-  RunQuery(sim, ctrl, qb, 10.0, 1, 10.0, b).Detach();  // fills the queue
-  RunQuery(sim, ctrl, qc, 20.0, 1, 10.0, c).Detach();  // bounces off it
-  sim.Run();
-  ASSERT_TRUE(a.grant.ok());
-  ASSERT_TRUE(b.grant.ok());
-  ASSERT_FALSE(c.grant.ok());
-  EXPECT_EQ(c.grant.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(c.admitted_at, 20.0);  // shed at arrival, no waiting
-  EXPECT_EQ(ctrl.stats().shed_queue_full, 1u);
-  sim::checks::ExpectQuiescent("queue full shed");
-}
-
 TEST(AdmissionTest, DeadlinePassedAtArrivalShedsWithoutQueueing) {
   sim::Simulator sim;
   AdmissionOptions options;

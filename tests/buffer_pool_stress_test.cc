@@ -1,12 +1,12 @@
 // Buffer-pool data-structure A/B stress test.
 //
-// The query-path throughput PR rebuilds the pool's page table (open-addressed
-// flat table instead of std::unordered_map) and its LRU (intrusive doubly-
-// linked list embedded in the frame slab instead of std::list), and chains
-// fetch waiters intrusively instead of per-frame vectors. Those are host-side
-// data structures: the rebuilt pool must make exactly the same device
-// requests at the same simulated instants in the same order, evict the same
-// victims, and keep every BufferPoolStats counter exact.
+// The pool's page table is a vector indexed by page id (it was a
+// std::unordered_map), its LRU an intrusive doubly-linked list embedded in
+// the frame slab (it was a std::list), and fetch waiters chain intrusively
+// instead of in per-frame vectors. Those are host-side data structures: the
+// rebuilt pool must make exactly the same device requests at the same
+// simulated instants in the same order, evict the same victims, and keep
+// every BufferPoolStats counter exact.
 //
 // This test replays a recorded high-churn scenario — 8 seeded workers mixing
 // fetches, held pins, single-page and block prefetches over a table 8x the

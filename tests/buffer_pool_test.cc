@@ -250,5 +250,15 @@ TEST_F(BufferPoolTest, SequentialScanWithSmallPoolEvictsCleanly) {
   EXPECT_EQ(pool.stats().evictions, 92u);
 }
 
+using BufferPoolDeathTest = BufferPoolTest;
+
+TEST_F(BufferPoolDeathTest, BindingAPagePastTheDiskAbortsBeforeIssuingIt) {
+  // A page past the disk has no bytes to land, so binding a frame to it
+  // aborts at once: the simulator never runs, and no read reaches it.
+  BufferPool pool(disk_, 10);
+  EXPECT_DEATH(pool.PrefetchBlock(100, 1),
+               "page 100 lies past the disk's 100 pages");
+}
+
 }  // namespace
 }  // namespace pioqo::storage

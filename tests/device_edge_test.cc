@@ -1,5 +1,6 @@
 // Edge-case device model tests: readahead fast paths, NCQ reordering,
-// cancellation, tracing, stats accounting, and capacity enforcement.
+// cancellation, teardown mid-flight, tracing, stats accounting, and capacity
+// enforcement.
 
 #include <memory>
 #include <vector>
@@ -183,6 +184,79 @@ TEST(DeviceCancelTest, RaidRequestsAreBeyondRecallOnceSubmitted) {
   EXPECT_EQ(completions, kRequests);
   EXPECT_EQ(raid.stats().cancelled_requests(), 0u);
   EXPECT_EQ(raid.stats().outstanding(), 0);
+}
+
+// Teardown: a device destroyed mid-flight, then its simulator, frees every
+// request it accepted without firing any completion.
+
+/// Counts its live copies, so a completion capturing one shows whether
+/// teardown destroyed it.
+struct LiveCount {
+  static inline int live = 0;
+  LiveCount() { ++live; }
+  LiveCount(const LiveCount&) { ++live; }
+  LiveCount(LiveCount&&) noexcept { ++live; }
+  ~LiveCount() { --live; }
+};
+
+/// Submits more scattered 4 KiB reads than the device services at once,
+/// runs to `until_us`, then destroys the device and then the simulator.
+template <typename MakeDevice>
+void ExpectTeardownFreesRequestsInFlight(MakeDevice make_device,
+                                         double until_us) {
+  constexpr int kReads = 40;
+  const int live_at_start = LiveCount::live;
+  int fired = 0;
+  int fired_before_teardown = 0;
+  {
+    sim::Simulator sim;
+    std::unique_ptr<Device> device = make_device(sim);
+    const uint64_t pages = device->capacity_bytes() / 4096;
+    for (int i = 0; i < kReads; ++i) {
+      const uint64_t page = (static_cast<uint64_t>(i) * 7919 + 13) % pages;
+      device->Submit(IoRequest{IoRequest::Kind::kRead, page * 4096, 4096},
+                     [&fired, count = LiveCount{}](const IoResult&) {
+                       ++fired;
+                     });
+    }
+    EXPECT_EQ(LiveCount::live - live_at_start, kReads);
+    sim.RunUntil(until_us);
+    EXPECT_GT(fired, 0) << "ran part-way";
+    EXPECT_LT(fired, kReads) << "ran part-way";
+    EXPECT_EQ(LiveCount::live - live_at_start, kReads - fired);
+    fired_before_teardown = fired;
+    device.reset();
+  }
+  EXPECT_EQ(fired, fired_before_teardown) << "a completion fired at teardown";
+  EXPECT_EQ(LiveCount::live - live_at_start, 0)
+      << "a completion outlived its device";
+}
+
+TEST(DeviceTeardownTest, SsdFreesAdmittedAndQueuedCommands) {
+  // At 300 us the first NCQ wave has completed and the commands admitted
+  // behind it are still with the flash units and the bus.
+  ExpectTeardownFreesRequestsInFlight(
+      [](sim::Simulator& sim) {
+        return std::make_unique<SsdDevice>(sim, SsdGeometry::ConsumerPcie());
+      },
+      300.0);
+}
+
+TEST(DeviceTeardownTest, HddFreesQueuedAndInServiceCommands) {
+  ExpectTeardownFreesRequestsInFlight(
+      [](sim::Simulator& sim) {
+        return std::make_unique<HddDevice>(sim, HddGeometry::Commodity7200());
+      },
+      10'000.0);
+}
+
+TEST(DeviceTeardownTest, RaidFreesRequestsFannedOutToMembers) {
+  ExpectTeardownFreesRequestsInFlight(
+      [](sim::Simulator& sim) {
+        return std::make_unique<RaidDevice>(
+            sim, 4, HddGeometry::Enterprise15000(), 64 * 1024);
+      },
+      5'000.0);
 }
 
 TEST(DeviceStatsTest, LatencyAndQueueDepthAccounting) {

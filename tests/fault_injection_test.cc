@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -389,6 +390,74 @@ TEST_F(PoolRetryTest, LateCompletionOfTimedOutAttemptIsDiscarded) {
   EXPECT_EQ(pool.ResidentInRange(1, 1), 0u);
   EXPECT_TRUE(pool.Clear().ok());
   sim::checks::ExpectQuiescent("stale completions");
+}
+
+TEST_F(PoolRetryTest, LateCompletionSparesTheReadThatReusedItsSlot) {
+  // A latency window doubles the first read past its deadline, and with a
+  // single attempt the read fails there. Its waiter at once fetches another
+  // page, whose read takes the freed frame slot (the free list is LIFO) at
+  // attempt 1 too. The first read's late completion then lands while the
+  // second read is in flight, and must not resolve it.
+  FaultConfig faults;
+  faults.phases.push_back(FaultPhase{0.0, 100.0, 2.0, 0.0});
+  io::RetryPolicy retry;
+  retry.max_attempts = 1;
+  retry.timeout_us = 300.0;
+  auto pool = MakePool(faults, retry);
+  std::vector<std::pair<uint64_t, double>> completions;  // (page, time)
+  faulty_->set_completion_observer(
+      [this, &completions](const IoRequest& req, const IoResult&) {
+        completions.emplace_back(req.offset / storage::kPageSize, sim_.Now());
+      });
+
+  int second_resumes = 0;
+  double second_resumed_at = -1.0;
+  storage::BufferPool::PageRef first, second;
+  auto worker = [&]() -> sim::Task {
+    first = co_await pool.Fetch(1);
+    second = co_await pool.Fetch(40);
+    ++second_resumes;
+    second_resumed_at = sim_.Now();
+    if (second.ok()) pool.Unpin(40);
+  };
+  worker().Detach();
+  sim_.Run();
+  faulty_->set_completion_observer(nullptr);
+
+  EXPECT_EQ(first.status.code(), StatusCode::kIoError);
+  ASSERT_EQ(completions.size(), 2u);
+  EXPECT_EQ(completions[0].first, 1u);
+  EXPECT_EQ(completions[1].first, 40u);
+  EXPECT_GT(completions[0].second, retry.timeout_us) << "arrives late";
+  EXPECT_LT(completions[0].second, completions[1].second)
+      << "arrives while the second read is in flight";
+  EXPECT_EQ(second_resumes, 1);
+  EXPECT_EQ(second_resumed_at, completions[1].second)
+      << "resolved by its own device completion";
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.data[storage::kPageHeaderSize], 40);
+  const storage::BufferPoolStats& s = pool.stats();
+  EXPECT_EQ(s.fetches, 2u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.joined_inflight, 0u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.prefetch_issued, 0u);
+  EXPECT_EQ(s.prefetch_read, 0u);
+  EXPECT_EQ(s.prefetch_dropped, 0u);
+  EXPECT_EQ(s.device_reads, 2u);
+  EXPECT_EQ(s.pages_read, 2u);
+  EXPECT_EQ(s.retries, 0u);
+  EXPECT_EQ(s.timeouts, 1u);
+  EXPECT_EQ(s.abandoned_retries, 0u);
+  EXPECT_EQ(s.failed_loads, 1u);
+  EXPECT_EQ(s.fetch_errors, 1u);
+  EXPECT_EQ(s.cancelled_fetches, 0u);
+  EXPECT_EQ(s.cancelled_reads, 0u);
+  EXPECT_FALSE(pool.IsResident(1));
+  EXPECT_TRUE(pool.IsResident(40));
+  EXPECT_TRUE(pool.Clear().ok());
+  sim::checks::ExpectQuiescent("late completion after slot reuse");
 }
 
 /// Constructs a pool running `retry` over a fault-free SSD.

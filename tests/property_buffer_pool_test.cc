@@ -81,22 +81,22 @@ TEST_P(BufferPoolPropertyTest, RandomOperationSequence) {
     // last drain; pins + in-flight must stay below capacity (the pool's
     // documented precondition: the caller sizes the pool above its maximum
     // simultaneously pinned/loading set).
-    uint32_t inflight_budget_used = 0;
+    uint32_t loads_budget_used = 0;
     for (int op = 0; op < c.operations; ++op) {
-      if (op % 16 == 15 || inflight_budget_used + total_pins + 2 >= c.capacity) {
+      if (op % 16 == 15 || loads_budget_used + total_pins + 2 >= c.capacity) {
         // Drain: wait until the device has no outstanding reads.
         while (device->stats().outstanding() > 0) {
           co_await sim::Delay(sim, 1000.0);
         }
-        inflight_budget_used = 0;
+        loads_budget_used = 0;
       }
       const PageId page = static_cast<PageId>(rng.UniformBelow(c.num_pages));
       const uint64_t action = rng.UniformBelow(10);
       const uint32_t headroom = c.capacity - static_cast<uint32_t>(total_pins) -
-                                inflight_budget_used;
+                                loads_budget_used;
       if (action < 5 && total_pins < c.capacity / 2 && headroom >= 2) {
         auto ref = co_await pool.Fetch(page);
-        ++inflight_budget_used;
+        ++loads_budget_used;
         EXPECT_EQ(ref.data[kPageHeaderSize], static_cast<char>(page % 251));
         ++pins[page];
         ++total_pins;
@@ -110,13 +110,13 @@ TEST_P(BufferPoolPropertyTest, RandomOperationSequence) {
         if (--it->second == 0) pins.erase(it);
       } else if (action == 8 && headroom >= 2) {
         pool.PrefetchBlock(page, 1);
-        ++inflight_budget_used;
+        ++loads_budget_used;
       } else if (headroom >= 3) {
         const uint32_t count = static_cast<uint32_t>(
             1 + rng.UniformBelow(std::min<uint64_t>(8, headroom - 1)));
         if (page + count <= c.num_pages) {
           pool.PrefetchBlock(page, count);
-          inflight_budget_used += count;
+          loads_budget_used += count;
         }
       }
       EXPECT_LE(pool.resident_pages(), c.capacity);

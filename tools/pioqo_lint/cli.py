@@ -33,8 +33,8 @@ RULES = {
     "PERF001": "std::function declared in a hot-path layer (src/sim, src/io);"
                " use sim::InlineFunction",
     "PERF002": "node-based container (std::list/map/set) in a per-page layer "
-               "(src/storage, src/exec); use FlatIntMap or an intrusive "
-               "structure",
+               "(src/storage, src/exec); use a vector indexed by id, a "
+               "sorted vector, or an intrusive structure",
     "RND001": "std::random_device (host entropy) in a simulated path",
     "RND002": "std <random> engine in a simulated path; use pioqo::Pcg32",
     "RND003": "C library rand()/srand()/random() in a simulated path",

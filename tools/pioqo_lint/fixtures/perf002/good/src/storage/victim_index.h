@@ -1,12 +1,10 @@
 #ifndef FIXTURE_STORAGE_VICTIM_INDEX_GOOD_H_
 #define FIXTURE_STORAGE_VICTIM_INDEX_GOOD_H_
 
-// PERF002 good fixture: the per-page structures use the flat table and an
-// intrusive LRU threaded through the frame slab; a std::list mentioned
-// only in a comment must not fire.
+// PERF002 good fixture: the per-page structures use a vector indexed by
+// page id and an intrusive LRU threaded through the frame slab; a std::list
+// mentioned only in a comment must not fire.
 #include <vector>
-
-#include "common/flat_map.h"
 
 namespace pioqo::storage {
 
@@ -20,7 +18,7 @@ class VictimIndex {
     unsigned lru_next = 0;
   };
   std::vector<Frame> slab_;
-  pioqo::FlatIntMap<unsigned> frames_;
+  std::vector<unsigned> frames_;
 };
 
 }  // namespace pioqo::storage

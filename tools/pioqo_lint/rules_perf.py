@@ -23,17 +23,17 @@ than per-event.
 
 PERF002 — no node-based containers in the per-page / per-row layers.
 
-The query-path throughput PR (DESIGN.md §13) rebuilt the buffer pool's page
-table and LRU from `std::unordered_map` + `std::list` into an open-addressed
-flat table plus an intrusive list embedded in the frame slab: node-based
+The query-path throughput work (DESIGN.md §13) rebuilt the buffer pool's page
+table and LRU from `std::unordered_map` + `std::list` into a vector indexed
+by page id plus an intrusive list embedded in the frame slab: node-based
 containers pay a malloc/free and a pointer chase per page touched, which is
 the dominant cost once the simulator itself stops allocating. PERF002 keeps
 that fixed: inside `src/storage/` and `src/exec/` (every page fetch, LRU
 bump, and row visit flows through these layers), declaring a `std::list`,
 `std::map`/`std::set` (and multi/unordered variants) member, parameter,
-alias target, or local is flagged. Use `pioqo::FlatIntMap`
-(common/flat_map.h), a sorted `std::vector`, or an intrusive structure, or
-justify the exception in the shared allowlist.
+alias target, or local is flagged. Use a `std::vector` indexed by id, a
+sorted `std::vector`, or an intrusive structure, or justify the exception in
+the shared allowlist.
 
 Catalog-scale containers elsewhere (`src/db`'s table map, bench/, tests/)
 are not judged: a per-database `std::map` touched once per query is fine.
@@ -88,9 +88,8 @@ NODE_CONTAINER = re.compile(
 
 PERF002_MESSAGE = (
     "node-based container in per-page layer {0}: std::list/map/set pay a "
-    "malloc and a pointer chase per element; use pioqo::FlatIntMap "
-    "(common/flat_map.h), a sorted vector, or an intrusive structure, or "
-    "justify via the allowlist")
+    "malloc and a pointer chase per element; use a vector indexed by id, a "
+    "sorted vector, or an intrusive structure, or justify via the allowlist")
 
 
 def page_path_layer_of(rel):
